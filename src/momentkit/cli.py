@@ -15,15 +15,9 @@ import os
 import sys
 from pathlib import Path
 
+from . import __version__ as VERSION
 from .errors import ConfigError, MomentkitError
 from .scenarios import SCENARIO_KINDS, run_config, validate_config
-
-try:
-    from importlib.metadata import version as _dist_version
-
-    VERSION = _dist_version("artifact")
-except Exception:  # pragma: no cover - metadata missing in odd installs
-    VERSION = "0.0.0"
 
 THREADS_ENV = "MOMENTKIT_THREADS"
 

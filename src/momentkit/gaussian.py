@@ -11,10 +11,10 @@ scheduling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import (
     HypothesisUnverifiable,
@@ -174,7 +174,7 @@ def tail_lower_bound_check(gamma: GaussianMeasure, l: DualFunctional) -> TailRep
     else:
         if qp < 1.0:
             raise NotInScope(f"dual norm {qp} < 1: hypothesis fails")
-        exact = float(2.0 * norm.sf(1.0 / qp))
+        exact = math.erfc(1.0 / qp / math.sqrt(2.0))
         qp_val = float(qp)
     return TailReport(
         exact=exact, bound=1.0 / 7.0, dual_norm_value=qp_val, ok=bool(exact >= 1.0 / 7.0)

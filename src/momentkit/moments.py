@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import (
     DegreeOverflow,
@@ -461,6 +460,18 @@ def carleman_from_log_moments(
     )
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a), by scipy.special.logsumexp's algorithm: the m entries
+    equal to the maximum are split off the shifted sum and enter as log(m)."""
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        return float(a_max)
+    is_max = a == a_max
+    m = np.count_nonzero(is_max)
+    s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum() / m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def log_even_moments_from_measure(nu: DiscreteMeasure, v, n_max: int) -> np.ndarray:
     """log integral of <v, .>^{2n} for n = 1..N via log-sum-exp over atoms."""
     v = np.asarray(v, dtype=float)
@@ -470,7 +481,7 @@ def log_even_moments_from_measure(nu: DiscreteMeasure, v, n_max: int) -> np.ndar
         log_w = np.log(np.maximum(nu.weights, 0.0))
         log_abs = np.log(np.abs(vals))
     for n in range(1, n_max + 1):
-        out[n - 1] = logsumexp(log_w + 2 * n * log_abs)
+        out[n - 1] = _logsumexp(log_w + 2 * n * log_abs)
     return out
 
 
@@ -504,8 +515,12 @@ def carleman_diagnostic(
 
 def log_gaussian_even_moments(n_max: int) -> np.ndarray:
     """log (2n-1)!! for n = 1..N (standard Gaussian directional moments)."""
-    ns = np.arange(1, n_max + 1)
-    return gammaln(2 * ns + 1) - ns * np.log(2.0) - gammaln(ns + 1)
+    return np.array(
+        [
+            math.lgamma(2 * n + 1) - n * math.log(2.0) - math.lgamma(n + 1)
+            for n in range(1, n_max + 1)
+        ]
+    )
 
 
 def log_squared_exponential_moments(n_max: int) -> np.ndarray:

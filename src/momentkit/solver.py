@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import nnls
 
 from .errors import IllConditioned, NotPSD, RankNotFlat
 from .moments import DiscreteMeasure, MomentFunctional, moment_matrix, monomials_up_to
@@ -163,6 +161,8 @@ def solve_multivariate(L: MomentFunctional, d: int, seed: int = 0) -> SolverResu
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(L.dim)
     t = sum(ci * xi for ci, xi in zip(c, mult))
+    import scipy.linalg  # deferred so that importing momentkit does not load scipy
+
     _, q_schur = scipy.linalg.schur(np.asarray(t), output="real")
     atoms = np.empty((r, L.dim))
     for i in range(L.dim):
@@ -180,6 +180,8 @@ def solve_multivariate(L: MomentFunctional, d: int, seed: int = 0) -> SolverResu
     targets = np.asarray(targets)
     weights, *_ = np.linalg.lstsq(vand, targets, rcond=None)
     if np.any(weights < -1e-8):
+        from scipy.optimize import nnls
+
         weights, _ = nnls(vand, targets)
     measure = _sorted_measure(atoms, weights)
     recon = np.array([measure.moment(alpha) for alpha in monomials_up_to(L.dim, 2 * d)])

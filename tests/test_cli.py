@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import momentkit
 from momentkit.cli import main
 from momentkit.scenarios import SCENARIO_KINDS, validate_config
 
@@ -41,6 +45,28 @@ def test_all_bundled_fixtures(tmp_path):
     for name, want in expected.items():
         code = run_cli("run", fixture_path(name), "--out", str(tmp_path))
         assert code == want, name
+
+
+def test_run_loads_no_scipy(tmp_path):
+    """import momentkit and a CLI run stay on numpy and the standard
+    library; only the solver imports scipy, on its first call."""
+    script = (
+        "import sys, momentkit, momentkit.cli\n"
+        "code = momentkit.cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+        "heavy = ('scipy.stats', 'scipy.special', 'scipy.linalg', 'scipy.optimize')\n"
+        "print(code, [m for m in heavy if m in sys.modules])\n"
+    )
+    src = str(Path(momentkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, fixture_path("gaussian.json"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "gaussian.report.json").is_file()
 
 
 def test_trace_fixture_report_value(tmp_path):

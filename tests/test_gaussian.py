@@ -81,6 +81,17 @@ def test_tail_lower_bound_boundary_value():
     assert rep.ok
 
 
+def test_tail_lower_bound_matches_scipy_normal_tail():
+    """exact = erfc(x / sqrt 2) agrees with 2 * norm.sf(x), x = 1/q'(l), to
+    4 ulp over the whole range in scope: q'(l) >= 1 puts x in (0, 1]."""
+    gamma = GaussianMeasure.from_form(GramForm(dim=1, gram=np.eye(1)))
+    for x in np.linspace(0.0, 1.0, 20_001)[1:]:
+        l = DualFunctional(dim=1, coeffs=np.array([1.0 / x]))
+        rep = tail_lower_bound_check(gamma, l)
+        want = 2.0 * stats.norm.sf(1.0 / rep.dual_norm_value)
+        assert abs(rep.exact - want) <= 4 * np.spacing(want), x
+
+
 def test_tail_lower_bound_monotone_in_dual_norm():
     q = GramForm(dim=1, gram=np.eye(1))
     gamma = GaussianMeasure.from_form(q)

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
 from momentkit import (
     AlgebraElement,
@@ -34,6 +35,7 @@ from momentkit.errors import (
     NotSquarePositive,
 )
 from momentkit.moments import (
+    _logsumexp,
     carleman_from_log_moments,
     cbs_check,
     log_even_moments_from_measure,
@@ -205,6 +207,36 @@ def test_carleman_gaussian_divergent():
     assert is_infinite(diag.tail_sum_estimate)
     # Gaussian terms: t_n = ((2n-1)!!)^{-1/(2n)} ~ sqrt(e/(2n))
     assert diag.terms[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_log_gaussian_even_moments_match_gammaln():
+    ns = np.arange(1, 201)
+    want = gammaln(2 * ns + 1) - ns * np.log(2.0) - gammaln(ns + 1)
+    got = log_gaussian_even_moments(200)
+    # n = 1 is log 1 = 0, where only an absolute comparison means anything
+    assert abs(got[0]) <= 1e-15
+    np.testing.assert_allclose(got[1:], want[1:], rtol=1e-14, atol=0.0)
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(0)
+    cases = [
+        np.array([-np.inf]),
+        np.full(4, -np.inf),
+        np.array([2.5]),
+        np.zeros(3),
+        np.array([0.0, -np.inf, 0.0, -1.0]),
+    ]
+    for _ in range(3000):
+        size = int(rng.integers(1, 40))
+        if rng.random() < 0.5:
+            a = rng.normal(scale=rng.choice([1.0, 30.0, 700.0]), size=size)
+        else:  # a coarse grid makes ties at the maximum common
+            a = rng.integers(-4, 3, size=size) * 0.75
+        a[rng.random(size) < 0.2] = -np.inf  # zero weights
+        cases.append(a)
+    for a in cases:
+        assert _logsumexp(a).hex() == float(logsumexp(a)).hex(), a
 
 
 def test_carleman_squared_exponential_convergent():
