@@ -1,8 +1,8 @@
 """Command-line front end: run / validate / list for scenario configs.
 
 Reports are byte-stable for a fixed config and seed: JSON with sorted keys,
-two-space indent, and no timestamps.  Run metadata (wall-clock time, thread
-setting, paths) goes to a sibling ``.meta.json`` so report diffs stay clean.
+two-space indent, and no timestamps.  Run metadata (wall-clock time, paths)
+goes to a sibling ``.meta.json`` so report diffs stay clean.
 """
 
 from __future__ import annotations
@@ -11,15 +11,12 @@ import argparse
 import csv
 import datetime
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import __version__ as VERSION
 from .errors import ConfigError, MomentkitError
 from .scenarios import SCENARIO_KINDS, run_config, validate_config
-
-THREADS_ENV = "MOMENTKIT_THREADS"
 
 # Tolerances baked into each scenario's assertions, echoed into reports so a
 # reader can tell what "passed" meant without consulting the source.
@@ -37,18 +34,6 @@ _KIND_TOLERANCES = {
     "tilde_trace": {"two_path_rel": 1e-8},
     "construct_q": {"trace_abs": 1e-10, "gram_abs": 1e-10},
 }
-
-
-def _resolve_threads(flag_value):
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    return 1
 
 
 def _load_config(path: Path):
@@ -80,7 +65,6 @@ def cmd_run(args) -> int:
     config_path = Path(args.config)
     try:
         config = _load_config(config_path)
-        threads = _resolve_threads(args.threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -128,7 +112,6 @@ def cmd_run(args) -> int:
         "config_path": str(config_path),
         "started": started.isoformat(),
         "finished": finished.isoformat(),
-        "threads": threads,
         "report": report_path.name,
         "tables": csv_paths,
     }
@@ -174,12 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a scenario config")
     run_p.add_argument("config", help="path to a scenario config JSON file")
     run_p.add_argument("--out", default=".", help="directory for reports")
-    run_p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=f"worker threads (overridden by ${THREADS_ENV})",
-    )
     run_p.add_argument(
         "--seed", type=int, default=None, help="override the config seed"
     )

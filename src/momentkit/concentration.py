@@ -30,6 +30,7 @@ from .forms import (
     OrthonormalSystem,
     dual_norm,
     is_infinite,
+    jsonable,
     kernel_basis,
     whitening_system,
 )
@@ -543,7 +544,7 @@ def verify_main_theorem_scenario(
     def stage_trace():
         tr = trace_value(state["s_form"], q)
         if is_infinite(tr):
-            return "fail", {"trace": "infinite"}
+            return "fail", {"trace": jsonable(tr)}
         state["trace"] = tr
         return "pass", {"trace": float(tr)}
 
@@ -601,11 +602,8 @@ def verify_main_theorem_scenario(
         continuous = True
         for atom in mu_target.atoms:
             nd = dual_norm(q, DualFunctional(dim=q.dim, coeffs=atom))
-            if is_infinite(nd):
-                continuous = False
-                dual_norms.append("infinite")
-            else:
-                dual_norms.append(float(nd))
+            continuous = continuous and not is_infinite(nd)
+            dual_norms.append(jsonable(nd))
         violations = [
             i
             for i, atom in enumerate(mu_target.support)

@@ -51,6 +51,11 @@ def is_infinite(x) -> bool:
     return x is INFINITE
 
 
+def jsonable(x):
+    """The report encoding of a float-or-INFINITE value."""
+    return "infinite" if is_infinite(x) else float(x)
+
+
 def _as_vector(v, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (dim,):

@@ -29,6 +29,7 @@ from .forms import (
     INFINITE,
     dual_norm,
     is_infinite,
+    jsonable,
     kernel_basis,
     whitening_system,
 )
@@ -239,9 +240,8 @@ class FundamentalLemmaReport:
     conclusion_ok: object  # bool, or None when the hypothesis fails
 
     def to_jsonable(self) -> dict:
-        sup = self.sup_quadratic
         return {
-            "sup_quadratic": "infinite" if is_infinite(sup) else float(sup),
+            "sup_quadratic": jsonable(self.sup_quadratic),
             "epsilon": float(self.epsilon),
             "hypothesis_certified": bool(self.hypothesis_certified),
             "mass": float(self.mass_in_unit_dual_ball),

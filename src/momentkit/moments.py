@@ -23,11 +23,11 @@ from .errors import (
     NegativeEvenMoment,
     NotSquarePositive,
 )
-from .forms import GramForm, INFINITE, OrthonormalSystem, is_infinite
+from .forms import GramForm, INFINITE, OrthonormalSystem, is_infinite, jsonable
 from .symalg import (
     AlgebraElement,
     Character,
-    _reference_basis,
+    _orthonormal_monomials,
     evaluate_character,
     gradlex_key,
     multiply,
@@ -280,44 +280,13 @@ def cbs_check(
     return bool(lhs <= rhs + slack * scale)
 
 
-def _kernel_tol(values) -> float:
-    return 1e-10 * max(1.0, max((abs(v) for v in values), default=0.0))
+def _kernel_tol(values: np.ndarray) -> float:
+    return 1e-10 * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
-def _slice_functional_coeffs(
-    L: MomentFunctional,
-    p: GramForm,
-    slice_degree: int,
-    system: OrthonormalSystem | None,
-):
-    """Values of L on the orthonormalized monomial basis of the given slice.
-
-    Returns (values on seminorm-positive monomials, values on monomials
-    touching a kernel factor)."""
-    u, n_on = _reference_basis(p, system)
-    gens = [
-        AlgebraElement.from_vector(u[:, i], max(slice_degree, 1)) for i in range(p.dim)
-    ]
-    pos_vals, ker_vals = [], []
-    cache: dict = {}
-
-    def gen_power(i: int, e: int) -> AlgebraElement:
-        key = (i, e)
-        if key not in cache:
-            cache[key] = power(gens[i], e)
-        return cache[key]
-
-    for alpha in slice_monomials(p.dim, slice_degree):
-        elem = AlgebraElement.one(p.dim, max(slice_degree, 1))
-        for i, e in enumerate(alpha):
-            if e:
-                elem = multiply(elem, gen_power(i, e))
-        val = L(elem)
-        if any(alpha[i] for i in range(n_on, p.dim)):
-            ker_vals.append(val)
-        else:
-            pos_vals.append(val)
-    return pos_vals, ker_vals
+def _check_form_dim(L: MomentFunctional, p: GramForm):
+    if p.dim != L.dim:
+        raise DimensionMismatch(f"form dim {p.dim} != functional dim {L.dim}")
 
 
 def continuity_constant(
@@ -329,11 +298,15 @@ def continuity_constant(
     """Smallest C with |L(b)| <= C * p~^(2d)(b) on the degree-2d slice: the
     l2 norm of L's values on the orthonormalized monomial basis; INFINITE
     when L is nonzero on a monomial touching the kernel."""
-    pos_vals, ker_vals = _slice_functional_coeffs(L, p_2d, 2 * d, system)
-    tol = _kernel_tol(pos_vals + ker_vals)
-    if any(abs(v) > tol for v in ker_vals):
+    _check_form_dim(L, p_2d)
+    if 2 * d > L.max_degree:
+        raise DegreeOverflow(f"slice degree {2 * d} not stored, max {L.max_degree}")
+    g, kernel = _orthonormal_monomials(p_2d, system, 2 * d)
+    moments = np.array([L.moments.get(a, 0.0) for a in slice_monomials(L.dim, 2 * d)])
+    vals = g @ moments  # L on the orthonormalized monomials
+    if np.any(np.abs(vals[kernel]) > _kernel_tol(vals)):
         return INFINITE
-    return float(np.sqrt(sum(v * v for v in pos_vals)))
+    return float(np.linalg.norm(vals[~kernel]))
 
 
 def square_constant(
@@ -351,42 +324,16 @@ def square_constant(
     the graded seminorm; it is generally smaller or larger than the linear
     continuity constant and the two must not be conflated.
     """
-    u, n_on = _reference_basis(p_2d, system)
-    gens = [AlgebraElement.from_vector(u[:, i], 2 * d) for i in range(p_2d.dim)]
-    cache: dict = {}
-
-    def gen_power(i: int, e: int) -> AlgebraElement:
-        key = (i, e)
-        if key not in cache:
-            cache[key] = power(gens[i], e)
-        return cache[key]
-
-    monos = slice_monomials(p_2d.dim, d)
-    elems = []
-    kernel_flags = []
-    for alpha in monos:
-        elem = AlgebraElement.one(p_2d.dim, 2 * d)
-        for i, e in enumerate(alpha):
-            if e:
-                elem = multiply(elem, gen_power(i, e))
-        elems.append(elem)
-        kernel_flags.append(any(alpha[i] for i in range(n_on, p_2d.dim)))
-    k = len(monos)
-    mat = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            mat[i, j] = mat[j, i] = L(multiply(elems[i], elems[j]))
-    tol = _kernel_tol(mat.ravel())
-    pos_idx = [i for i in range(k) if not kernel_flags[i]]
-    ker_idx = [i for i in range(k) if kernel_flags[i]]
-    if ker_idx:
-        touching = np.abs(mat[np.ix_(ker_idx, range(k))])
-        if touching.size and touching.max() > tol:
-            return INFINITE
-    if not pos_idx:
+    _check_form_dim(L, p_2d)
+    g, kernel = _orthonormal_monomials(p_2d, system, d)
+    k = len(kernel)
+    # the degree-d block of the moment matrix, transformed to the basis
+    mat = g @ moment_matrix(L, d)[-k:, -k:] @ g.T
+    if np.abs(mat[kernel]).max(initial=0.0) > _kernel_tol(mat):
+        return INFINITE
+    if kernel.all():
         return 0.0
-    block = mat[np.ix_(pos_idx, pos_idx)]
-    w = np.linalg.eigvalsh(block)
+    w = np.linalg.eigvalsh(mat[np.ix_(~kernel, ~kernel)])
     return float(max(w[-1], 0.0))
 
 
@@ -414,14 +361,12 @@ class CarlemanDiagnostic:
 
     def to_jsonable(self) -> dict:
         tail = self.tail_sum_estimate
-        if is_infinite(tail):
-            tail = "infinite"
         return {
             "terms": [float(t) for t in self.terms],
             "partial_sums": [float(s) for s in self.partial_sums],
             "fitted_decay_exponent": float(self.fitted_decay_exponent),
             "verdict": self.verdict.value,
-            "tail_sum_estimate": tail,
+            "tail_sum_estimate": None if tail is None else jsonable(tail),
         }
 
 
@@ -544,7 +489,7 @@ class BksReport:
     def to_jsonable(self) -> dict:
         return {
             "m": [float(x) for x in self.m],
-            "z": ["infinite" if is_infinite(x) else float(x) for x in self.z],
+            "z": [jsonable(x) for x in self.z],
             "checks": dict(self.checks),
             "probes": [dict(p) for p in self.probe_results],
         }

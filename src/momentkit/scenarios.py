@@ -10,6 +10,7 @@ the CLI.
 from __future__ import annotations
 
 import difflib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .forms import (
     GramForm,
     OrthonormalSystem,
     is_infinite,
+    jsonable,
     whitening_system,
 )
 from .gaussian import (
@@ -132,7 +134,13 @@ def construct_q(
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite float value: Python's json also parses NaN, Infinity and
+    integers beyond float range."""
+    return (
+        isinstance(x, (int, float))
+        and not isinstance(x, bool)
+        and abs(x) <= sys.float_info.max
+    )
 
 
 def _check_matrix(x, where, errors):
@@ -230,14 +238,12 @@ def _run_trace(params, seed):
     rep_op = trace(p, q, method=TraceMethod.OPERATOR_TRACE)
     if is_infinite(rep_sum.value):
         agree = is_infinite(rep_op.value)
-        value_json = "infinite"
     else:
         agree = (
             not is_infinite(rep_op.value)
             and abs(rep_sum.value - rep_op.value)
             <= 1e-9 * max(1.0, abs(rep_sum.value))
         )
-        value_json = float(rep_sum.value)
     passed = agree
     expected = params.get("expected")
     if expected is not None:
@@ -248,7 +254,7 @@ def _run_trace(params, seed):
                 rep_sum.value - expected
             ) <= 1e-9 * max(1.0, abs(expected))
     results = {
-        "value": value_json,
+        "value": jsonable(rep_sum.value),
         "methods_agree": bool(agree),
         "orthonormal_sum": rep_sum.to_jsonable(),
         "operator_trace": rep_op.to_jsonable(),

@@ -17,11 +17,19 @@ The reference system may be supplied explicitly (any complete s-orthonormal
 system); multi-form constructions such as the tilde-trace identity need
 coherent reference bases across forms, which the default eigendecomposition
 cannot provide when the two forms do not commute.
+
+Slice arithmetic is dense.  A slice index, cached per (dim, d), ranks the
+degree-d monomials; a change of degree-1 basis x_k -> sum_i S[k, i] y_i
+acts on a degree-d coefficient vector c as c @ Sym^d(S), the d-th
+symmetric power of S on that basis.  Substitution, the graded inner
+products, the tilde-trace direct path and the slice constants of
+:mod:`momentkit.moments` all use Sym^d.
 """
 
 from __future__ import annotations
 
-import itertools
+import collections
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -92,6 +100,72 @@ def multinomial(alpha: tuple) -> int:
     for k in alpha:
         val //= math.factorial(k)
     return val
+
+
+# ---------------------------------------------------------------------------
+# The slice kernel: dense coefficient vectors and Sym^d of a substitution
+# ---------------------------------------------------------------------------
+
+
+# The degree-d monomials in dim variables ranked in slice_monomials order, and
+# the tables that build slice d from slice d - 1: parent[r] is the rank of
+# monomial r without one factor x_var[r] (its first variable), and times[b, i]
+# is the rank of monomial b of slice d - 1 times x_i.
+_SliceIndex = collections.namedtuple(
+    "_SliceIndex", "monomials rank exponents parent var times"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _slice_index(dim: int, d: int) -> _SliceIndex:
+    monos = tuple(slice_monomials(dim, d))
+    rank = {alpha: r for r, alpha in enumerate(monos)}
+    var, parent, times = [], [], []
+    if d > 0:
+        lower = _slice_index(dim, d - 1)
+        var = [next(k for k, e in enumerate(alpha) if e) for alpha in monos]
+        for alpha, i in zip(monos, var):
+            parent.append(lower.rank[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]])
+        times = [
+            [rank[beta[:i] + (beta[i] + 1,) + beta[i + 1 :]] for i in range(dim)]
+            for beta in lower.monomials
+        ]
+    tables = (
+        np.array(monos, dtype=np.intp).reshape(len(monos), dim),
+        np.array(parent, dtype=np.intp),
+        np.array(var, dtype=np.intp),
+        np.array(times, dtype=np.intp).reshape(len(times), dim),
+    )
+    for t in tables:
+        t.setflags(write=False)  # shared by every caller through the cache
+    return _SliceIndex(monos, rank, *tables)
+
+
+def _slice_vector(a: AlgebraElement, d: int) -> np.ndarray:
+    """Coefficients of the degree-d component of ``a``, by slice rank."""
+    rank = _slice_index(a.dim, d).rank
+    v = np.zeros(len(rank))
+    for alpha, c in a.terms.items():
+        if sum(alpha) == d:
+            v[rank[alpha]] = c
+    return v
+
+
+def _sym_power(s: np.ndarray, d: int) -> np.ndarray:
+    """Sym^d(s): row alpha holds the y-coefficients of
+    prod_k (sum_i s[k, i] y_i)^alpha_k; ``s`` may be rectangular.  Row alpha
+    is row parent(alpha) of Sym^(d-1)(s) times the image of x_var(alpha);
+    multiplying by y_i maps columns one to one (``times[:, i]``), so every
+    entry adds its terms in the same order, i = 0, 1, ..."""
+    n_rows, n_cols = s.shape
+    out = np.ones((1, 1))
+    for k in range(1, d + 1):
+        rows, cols = _slice_index(n_rows, k), _slice_index(n_cols, k)
+        prev, image = out[rows.parent], s[rows.var]
+        out = np.zeros((len(rows.monomials), len(cols.monomials)))
+        for i in range(n_cols):
+            out[:, cols.times[:, i]] += prev * image[:, i : i + 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +353,11 @@ def compose_linear(a: AlgebraElement, coeff_rows: np.ndarray) -> AlgebraElement:
         raise DimensionMismatch(
             f"substitution matrix {coeff_rows.shape} != ({a.dim}, {a.dim})"
         )
-    images = [
-        AlgebraElement.from_vector(coeff_rows[k], a.max_degree) for k in range(a.dim)
-    ]
-    power_cache: dict = {}
-
-    def img_power(k: int, e: int) -> AlgebraElement:
-        key = (k, e)
-        if key not in power_cache:
-            power_cache[key] = power(images[k], e)
-        return power_cache[key]
-
-    out = AlgebraElement.zero(a.dim, a.max_degree)
-    for idx, c in a.terms.items():
-        term = AlgebraElement.one(a.dim, a.max_degree)
-        for k, e in enumerate(idx):
-            if e:
-                term = multiply(term, img_power(k, e))
-        out = out + c * term
-    return out
+    terms = {}
+    for d in range(a.degree() + 1):
+        image = _slice_vector(a, d) @ _sym_power(coeff_rows, d)
+        terms.update(zip(_slice_index(a.dim, d).monomials, image))
+    return AlgebraElement(a.dim, a.max_degree, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +365,10 @@ def compose_linear(a: AlgebraElement, coeff_rows: np.ndarray) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-def _reference_basis(s: GramForm, system: OrthonormalSystem | None):
+def _reference_basis(s: GramForm, system: OrthonormalSystem | None, d: int):
     """Full basis of R^n made of an s-orthonormal part plus a kernel
-    completion.  Returns (basis matrix U with those columns, number of
-    s-orthonormal columns)."""
+    completion.  Returns (basis matrix U with those columns, mask of the
+    degree-d monomials in those columns that touch a kernel factor)."""
     ker = kernel_basis(s)
     if system is None:
         from .forms import whitening_system
@@ -326,7 +386,27 @@ def _reference_basis(s: GramForm, system: OrthonormalSystem | None):
     if len(cols) != s.dim:
         raise IncompleteSystem("orthonormal part plus kernel does not span")
     u = np.column_stack(cols)
-    return u, len(on_vecs)
+    kernel = _slice_index(s.dim, d).exponents[:, len(on_vecs) :].any(axis=1)
+    return u, kernel
+
+
+def _reference_coords(
+    s: GramForm, system: OrthonormalSystem | None, d: int, coeffs: np.ndarray
+) -> np.ndarray:
+    """Rows of ``coeffs`` (degree-d slice vectors in the x-monomials)
+    re-expressed in the monomials of the reference basis, keeping only the
+    monomials of weight 1 (those touching no kernel factor)."""
+    u, kernel = _reference_basis(s, system, d)
+    # row k of inv(U)^T: coordinates of x_k in the reference basis
+    return (coeffs @ _sym_power(np.linalg.inv(u).T, d))[..., ~kernel]
+
+
+def _orthonormal_monomials(s: GramForm, system: OrthonormalSystem | None, d: int):
+    """(Sym^d(U^T), kernel mask) for the reference basis U of s: row alpha
+    holds the x-coefficients of the orthonormalized monomial
+    u_1^alpha_1 ... u_n^alpha_n."""
+    u, kernel = _reference_basis(s, system, d)
+    return _sym_power(u.T, d), kernel
 
 
 def graded_inner(
@@ -342,23 +422,12 @@ def graded_inner(
     for elem in (a_d, b_d):
         if not elem.is_homogeneous(d):
             raise NotHomogeneous(f"element {elem!r} is not homogeneous of degree {d}")
-    if a_d.dim != s.dim:
-        raise DimensionMismatch(f"element dim {a_d.dim} != form dim {s.dim}")
-    if d == 0:
-        zero_idx = (0,) * s.dim
-        return a_d.coefficient(zero_idx) * b_d.coefficient(zero_idx)
-    u, n_on = _reference_basis(s, system)
-    subst = np.linalg.inv(u).T  # row k: coordinates of x_k in the reference basis
-    a_ref = compose_linear(a_d, subst)
-    b_ref = compose_linear(b_d, subst)
-    total = 0.0
-    for alpha, ca in a_ref.terms.items():
-        if any(alpha[i] for i in range(n_on, s.dim)):
-            continue  # kernel factor -> weight 0
-        cb = b_ref.terms.get(alpha)
-        if cb is not None:
-            total += ca * cb
-    return float(total)
+        if elem.dim != s.dim:
+            raise DimensionMismatch(f"element dim {elem.dim} != form dim {s.dim}")
+    a_ref, b_ref = _reference_coords(
+        s, system, d, np.array([_slice_vector(a_d, d), _slice_vector(b_d, d)])
+    )
+    return float(a_ref @ b_ref)
 
 
 def graded_norm(
@@ -422,6 +491,34 @@ class GradedSeminormTower:
         return float(sum(1.0 / w**2 for w in self.lam))
 
 
+def _tilde(
+    tower: GradedSeminormTower,
+    a: AlgebraElement,
+    systems: dict | None,
+    weights: tuple,
+    which: int,
+    with_constants: bool,
+) -> float:
+    """sqrt(w_0^2 |a^(0)|^2 + sum_d w_d^2 [C_{2d}] s_d~^(d)(a^(d))^2) with
+    s_d = base_forms[d-1][which]; shared by p~ and q~."""
+    if a.degree() > tower.max_degree:
+        raise DegreeOverflow(
+            f"element degree {a.degree()} exceeds tower degree {tower.max_degree}"
+        )
+    zero_idx = (0,) * tower.dim
+    total = (weights[0] * a.coefficient(zero_idx)) ** 2
+    for d in range(1, tower.max_degree + 1):
+        comp = a.graded_component(d)
+        if not comp.terms:
+            continue
+        form = tower.base_forms[d - 1][which]
+        sysd = systems.get(d) if systems else None
+        gn = graded_norm(form, d, comp, system=sysd)
+        const = tower.constants[d - 1] if with_constants else 1.0
+        total += weights[d] ** 2 * const * gn**2
+    return float(np.sqrt(total))
+
+
 def p_tilde(
     tower: GradedSeminormTower,
     a: AlgebraElement,
@@ -429,21 +526,7 @@ def p_tilde(
 ) -> float:
     """The weighted seminorm p~(a).  ``systems`` optionally maps degree d to
     a reference OrthonormalSystem for p_{2d}."""
-    if a.degree() > tower.max_degree:
-        raise DegreeOverflow(
-            f"element degree {a.degree()} exceeds tower degree {tower.max_degree}"
-        )
-    zero_idx = (0,) * tower.dim
-    total = (tower.lam[0] * a.coefficient(zero_idx)) ** 2
-    for d in range(1, tower.max_degree + 1):
-        comp = a.graded_component(d)
-        if not comp.terms:
-            continue
-        p2d = tower.base_forms[d - 1][0]
-        sysd = systems.get(d) if systems else None
-        gn = graded_norm(p2d, d, comp, system=sysd)
-        total += tower.lam[d] ** 2 * tower.constants[d - 1] * gn**2
-    return float(np.sqrt(total))
+    return _tilde(tower, a, systems, tower.lam, 0, True)
 
 
 def q_tilde(
@@ -452,21 +535,7 @@ def q_tilde(
     systems: dict | None = None,
 ) -> float:
     """The weighted seminorm q~(a) (weights eta_d, forms q_{2d}, no C)."""
-    if a.degree() > tower.max_degree:
-        raise DegreeOverflow(
-            f"element degree {a.degree()} exceeds tower degree {tower.max_degree}"
-        )
-    zero_idx = (0,) * tower.dim
-    total = (tower.eta[0] * a.coefficient(zero_idx)) ** 2
-    for d in range(1, tower.max_degree + 1):
-        comp = a.graded_component(d)
-        if not comp.terms:
-            continue
-        q2d = tower.base_forms[d - 1][1]
-        sysd = systems.get(d) if systems else None
-        gn = graded_norm(q2d, d, comp, system=sysd)
-        total += tower.eta[d] ** 2 * gn**2
-    return float(np.sqrt(total))
+    return _tilde(tower, a, systems, tower.eta, 1, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,17 +603,13 @@ def tilde_trace_identity(
             if len(ref_vecs) == p2d.rank
             else None
         )
-        s_d = 0.0
-        for alpha in slice_monomials(len(members), d):
-            elem = AlgebraElement.one(tower.dim, tower.max_degree)
-            for i, e in enumerate(alpha):
-                for _ in range(e):
-                    elem = multiply(
-                        elem, AlgebraElement.from_vector(members[i], tower.max_degree)
-                    )
-            gn = graded_norm(p2d, d, elem, system=ref_sys)
-            s_d += multinomial(alpha) * gn**2
-        s_d *= weight
+        # row alpha: the member product e^alpha in x-monomials, then in the
+        # reference monomials of p_2d; its squared l2 norm is p~^(d)(e^alpha)^2
+        products = _sym_power(np.reshape(members, (-1, tower.dim)), d)
+        coords = _reference_coords(p2d, ref_sys, d, products)
+        family = _slice_index(len(members), d).monomials
+        mult = np.array([multinomial(alpha) for alpha in family], dtype=float)
+        s_d = weight * float(mult @ np.sum(coords**2, axis=1))
         formula += f_d
         direct += s_d
         per_degree.append((d, f_d, s_d))

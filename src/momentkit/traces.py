@@ -20,6 +20,7 @@ from .forms import (
     INFINITE,
     OrthonormalSystem,
     is_infinite,
+    jsonable,
     kernel_contained,
     restrict_gram,
     whitening_system,
@@ -50,7 +51,7 @@ class TraceReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "value": "infinite" if is_infinite(self.value) else float(self.value),
+            "value": jsonable(self.value),
             "method": self.method.value,
         }
 

@@ -87,7 +87,7 @@ def test_report_byte_identical_and_meta_separate(tmp_path):
     rb = (b / "concentration.report.json").read_bytes()
     assert ra == rb
     meta = json.loads((a / "concentration.report.meta.json").read_text())
-    assert "started" in meta and "finished" in meta and "threads" in meta
+    assert "started" in meta and "finished" in meta
     assert b"started" not in ra  # timestamps only in the metadata file
 
 
@@ -165,21 +165,21 @@ def test_numerical_error_exit_3(tmp_path):
     assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 3
 
 
-def test_threads_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOMENTKIT_THREADS", "5")
-    assert (
-        run_cli(
-            "run",
-            fixture_path("trace.json"),
-            "--out",
-            str(tmp_path),
-            "--threads",
-            "2",
-        )
-        == 0
+@pytest.mark.parametrize(
+    "entry",
+    ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "int_beyond_float"],
+)
+def test_non_finite_matrix_entry_exit_2(tmp_path, entry):
+    """Python's json parses NaN and Infinity; both validate and run reject
+    them as a config problem, as they do an integer beyond float range."""
+    cfg = tmp_path / "nonfinite.json"
+    cfg.write_text(
+        '{"kind": "trace", "parameters": {"p": [[1.0, %s], [0.0, 1.0]], '
+        '"q": [[1.0, 0.0], [0.0, 1.0]]}}' % entry
     )
-    meta = json.loads((tmp_path / "trace.report.meta.json").read_text())
-    assert meta["threads"] == 5
+    assert run_cli("validate", str(cfg)) == 2
+    assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 2
 
 
 def test_csv_rfc4180(tmp_path):

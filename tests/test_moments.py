@@ -34,6 +34,7 @@ from momentkit.errors import (
     NegativeEvenMoment,
     NotSquarePositive,
 )
+from momentkit.forms import gram_schmidt, kernel_basis, whitening_system
 from momentkit.moments import (
     _logsumexp,
     carleman_from_log_moments,
@@ -43,6 +44,7 @@ from momentkit.moments import (
     log_squared_exponential_moments,
     monomials_up_to,
 )
+from momentkit.symalg import power, slice_monomials
 
 
 def two_atom_measure():
@@ -180,6 +182,78 @@ def test_square_constant_certifies_squares():
             lhs = L(multiply(b, b))
             rhs = c * graded_norm(p, 1, b) ** 2
             assert lhs <= rhs * (1 + 1e-8) + 1e-10
+
+
+def sparse_constants(L, p, d, system=None):
+    """Reference (continuity, square) constants by sparse multiply/power
+    expansion of the orthonormalized monomials of the reference basis."""
+    on = list((system or whitening_system(p)).vectors)
+    u = np.column_stack(on + kernel_basis(p))
+    gens = [AlgebraElement.from_vector(u[:, i], 2 * d) for i in range(p.dim)]
+
+    def monomials(degree):
+        out = []
+        for alpha in slice_monomials(p.dim, degree):
+            elem = AlgebraElement.one(p.dim, 2 * d)
+            for i, e in enumerate(alpha):
+                elem = multiply(elem, power(gens[i], e))
+            out.append((elem, any(alpha[len(on) :])))
+        return out
+
+    def tol(values):
+        return 1e-10 * max(1.0, max(abs(v) for v in values))
+
+    vals = [(L(m), ker) for m, ker in monomials(2 * d)]
+    t = tol([v for v, _ in vals])
+    if any(ker and abs(v) > t for v, ker in vals):
+        cont = INFINITE
+    else:
+        cont = math.sqrt(sum(v * v for v, ker in vals if not ker))
+    elems = monomials(d)
+    mat = np.array([[L(multiply(a, b)) for b, _ in elems] for a, _ in elems])
+    kernel = np.array([ker for _, ker in elems])
+    if np.abs(mat[kernel]).max(initial=0.0) > tol(mat.ravel()):
+        sq = INFINITE
+    else:
+        sq = max(np.linalg.eigvalsh(mat[np.ix_(~kernel, ~kernel)])[-1], 0.0)
+    return cont, sq
+
+
+def test_constants_match_sparse_expansion():
+    """Dense, rank-deficient and explicit-reference forms; the measure lies
+    in the range of the rank-deficient form in the first case and leaks into
+    its kernel in the second, so both INFINITE and finite kernel cases
+    occur."""
+    rng = np.random.default_rng(7)
+    seen_infinite = seen_finite_deficient = 0
+    for n, d in ((2, 2), (3, 2), (3, 1), (2, 3)):
+        a_mat = rng.standard_normal((n, n))
+        dense = GramForm(dim=n, gram=a_mat @ a_mat.T + 0.1 * np.eye(n))
+        b_mat = rng.standard_normal((n, n - 1))
+        deficient = GramForm(dim=n, gram=b_mat @ b_mat.T)
+        system = gram_schmidt(dense, [rng.standard_normal(n) for _ in range(n)])
+        wts = rng.uniform(0.1, 1.0, 4)
+        wts /= wts.sum()
+        in_range = DiscreteMeasure(
+            dim=n, atoms=rng.standard_normal((4, n - 1)) @ b_mat.T, weights=wts
+        )
+        spread = DiscreteMeasure(dim=n, atoms=rng.standard_normal((4, n)), weights=wts)
+        for nu in (in_range, spread):
+            L = from_measure(nu, 2 * d)
+            for p, ref in ((dense, None), (deficient, None), (dense, system)):
+                want = sparse_constants(L, p, d, ref)
+                got = (
+                    continuity_constant(L, p, d, system=ref),
+                    square_constant(L, p, d, system=ref),
+                )
+                for g, w in zip(got, want):
+                    if is_infinite(w):
+                        seen_infinite += 1
+                        assert is_infinite(g)
+                    else:
+                        seen_finite_deficient += p is deficient
+                        assert g == pytest.approx(w, rel=1e-12)
+    assert seen_infinite and seen_finite_deficient
 
 
 def test_square_constant_vs_continuity_constant_distinct():

@@ -23,8 +23,10 @@ from momentkit import (
     tilde_trace_identity,
 )
 from momentkit.errors import DegreeOverflow, NotHomogeneous
+from momentkit.forms import gram_schmidt, kernel_basis, whitening_system
 from momentkit.symalg import (
     Character,
+    _sym_power,
     compose_linear,
     graded_inner,
     multinomial,
@@ -75,6 +77,85 @@ def test_compose_linear_substitution():
     b = compose_linear(a, rows)
     assert b.coefficient((1, 1)) == pytest.approx(2.0)
     assert b.coefficient((0, 2)) == pytest.approx(2.0)
+
+
+def test_sym_power_is_a_representation():
+    """Sym^d(AB) = Sym^d(A) Sym^d(B), also for rectangular factors, and
+    Sym^d(I) = I exactly."""
+    rng = np.random.default_rng(5)
+    for d in range(5):
+        for n, m, k in ((3, 3, 3), (2, 3, 4)):
+            a = rng.standard_normal((n, m))
+            b = rng.standard_normal((m, k))
+            lhs = _sym_power(a @ b, d)
+            rhs = _sym_power(a, d) @ _sym_power(b, d)
+            assert lhs.shape == (len(slice_monomials(n, d)), len(slice_monomials(k, d)))
+            assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
+        for n in (1, 2, 4):
+            ident = _sym_power(np.eye(n), d)
+            assert np.array_equal(ident, np.eye(len(slice_monomials(n, d))))
+
+
+def sparse_compose(a, rows):
+    """Reference substitution by sparse multiply/power expansion."""
+    images = [AlgebraElement.from_vector(rows[k], a.max_degree) for k in range(a.dim)]
+    out = AlgebraElement.zero(a.dim, a.max_degree)
+    for idx, c in a.terms.items():
+        term = AlgebraElement.one(a.dim, a.max_degree)
+        for k, e in enumerate(idx):
+            term = multiply(term, power(images[k], e))
+        out = out + c * term
+    return out
+
+
+def sparse_graded_inner(s, a, b, system=None):
+    """Reference slice inner product: both elements expanded in the monomials
+    of the reference basis, kernel-touching monomials dropped."""
+    on = list((system or whitening_system(s)).vectors)
+    u = np.column_stack(on + kernel_basis(s))
+    subst = np.linalg.inv(u).T
+    a_ref, b_ref = sparse_compose(a, subst), sparse_compose(b, subst)
+    return sum(
+        c * b_ref.terms.get(alpha, 0.0)
+        for alpha, c in a_ref.terms.items()
+        if not any(alpha[len(on) :])
+    )
+
+
+def seeded_forms(rng, n):
+    """A dense full-rank form, a rank-deficient one, and the dense form with
+    an explicit reference system."""
+    a_mat = rng.standard_normal((n, n))
+    dense = GramForm(dim=n, gram=a_mat @ a_mat.T + 0.1 * np.eye(n))
+    b_mat = rng.standard_normal((n, n - 1))
+    deficient = GramForm(dim=n, gram=b_mat @ b_mat.T)
+    system = gram_schmidt(dense, [rng.standard_normal(n) for _ in range(n)])
+    return [(dense, None), (deficient, None), (dense, system)]
+
+
+def random_slice_element(rng, n, d):
+    terms = {alpha: float(rng.standard_normal()) for alpha in slice_monomials(n, d)}
+    return AlgebraElement(n, d, terms)
+
+
+def test_dense_slice_matches_sparse_expansion():
+    rng = np.random.default_rng(6)
+    for n, d in ((2, 4), (3, 3), (4, 2)):
+        rows = rng.standard_normal((n, n))
+        a = random_slice_element(rng, n, d) + AlgebraElement.from_vector(
+            rng.standard_normal(n), d
+        )
+        got, want = compose_linear(a, rows), sparse_compose(a, rows)
+        scale = max(abs(c) for c in want.terms.values())
+        assert set(got.terms) <= set(want.terms)
+        for alpha, c in want.terms.items():
+            assert abs(got.coefficient(alpha) - c) <= 1e-12 * scale
+        for s, system in seeded_forms(rng, n):
+            a_d, b_d = random_slice_element(rng, n, d), random_slice_element(rng, n, d)
+            for u, v in ((a_d, b_d), (a_d, a_d)):
+                want = sparse_graded_inner(s, u, v, system)
+                got = graded_inner(s, d, u, v, system=system)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_graded_norm_euclidean_examples():
