@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__ as VERSION
+from .concentration import CERTIFICATE_SLACK, CONSISTENCY_ABS, IDENTITY_ABS
 from .errors import ConfigError, MomentkitError
 from .scenarios import SCENARIO_KINDS, run_config, validate_config
 
@@ -24,11 +25,11 @@ _KIND_TOLERANCES = {
     "trace": {"method_agreement_rel": 1e-9},
     "gaussian": {"certify_sigmas": 4.0},
     "fundamental_lemma": {"certificate_slack": 1e-9},
-    "concentration": {"certificate_slack": 1e-9, "consistency_abs": 1e-10},
+    "concentration": {"certificate_slack": CERTIFICATE_SLACK},
     "main_theorem": {
-        "certificate_slack": 1e-9,
-        "consistency_abs": 1e-10,
-        "identity_abs": 1e-12,
+        "certificate_slack": CERTIFICATE_SLACK,
+        "consistency_abs": CONSISTENCY_ABS,
+        "identity_abs": IDENTITY_ABS,
     },
     "carleman": {"decay_margin": 0.1},
     "tilde_trace": {"two_path_rel": 1e-8},

@@ -28,6 +28,7 @@ from .forms import (
     DualFunctional,
     GramForm,
     OrthonormalSystem,
+    _in_unit_dual_ball,
     dual_norm,
     is_infinite,
     jsonable,
@@ -41,7 +42,7 @@ from .moments import (
     from_measure,
     monomials_up_to,
 )
-from .symalg import Character
+from .symalg import AlgebraElement, Character
 from .traces import trace_value
 
 
@@ -50,6 +51,11 @@ from .traces import trace_value
 # ---------------------------------------------------------------------------
 
 _LATTICE_CAP = 12
+
+# Tolerances of the lattice checks; the CLI echoes these into reports.
+CERTIFICATE_SLACK = 1e-9  # relative slack on epsilon in the concentration certificate
+CONSISTENCY_ABS = 1e-10  # moment difference allowed between nested marginals
+IDENTITY_ABS = 1e-12  # representation identity error allowed per monomial
 
 
 @dataclass(frozen=True, order=True)
@@ -81,11 +87,11 @@ def full_lattice(n: int) -> list[SubalgebraIndex]:
     """All 2^n - 1 nonempty coordinate subsets, ordered by size then lex."""
     if n > _LATTICE_CAP:
         raise NotInScope(f"full lattice capped at n = {_LATTICE_CAP}, got {n}")
-    out = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            out.append(SubalgebraIndex(coords=combo))
-    return out
+    return [
+        SubalgebraIndex(coords=combo)
+        for size in range(1, n + 1)
+        for combo in itertools.combinations(range(n), size)
+    ]
 
 
 def pushforward(
@@ -131,19 +137,36 @@ class MeasureFamily:
         return cls(entries=entries)
 
 
-def consistency_check(fam: MeasureFamily, degree: int = 4, tol: float = 1e-10) -> bool:
-    """For every pair S within T present in the family, the pushforward of
-    nu_T to S must match nu_S in all moments up to ``degree`` (moment
-    comparison avoids atom-matching ambiguity)."""
-    idxs = fam.indices()
+def _nested_pairs(idxs):
+    """Every pair S within T, S != T, of ``idxs`` with S's positions in T."""
     for s in idxs:
         for t in idxs:
-            if s is t or not s.is_subset(t):
-                continue
-            pushed = pushforward(fam.entries[t], s, t)
-            for alpha in monomials_up_to(len(s), degree):
-                if abs(pushed.moment(alpha) - fam.entries[s].moment(alpha)) > tol:
-                    return False
+            if s is not t and s.is_subset(t):
+                yield s, t, s.positions_in(t)
+
+
+def _moment_table(atoms: np.ndarray, weights: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """sum_j w_j prod_i atoms[j, i]^alpha_i for every row alpha of ``exps``."""
+    return weights @ np.prod(atoms[:, None, :] ** exps, axis=2)
+
+
+def consistency_check(
+    fam: MeasureFamily, degree: int = 4, tol: float = CONSISTENCY_ABS
+) -> bool:
+    """For every nested pair S within T (not only |T| = |S| + 1: the
+    tolerance is absolute, so differences add up along a chain), nu_T pushed
+    to S must match nu_S in all moments up to ``degree``.  Those are the
+    moments at nu_T's atoms projected onto S (merging coincident atoms only
+    changes rounding); each index's own table is built once."""
+    exps = {k: np.array(monomials_up_to(k, degree)) for k in {len(s) for s in fam.entries}}
+    tables = {
+        s: _moment_table(nu.atoms, nu.weights, exps[len(s)]) for s, nu in fam.entries.items()
+    }
+    for s, t, pos in _nested_pairs(fam.indices()):
+        nu_t = fam.entries[t]
+        pushed = _moment_table(nu_t.atoms[:, pos], nu_t.weights, exps[len(s)])
+        if np.any(np.abs(pushed - tables[s]) > tol):
+            return False
     return True
 
 
@@ -223,7 +246,7 @@ def concentration_check(
     delta: float,
     probe_budget: int = 16,
     rng=None,
-    cert_slack: float = 1e-9,
+    cert_slack: float = CERTIFICATE_SLACK,
 ) -> ConcentrationReport:
     """Exact sufficient certificate per index S:
 
@@ -245,10 +268,7 @@ def concentration_check(
         _kernel_leak_check(p_s, nu)
         m = _second_moment(nu)
         w = whitening_system(p_s).matrix
-        if w.size:
-            lam = float(max(np.linalg.eigvalsh(w.T @ m @ w)[-1], 0.0))
-        else:
-            lam = 0.0
+        lam = float(max(np.linalg.eigvalsh(w.T @ m @ w)[-1], 0.0)) if w.size else 0.0
         sup = delta**2 * lam
         probes = []
         for _ in range(probe_budget if len(s) > 0 and p_s.rank > 0 else 0):
@@ -371,9 +391,10 @@ def prokhorov_mass_check(
 
         K^(S) = {alpha : |alpha(v)| <= r_eps(v) for all degree-1 v in S},
 
-    tested atom-wise through the r_eps|_S-dual norm.  Also checks nesting
-    (projected K^(T) members pass the K^(S) test) and the internal identity
-    tr(p / (delta r_eps)) = eps (exact when tr(p/q) > 0)."""
+    the closed unit r_eps|_S-dual ball, tested atom by atom (one restriction
+    and one test per index).  Nesting: for every nested pair S within T,
+    nu_T's atoms in K^(T), projected onto S, lie in K^(S).  Also checks the
+    identity tr(p / (delta r_eps)) = eps (exact when tr(p/q) > 0)."""
     tr = trace_value(p, q)
     if is_infinite(tr):
         raise HypothesisNotCertified("tr(p/q) is infinite")
@@ -386,35 +407,19 @@ def prokhorov_mass_check(
     c = np.sqrt(tr) / (delta * np.sqrt(epsilon))
     r_eps = GramForm(dim=q.dim, gram=c**2 * q.gram, psd_tol=q.psd_tol)
 
-    def in_k(atom: np.ndarray, form: GramForm) -> bool:
-        nd = dual_norm(form, DualFunctional(dim=form.dim, coeffs=atom))
-        return (not is_infinite(nd)) and nd <= 1.0 + 1e-9
-
-    masses: dict = {}
     bound = 1.0 - 14.0 * epsilon
-    mass_ok = True
-    for s in fam.indices():
-        nu = fam.entries[s]
-        r_s = restrict_form(r_eps, s)
-        mass = float(
-            sum(w for atom, w in zip(nu.atoms, nu.weights) if in_k(atom, r_s))
-        )
-        masses[s] = mass
-        if mass < bound - 1e-12:
-            mass_ok = False
-
-    nesting_ok = True
     idxs = fam.indices()
-    for s in idxs:
-        r_s = restrict_form(r_eps, s)
-        for t in idxs:
-            if s is t or not s.is_subset(t):
-                continue
-            r_t = restrict_form(r_eps, t)
-            pos = s.positions_in(t)
-            for atom in fam.entries[t].atoms:
-                if in_k(atom, r_t) and not in_k(atom[pos], r_s):
-                    nesting_ok = False
+    r_s = {s: restrict_form(r_eps, s) for s in idxs}
+    inside = {s: _in_unit_dual_ball(r_s[s], fam.entries[s].atoms) for s in idxs}
+    masses = {
+        s: float(sum(w for w, ok in zip(fam.entries[s].weights, inside[s]) if ok))
+        for s in idxs
+    }
+    mass_ok = not any(mass < bound - 1e-12 for mass in masses.values())
+    nesting_ok = all(
+        _in_unit_dual_ball(r_s[s], fam.entries[t].atoms[inside[t]][:, pos]).all()
+        for s, t, pos in _nested_pairs(idxs)
+    )
 
     if tr > 0:
         # tr(p / (delta r_eps)) = tr(p/q) / (delta c)^2 = eps exactly
@@ -453,16 +458,13 @@ def reverse_seminorm_construction(
     nu: DiscreteMeasure, q: GramForm, n_max: int = 50
 ) -> GramForm:
     """Builds p(v)^2 = sum_{n=1}^{N} n^{-4} * integral over K_n of hat v^2,
-    with K_n the q-dual ball of radius n; the construction guarantees
-    tr(p/q) <= sum n^{-2} < 2 (checked internally)."""
-    dual_norms = []
-    for atom in nu.atoms:
-        dual_norms.append(dual_norm(q, DualFunctional(dim=q.dim, coeffs=atom)))
+    with K_n = {alpha : alpha / n in the closed unit q-dual ball}; the
+    construction guarantees tr(p/q) <= sum n^{-2} < 2 (checked internally)."""
     g = np.zeros((q.dim, q.dim))
     for n in range(1, n_max + 1):
         m_n = np.zeros_like(g)
-        for atom, w, nd in zip(nu.atoms, nu.weights, dual_norms):
-            if not is_infinite(nd) and nd <= n + 1e-12:
+        for atom, w, ok in zip(nu.atoms, nu.weights, _in_unit_dual_ball(q, nu.atoms / n)):
+            if ok:
                 m_n += w * np.outer(atom, atom)
         g += m_n / n**4
     p = GramForm(dim=q.dim, gram=g, psd_tol=q.psd_tol)
@@ -598,20 +600,13 @@ def verify_main_theorem_scenario(
     run_stage("prokhorov_mass", stage_prokhorov)
 
     def stage_support():
-        dual_norms = []
-        continuous = True
-        for atom in mu_target.atoms:
-            nd = dual_norm(q, DualFunctional(dim=q.dim, coeffs=atom))
-            continuous = continuous and not is_infinite(nd)
-            dual_norms.append(jsonable(nd))
+        norms = [dual_norm(q, DualFunctional(dim=q.dim, coeffs=a)) for a in mu_target.atoms]
         violations = [
-            i
-            for i, atom in enumerate(mu_target.support)
-            if not quad_module.contains(atom)
+            i for i, atom in enumerate(mu_target.support) if not quad_module.contains(atom)
         ]
-        ok = continuous and not violations
+        ok = not any(map(is_infinite, norms)) and not violations
         return ("pass" if ok else "fail"), {
-            "dual_norms": dual_norms,
+            "dual_norms": [jsonable(nd) for nd in norms],
             "kq_violations": violations,
         }
 
@@ -622,12 +617,10 @@ def verify_main_theorem_scenario(
             return "skipped", {}
         L = state["L"]
         worst = 0.0
-        from .symalg import AlgebraElement
-
         for alpha in monomials_up_to(mu_target.dim, degrees):
             elem = AlgebraElement(mu_target.dim, degrees, {alpha: 1.0})
             worst = max(worst, abs(mu_target.integrate(elem) - L(elem)))
-        ok = worst <= 1e-12
+        ok = worst <= IDENTITY_ABS
         return ("pass" if ok else "fail"), {"max_error": worst}
 
     run_stage("representation_identity", stage_representation)

@@ -56,6 +56,12 @@ def jsonable(x):
     return "infinite" if is_infinite(x) else float(x)
 
 
+# q-continuous: kernel component <= _KER_REL_TOL * max(1, |coeffs|).
+# In the closed unit q-dual ball: dual norm <= 1 + _DUAL_BALL_SLACK.
+_KER_REL_TOL = 1e-8
+_DUAL_BALL_SLACK = 1e-9
+
+
 def _as_vector(v, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (dim,):
@@ -256,8 +262,6 @@ def kernel_component(q: GramForm, vec) -> float:
     """Euclidean norm of the projection of ``vec`` onto ker(q)."""
     vec = _as_vector(vec, q.dim)
     _, _, _, vk = q._split
-    if vk.shape[1] == 0:
-        return 0.0
     return float(np.linalg.norm(vk.T @ vec))
 
 
@@ -266,7 +270,7 @@ def is_continuous(q: GramForm, l: DualFunctional, ker_tol: float | None = None) 
     if l.dim != q.dim:
         raise DimensionMismatch(f"functional dim {l.dim} != form dim {q.dim}")
     if ker_tol is None:
-        ker_tol = 1e-8 * max(1.0, float(np.linalg.norm(l.coeffs)))
+        ker_tol = _KER_REL_TOL * max(1.0, float(np.linalg.norm(l.coeffs)))
     return kernel_component(q, l.coeffs) <= ker_tol
 
 
@@ -282,6 +286,16 @@ def dual_norm(q: GramForm, l: DualFunctional, ker_tol: float | None = None):
         return INFINITE
     val = float(l.coeffs @ q.pseudo_inverse @ l.coeffs)
     return float(np.sqrt(max(val, 0.0)))
+
+
+def _in_unit_dual_ball(q: GramForm, points: np.ndarray) -> np.ndarray:
+    """Row by row, whether those coefficients lie in the closed unit q-dual
+    ball; rows failing ``is_continuous``'s kernel test are outside."""
+    _, _, _, vk = q._split
+    ker_tol = _KER_REL_TOL * np.maximum(1.0, np.linalg.norm(points, axis=1))
+    continuous = np.linalg.norm(points @ vk, axis=1) <= ker_tol
+    quad = ((points @ q.pseudo_inverse) * points).sum(axis=1)
+    return continuous & (np.sqrt(np.maximum(quad, 0.0)) <= 1.0 + _DUAL_BALL_SLACK)
 
 
 def gram_schmidt(q: GramForm, vectors) -> OrthonormalSystem:

@@ -27,6 +27,7 @@ from .forms import (
     DualFunctional,
     GramForm,
     INFINITE,
+    _in_unit_dual_ball,
     dual_norm,
     is_infinite,
     jsonable,
@@ -74,7 +75,6 @@ class GaussianMeasure:
                 f"q has kernel of dimension {q.dim - q.rank}; pass quotient=True"
             )
         w = whitening_system(q).matrix
-        w = w.copy()
         w.setflags(write=False)
         return cls(q=q, whitening=w)
 
@@ -266,7 +266,8 @@ def fundamental_lemma_check(
         sup_{p(v) <= delta} sum_j w_j l_j(v)^2 <= epsilon, computed as
         delta^2 lambda_max of the second-moment matrix whitened by p
         (infinite when the second-moment matrix is nonzero on ker p);
-    (b) computes the mu-mass of the closed unit q-dual ball atom by atom;
+    (b) computes the mu-mass of the closed unit q-dual ball atom by atom,
+        summing the weights of the atoms inside in atom order;
     (c) the conclusion mass >= 1 - 7(epsilon + tr(p/q)/delta^2) is asserted
         only when (a) is certified.
     """
@@ -276,18 +277,12 @@ def fundamental_lemma_check(
     m = np.einsum("j,ji,jk->ik", mu.weights, mu.atoms, mu.atoms)
 
     ker = kernel_basis(p)
-    sup: object
-    if ker:
-        k = np.column_stack(ker)
-        leak = np.abs(m @ k).max() if k.size else 0.0
-        scale = max(1.0, float(np.abs(m).max()))
-        sup = INFINITE if leak > 1e-12 * scale else None
+    leak = np.abs(m @ np.column_stack(ker)).max() if ker else 0.0
+    if leak > 1e-12 * max(1.0, float(np.abs(m).max())):
+        sup = INFINITE
     else:
-        sup = None
-    if sup is None:
         w = whitening_system(p).matrix
-        b = w.T @ m @ w
-        lam = float(np.linalg.eigvalsh(b)[-1]) if b.size else 0.0
+        lam = float(np.linalg.eigvalsh(w.T @ m @ w)[-1]) if w.size else 0.0
         sup = delta**2 * max(lam, 0.0)
 
     certified = (not is_infinite(sup)) and sup <= epsilon * (1.0 + cert_slack) + 1e-15
@@ -296,11 +291,8 @@ def fundamental_lemma_check(
             f"sufficient criterion gives {sup}, exceeds epsilon = {epsilon}"
         )
 
-    mass = 0.0
-    for atom, wgt in zip(mu.atoms, mu.weights):
-        nd = dual_norm(q, DualFunctional(dim=q.dim, coeffs=atom))
-        if not is_infinite(nd) and nd <= 1.0 + 1e-9:
-            mass += wgt
+    inside = _in_unit_dual_ball(q, mu.atoms)
+    mass = sum(w for w, ok in zip(mu.weights, inside) if ok)
 
     trace_term = tr / delta**2
     bound = 1.0 - 7.0 * (epsilon + trace_term)

@@ -49,6 +49,9 @@ def monomials_up_to(dim: int, degree: int) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
+WEIGHT_SUM_TOL = 1e-12  # allowed |sum of weights - 1| of a DiscreteMeasure
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely supported probability measure on R^dim."""
@@ -66,7 +69,7 @@ class DiscreteMeasure:
             )
         if np.any(weights < -1e-14):
             raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {weights.sum()}, expected 1")
         atoms.setflags(write=False)
         weights.setflags(write=False)

@@ -39,6 +39,7 @@ from .gaussian import (
     tail_lower_bound_check,
 )
 from .moments import (
+    WEIGHT_SUM_TOL,
     DiscreteMeasure,
     QuadraticModuleSpec,
     carleman_from_log_moments,
@@ -162,9 +163,24 @@ def _check_measure(x, where, errors):
     if not isinstance(x, dict) or set(x) != {"atoms", "weights"}:
         errors.append(f"{where}: expected an object with keys atoms, weights")
         return
-    if not isinstance(x["atoms"], list) or not x["atoms"]:
-        errors.append(f"{where}.atoms: expected a nonempty list of points")
-    _check_vector(x.get("weights"), f"{where}.weights", errors)
+    atoms, weights = x["atoms"], x["weights"]
+    atoms_ok = (
+        isinstance(atoms, list)
+        and atoms
+        and all(isinstance(a, list) and a and len(a) == len(atoms[0]) for a in atoms)
+        and all(_is_number(v) for a in atoms for v in a)
+    )
+    if not atoms_ok:
+        errors.append(
+            f"{where}.atoms: expected a nonempty list of equal-length, nonempty "
+            "lists of numbers"
+        )
+    if not isinstance(weights, list) or not all(_is_number(w) and w >= 0 for w in weights):
+        errors.append(f"{where}.weights: expected a list of nonnegative numbers")
+    elif atoms_ok and len(weights) != len(atoms):
+        errors.append(f"{where}.weights: {len(weights)} weights for {len(atoms)} atoms")
+    elif abs(float(np.sum(np.asarray(weights, dtype=float))) - 1.0) > WEIGHT_SUM_TOL:
+        errors.append(f"{where}.weights: expected weights summing to 1")
 
 
 def _check_element(x, where, errors):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -14,6 +15,13 @@ import pytest
 
 import momentkit
 from momentkit.cli import main
+from momentkit.concentration import (
+    CERTIFICATE_SLACK,
+    CONSISTENCY_ABS,
+    IDENTITY_ABS,
+    concentration_check,
+    consistency_check,
+)
 from momentkit.scenarios import SCENARIO_KINDS, validate_config
 
 
@@ -180,6 +188,50 @@ def test_non_finite_matrix_entry_exit_2(tmp_path, entry):
     )
     assert run_cli("validate", str(cfg)) == 2
     assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        '{"atoms": [[NaN, 0.0], [-1.0, 0.0]], "weights": [0.5, 0.5]}',
+        '{"atoms": [[1.0, 2.0], [-1.0]], "weights": [0.5, 0.5]}',
+        '{"atoms": [[1.0, 2.0], [-1.0, 0.0]], "weights": [1.0]}',
+        '{"atoms": [[1.0, 2.0], [-1.0, 0.0]], "weights": [0.45, 0.45]}',
+    ],
+    ids=["nan_atom", "ragged_atoms", "one_weight_two_atoms", "weights_sum_0.9"],
+)
+def test_malformed_measure_exit_2(tmp_path, measure):
+    """A measure's atoms must be equal-length lists of finite numbers and its
+    weights one nonnegative number per atom summing to 1; both validate and
+    run reject anything else as a config problem."""
+    cfg = tmp_path / "measure.json"
+    cfg.write_text(
+        '{"kind": "concentration", "parameters": {"global_measure": %s, '
+        '"p": [[1.0, 1.0], [1.0, 2.0]], "epsilon": 0.04, "delta": 0.2}}' % measure
+    )
+    assert run_cli("validate", str(cfg)) == 2
+    assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 2
+
+
+def test_lattice_tolerances_echo_the_constants_that_ran(tmp_path):
+    """The tolerances a concentration or main_theorem report echoes are the
+    module constants the checks use as their defaults."""
+    assert inspect.signature(consistency_check).parameters["tol"].default == CONSISTENCY_ABS
+    assert (
+        inspect.signature(concentration_check).parameters["cert_slack"].default
+        == CERTIFICATE_SLACK
+    )
+    expected = {
+        "concentration": {"certificate_slack": CERTIFICATE_SLACK},
+        "main_theorem": {
+            "certificate_slack": CERTIFICATE_SLACK,
+            "consistency_abs": CONSISTENCY_ABS,
+            "identity_abs": IDENTITY_ABS,
+        },
+    }
+    for stem, tolerances in expected.items():
+        assert run_cli("run", fixture_path(f"{stem}.json"), "--out", str(tmp_path)) == 0
+        assert read_report(tmp_path, stem)["tolerances"] == tolerances
 
 
 def test_csv_rfc4180(tmp_path):

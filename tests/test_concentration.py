@@ -18,6 +18,8 @@ from momentkit import (
     consistency_check,
     dual_norm,
     full_lattice,
+    fundamental_lemma_check,
+    is_infinite,
     orthonormal_cap_check,
     prokhorov_mass_check,
     pushforward,
@@ -26,7 +28,7 @@ from momentkit import (
     verify_main_theorem_scenario,
     whitening_system,
 )
-from momentkit.concentration import exact_tail, restrict_form
+from momentkit.concentration import _moment_table, exact_tail, restrict_form
 from momentkit.errors import (
     HypothesisNotCertified,
     KernelIssue,
@@ -34,6 +36,7 @@ from momentkit.errors import (
     NotSubset,
 )
 from momentkit.forms import DualFunctional
+from momentkit.moments import monomials_up_to
 from momentkit.symalg import Character
 
 
@@ -292,3 +295,103 @@ def test_main_theorem_origin_trivial():
     )
     assert report.overall_pass
     assert report.stages[2].data["trace"] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_consistency_compares_pairs_that_are_not_covering():
+    """Only {0} and {0,1,2}: no pair with |T| = |S| + 1 exists, and the two
+    marginals agree up to degree 3 but differ in the degree-4 moment."""
+    s, t = SubalgebraIndex(coords=(0,)), SubalgebraIndex(coords=(0, 1, 2))
+    r = np.sqrt(2.0)  # x0 takes 0, +-sqrt 2: moments 1, 0, 1, 0, 2
+    nu_t = DiscreteMeasure(
+        dim=3,
+        atoms=np.array([[0.0, 1.0, 0.5], [r, -1.0, 0.0], [-r, 0.0, 2.0]]),
+        weights=np.array([0.5, 0.25, 0.25]),
+    )
+    nu_s = DiscreteMeasure(  # +-1: moments 1, 0, 1, 0, 1
+        dim=1, atoms=np.array([[1.0], [-1.0]]), weights=np.array([0.5, 0.5])
+    )
+    fam = MeasureFamily(entries={s: nu_s, t: nu_t})
+    assert consistency_check(fam, degree=3)
+    assert not consistency_check(fam, degree=4)
+
+
+def test_consistency_with_coincident_projected_atoms():
+    """Atoms that coincide after projection merge in the marginal; the
+    check compares moments, so the family is consistent."""
+    rng = np.random.default_rng(12)
+    base = rng.uniform(-1.0, 1.0, size=(3, 3))
+    atoms = np.vstack([base, base + [0.0, 0.0, 0.7], base * [1.0, 1.0, -2.0]])
+    w = rng.uniform(0.1, 1.0, len(atoms))
+    nu = DiscreteMeasure(dim=3, atoms=atoms, weights=w / w.sum())
+    fam = MeasureFamily.from_global(nu)
+    assert len(fam.entries[SubalgebraIndex(coords=(0, 1))].atoms) == 3
+    assert consistency_check(fam)
+    # the vectorized table against the one-moment-at-a-time reference
+    alphas = monomials_up_to(3, 4)
+    table = _moment_table(nu.atoms, nu.weights, np.array(alphas))
+    assert table == pytest.approx([nu.moment(a) for a in alphas], rel=1e-14, abs=1e-15)
+
+
+def _in_k(form, atom):
+    nd = dual_norm(form, DualFunctional(dim=form.dim, coeffs=atom))
+    return not is_infinite(nd) and nd <= 1.0 + 1e-9
+
+
+def test_prokhorov_and_fundamental_lemma_masses_match_per_atom_dual_norms():
+    """Masses (bit for bit), nesting and the fundamental-lemma mass equal a
+    per-atom dual_norm reference, on seeded families with full-rank and
+    rank-deficient q and atoms inside, outside and off range(q)."""
+    rng = np.random.default_rng(13)
+    for trial in range(12):
+        n = int(rng.integers(2, 5))
+        b = rng.standard_normal((n, n if trial % 2 else n - 1))
+        q = GramForm(dim=n, gram=b @ b.T)
+        p = GramForm(dim=n, gram=0.3 * q.gram + 0.1 * b[:, :1] @ b[:, :1].T)
+        k = int(rng.integers(3, 8))
+        atoms = rng.standard_normal((k, n)) * rng.uniform(0.1, 3.0, (k, 1))
+        atoms[: k // 2] = atoms[: k // 2] @ q.gram  # in range(q)
+        w = rng.uniform(0.1, 1.0, k)
+        nu = DiscreteMeasure(dim=n, atoms=atoms, weights=w / w.sum())
+        fam = MeasureFamily.from_global(nu)
+        eps, delta = 0.05, 0.5
+        rep = prokhorov_mass_check(fam, p, q, eps, delta, require_certificate=False)
+        r_eps = GramForm(dim=n, gram=rep.scale**2 * q.gram, psd_tol=q.psd_tol)
+        for s, nu_s in fam.entries.items():
+            r_s = restrict_form(r_eps, s)
+            want = float(sum(w for a, w in zip(nu_s.atoms, nu_s.weights) if _in_k(r_s, a)))
+            assert rep.masses[s] == want
+        nesting = all(
+            _in_k(restrict_form(r_eps, s), a[s.positions_in(t)])
+            for s in fam.entries
+            for t in fam.entries
+            if s != t and s.is_subset(t)
+            for a in fam.entries[t].atoms
+            if _in_k(restrict_form(r_eps, t), a)
+        )
+        assert rep.nesting_ok == nesting
+        fl = fundamental_lemma_check(nu, p, q, eps, delta)
+        mass = 0.0
+        for a, w in zip(nu.atoms, nu.weights):
+            if _in_k(q, a):
+                mass += w
+        assert fl.mass_in_unit_dual_ball == mass
+
+
+def test_main_theorem_pipeline_at_n6():
+    """Six atoms in R^6, degree 4: all nine stages pass."""
+    rng = np.random.default_rng(14)
+    atoms = rng.uniform(-1.0, 1.0, size=(6, 6))
+    w = rng.integers(1, 10, 6).astype(float)
+    nu = DiscreteMeasure(dim=6, atoms=atoms, weights=w / w.sum())
+    b = rng.standard_normal((6, 6))
+    q = GramForm(dim=6, gram=b @ b.T + np.eye(6))
+    radius2 = 1.5 * float((atoms**2).sum(axis=1).max())
+    terms = {(0,) * 6: radius2}
+    for i in range(6):
+        terms[tuple(2 if j == i else 0 for j in range(6))] = -1.0
+    ball = AlgebraElement(6, 4, terms)
+    report = verify_main_theorem_scenario(
+        nu, q, QuadraticModuleSpec(generators=(ball,)), degrees=4, eps_grid=[0.04, 0.25]
+    )
+    assert len(report.stages) == 9
+    assert [s.status for s in report.stages] == ["pass"] * 9

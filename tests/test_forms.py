@@ -20,6 +20,7 @@ from momentkit import (
     simultaneous_diagonalize,
     whitening_system,
 )
+from momentkit import forms
 from momentkit.errors import NotPSD, ZeroNormDirection
 from momentkit.forms import is_continuous, kernel_contained, restrict_gram
 
@@ -201,3 +202,36 @@ def test_cauchy_schwarz_and_parallelogram(data):
     lhs = evaluate(p, v + w) ** 2 + evaluate(p, v - w) ** 2
     rhs = 2 * (pv**2 + pw**2)
     assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-7)
+
+
+def _inside_by_dual_norm(q, row):
+    nd = dual_norm(q, DualFunctional(dim=q.dim, coeffs=row))
+    return not is_infinite(nd) and nd <= 1.0 + 1e-9
+
+
+def test_in_unit_dual_ball_matches_dual_norm():
+    """Row by row the same verdict as dual_norm <= 1 + 1e-9 (INFINITE outside),
+    on full-rank and rank-deficient forms, with rows at dual norm 1 +- 1e-6
+    and kernel components 1e-6 (relative) below and above the tolerance."""
+    rng = np.random.default_rng(11)
+    checked = 0
+    for n, rank in [(3, 3), (4, 2), (5, 4), (5, 1)]:
+        for _ in range(5):
+            q = random_psd(rng, n, rank)
+            _, vr, _, vk = q._split
+            rows = [rng.standard_normal(n) * rng.uniform(0.1, 3.0) for _ in range(20)]
+            planted = []  # (row, expected verdict)
+            r = vr @ rng.standard_normal(vr.shape[1])
+            r = r / dual_norm(q, DualFunctional(dim=n, coeffs=r))
+            planted += [(r * (1.0 - 1e-6), True), (r * (1.0 + 1e-6), False)]
+            if vk.shape[1]:
+                half = 0.5 * r
+                tol = 1e-8 * max(1.0, float(np.linalg.norm(half)))
+                for c, inside in [(1.0 - 1e-6, True), (1.0 + 1e-6, False)]:
+                    planted.append((half + c * tol * vk[:, 0], inside))
+            points = np.array(rows + [row for row, _ in planted])
+            got = forms._in_unit_dual_ball(q, points)
+            assert got.tolist() == [_inside_by_dual_norm(q, row) for row in points]
+            assert got[len(rows):].tolist() == [inside for _, inside in planted]
+            checked += len(points)
+    assert checked > 400
