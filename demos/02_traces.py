@@ -3,9 +3,9 @@ Relative traces tr(p/q)
 =======================
 
 The trace of a seminorm p against a dominating seminorm q: sum of
-p(e_n)^2 over a complete q-orthonormal system.  Two independent
-computations must agree, the trace obeys an exact (eps/delta)^2 scaling
-law, and it is monotone under restriction to subspaces.
+p(e_n)^2 over a complete q-orthonormal system.  Two computations over
+the same whitening of q must agree, the trace obeys an exact (eps/delta)^2
+scaling law, and it is monotone under restriction to subspaces.
 """
 
 import numpy as np

@@ -15,26 +15,8 @@ import sys
 from pathlib import Path
 
 from . import __version__ as VERSION
-from .concentration import CERTIFICATE_SLACK, CONSISTENCY_ABS, IDENTITY_ABS
 from .errors import ConfigError, MomentkitError
 from .scenarios import SCENARIO_KINDS, run_config, validate_config
-
-# Tolerances baked into each scenario's assertions, echoed into reports so a
-# reader can tell what "passed" meant without consulting the source.
-_KIND_TOLERANCES = {
-    "trace": {"method_agreement_rel": 1e-9},
-    "gaussian": {"certify_sigmas": 4.0},
-    "fundamental_lemma": {"certificate_slack": 1e-9},
-    "concentration": {"certificate_slack": CERTIFICATE_SLACK},
-    "main_theorem": {
-        "certificate_slack": CERTIFICATE_SLACK,
-        "consistency_abs": CONSISTENCY_ABS,
-        "identity_abs": IDENTITY_ABS,
-    },
-    "carleman": {"decay_margin": 0.1},
-    "tilde_trace": {"two_path_rel": 1e-8},
-    "construct_q": {"trace_abs": 1e-10, "gram_abs": 1e-10},
-}
 
 
 def _load_config(path: Path):
@@ -95,7 +77,8 @@ def cmd_run(args) -> int:
         "kind": config["kind"],
         "seed": seed,
         "version": VERSION,
-        "tolerances": _KIND_TOLERANCES[config["kind"]],
+        # what "passed" meant, without consulting the source
+        "tolerances": SCENARIO_KINDS[config["kind"]]["tolerances"](config["parameters"]),
         "passed": passed,
         "results": results,
     }

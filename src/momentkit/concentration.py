@@ -4,8 +4,11 @@ A family assigns to each coordinate subset S a discrete measure on R^|S|
 (the marginal picture of a projective system).  All probabilities are exact
 weight sums; concentration over the delta-ball is certified through the
 exact Chebyshev eigenvalue criterion and independently probed by sampling.
-The module ends in a nine-stage verification pipeline combining moment
-functionals, concentration certificates and Prokhorov-type mass bounds.
+Its sup over the delta-ball of an index S is delta^2 lambda_S, lambda_S
+the top eigenvalue of nu_S's second-moment matrix whitened by p|_S, so one
+spectrum per index decides every (epsilon, delta) pair.  The module ends
+in a nine-stage verification pipeline combining moment functionals,
+concentration certificates and Prokhorov-type mass bounds.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .forms import (
     dual_norm,
     is_infinite,
     jsonable,
-    kernel_basis,
     whitening_system,
 )
 from .moments import (
@@ -218,25 +220,50 @@ def _second_moment(nu: DiscreteMeasure) -> np.ndarray:
     return np.einsum("j,ji,jk->ik", nu.weights, nu.atoms, nu.atoms)
 
 
-def _kernel_leak_check(p_s: GramForm, nu: DiscreteMeasure, tol: float = 1e-10):
-    """Raise KernelIssue when a supported atom evaluates nonzero on a
-    p_S-kernel direction (concentrated families must vanish there)."""
-    ker = kernel_basis(p_s)
-    if not ker:
-        return
-    scale = max(1.0, float(np.abs(nu.support).max(initial=0.0)))
-    for b in ker:
-        vals = nu.support @ b
-        if vals.size and np.abs(vals).max() > tol * scale:
-            raise KernelIssue(
-                f"supported character is nonzero on a kernel direction of p|_S"
-            )
-
-
 def exact_tail(nu: DiscreteMeasure, a: np.ndarray, threshold: float = 1.0) -> float:
     """nu({alpha : |alpha(a)| >= threshold}) as an exact weight sum."""
     vals = np.abs(nu.atoms @ a)
     return float(nu.weights[vals >= threshold].sum())
+
+
+def _index_spectra(fam: MeasureFamily, p: GramForm) -> dict:
+    """{S: (p|_S, lambda_S)}, each index restricted and decomposed once.
+    Raises KernelIssue when a supported atom is nonzero on a p|_S-kernel
+    direction (concentrated families must vanish there)."""
+    out = {}
+    for s in fam.indices():
+        nu = fam.entries[s]
+        p_s = restrict_form(p, s)
+        _, _, _, ker = p_s._split
+        scale = max(1.0, float(np.abs(nu.support).max(initial=0.0)))
+        if np.abs(nu.support @ ker).max(initial=0.0) > 1e-10 * scale:
+            raise KernelIssue("supported character is nonzero on a kernel direction of p|_S")
+        w = whitening_system(p_s).matrix
+        m = w.T @ _second_moment(nu) @ w
+        out[s] = (p_s, float(max(np.linalg.eigvalsh(m)[-1], 0.0)) if w.size else 0.0)
+    return out
+
+
+def _worst_sup(spectra: dict, delta: float) -> float:
+    """delta^2 max_S lambda_S: rounding a product by delta^2 > 0 is monotone,
+    so this is the largest per-index sup delta^2 lambda_S bit for bit."""
+    return delta**2 * max([0.0] + [lam for _, lam in spectra.values()])
+
+
+def _certifies(value: float, epsilon: float, slack: float = CERTIFICATE_SLACK) -> bool:
+    """The certificate's acceptance rule: value <= epsilon (1 + slack) + 1e-15."""
+    return value <= epsilon * (1.0 + slack) + 1e-15
+
+
+def _sphere_tails(nu: DiscreteMeasure, p_s: GramForm, radius: float, budget: int, rng):
+    """Exact tails nu(|alpha(a)| >= 1) at a = radius u / p_S(u), one standard
+    normal vector u per draw; draws with p_S(u) = 0 are skipped."""
+    for _ in range(budget):
+        u = rng.standard_normal(p_s.dim)
+        nrm = p_s(u)
+        if nrm <= 0:
+            continue
+        yield exact_tail(nu, (radius / nrm) * u)
 
 
 def concentration_check(
@@ -258,39 +285,26 @@ def concentration_check(
     probes random degree-1 elements on the delta-sphere with exact tail
     weights as falsification attempts.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else rng
+    return _certificate(fam, _index_spectra(fam, p), epsilon, delta, probe_budget, rng, cert_slack)
+
+
+def _certificate(fam, spectra, epsilon, delta, probe_budget, rng, cert_slack=CERTIFICATE_SLACK):
+    """``concentration_check``'s report from the family's index spectra."""
     details: dict = {}
-    worst = 0.0
-    for s in fam.indices():
-        nu = fam.entries[s]
-        p_s = restrict_form(p, s)
-        _kernel_leak_check(p_s, nu)
-        m = _second_moment(nu)
-        w = whitening_system(p_s).matrix
-        lam = float(max(np.linalg.eigvalsh(w.T @ m @ w)[-1], 0.0)) if w.size else 0.0
-        sup = delta**2 * lam
-        probes = []
-        for _ in range(probe_budget if len(s) > 0 and p_s.rank > 0 else 0):
-            u = rng.standard_normal(len(s))
-            nrm = p_s(u)
-            if nrm <= 0:
-                continue
-            a = (delta / nrm) * u
-            probes.append(exact_tail(nu, a))
+    for s, (p_s, lam) in spectra.items():
+        budget = probe_budget if p_s.rank else 0
+        probes = list(_sphere_tails(fam.entries[s], p_s, delta, budget, rng))
         details[s] = {
-            "sup": sup,
+            "sup": delta**2 * lam,
             "probe_tails": probes,
             "max_probe_tail": max(probes, default=0.0),
         }
-        worst = max(worst, sup)
-    certified = worst <= epsilon * (1.0 + cert_slack) + 1e-15
-    falsified = any(
-        t > epsilon * (1.0 + cert_slack) + 1e-15
-        for d in details.values()
-        for t in d["probe_tails"]
+    worst = _worst_sup(spectra, delta)
+    certified = _certifies(worst, epsilon, cert_slack) and all(
+        _certifies(t, epsilon, cert_slack) for d in details.values() for t in d["probe_tails"]
     )
-    pairs = ((epsilon, delta),) if certified and not falsified else ()
+    pairs = ((epsilon, delta),) if certified else ()
     details["worst_sup"] = worst
     return ConcentrationReport(
         mode=ConcentrationMode.EPS_DELTA,
@@ -315,39 +329,28 @@ def concentration_equivalence_check(
     """
     if rng is None:
         rng = np.random.default_rng(1)
+    grid = list(grid)
+    spectra = _index_spectra(fam, p) if grid else {}
     for epsilon, delta in grid:
-        rep = concentration_check(fam, p, epsilon, delta, probe_budget=0)
-        if not rep.certified:
+        if not _certifies(_worst_sup(spectra, delta), epsilon):
             continue
-        delta_prime = delta / 2.0
-        gamma = 1.0 / delta_prime
-        for s in fam.indices():
+        gamma = 1.0 / (delta / 2.0)
+        for s, (p_s, _) in spectra.items():
             nu = fam.entries[s]
-            p_s = restrict_form(p, s)
             for _ in range(probe_budget):
                 a = rng.standard_normal(len(s))
                 pa = p_s(a)
                 if pa > 0:
                     # forward: nu(|alpha(a)| > gamma p(a)) <= epsilon
-                    tail = float(
-                        nu.weights[np.abs(nu.atoms @ a) > gamma * pa].sum()
-                    )
-                    if tail > epsilon + 1e-12:
+                    if nu.weights[np.abs(nu.atoms @ a) > gamma * pa].sum() > epsilon + 1e-12:
                         return False
-                else:
+                elif exact_tail(nu, a, threshold=1e-9) > 1e-12:
                     # kernel branch: all mass at alpha(a) = 0
-                    if exact_tail(nu, a, threshold=1e-9) > 1e-12:
-                        return False
-            # converse: eps-gamma at gamma implies eps-delta at delta'' < 1/gamma
-            delta_dd = 0.9 / gamma
-            for _ in range(probe_budget):
-                u = rng.standard_normal(len(s))
-                nrm = p_s(u)
-                if nrm <= 0:
-                    continue
-                a = (delta_dd / nrm) * u
-                if exact_tail(nu, a) > epsilon + 1e-12:
                     return False
+            # converse: eps-gamma at gamma implies eps-delta at delta'' < 1/gamma
+            tails = _sphere_tails(nu, p_s, 0.9 / gamma, probe_budget, rng)
+            if any(t > epsilon + 1e-12 for t in tails):
+                return False
     return True
 
 
@@ -399,8 +402,7 @@ def prokhorov_mass_check(
     if is_infinite(tr):
         raise HypothesisNotCertified("tr(p/q) is infinite")
     if require_certificate:
-        rep = concentration_check(fam, p, epsilon, delta, probe_budget=0)
-        if not rep.certified:
+        if not _certifies(_worst_sup(_index_spectra(fam, p), delta), epsilon):
             raise HypothesisNotCertified(
                 f"concentration not certified at ({epsilon}, {delta})"
             )
@@ -565,19 +567,16 @@ def verify_main_theorem_scenario(
     run_stage("consistency", stage_consistency)
 
     def stage_concentration():
-        results = {}
-        all_ok = True
-        for eps in eps_grid:
-            rep = concentration_check(
-                state["family"],
-                state["s_form"],
-                eps,
-                float(np.sqrt(eps)),
-                probe_budget=probe_budget,
-            )
-            results[f"{eps}"] = rep.certified
-            all_ok = all_ok and rep.certified
-        return ("pass" if all_ok else "fail"), {"certified": results}
+        # concentration_check at each eps, on one pass over the lattice
+        fam, grid = state["family"], list(eps_grid)
+        spectra = _index_spectra(fam, state["s_form"]) if grid else {}
+        results = {
+            f"{eps}": _certificate(
+                fam, spectra, eps, float(np.sqrt(eps)), probe_budget, np.random.default_rng(0)
+            ).certified
+            for eps in grid
+        }
+        return ("pass" if all(results.values()) else "fail"), {"certified": results}
 
     run_stage("concentration_sqrt_eps", stage_concentration)
 

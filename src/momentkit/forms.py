@@ -72,13 +72,10 @@ def _as_vector(v, dim: int) -> np.ndarray:
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Deterministic sign convention for eigenvector columns: the entry of
     largest magnitude is made positive (first such entry on ties)."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        if col[k] < 0:
-            out[:, j] = -col
-    return out
+    if not vectors.size:
+        return vectors.copy()
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.where(peaks < 0, -vectors, vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +97,8 @@ class GramForm:
         g = 0.5 * (g + g.T)  # symmetrize exactly against round-off
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
-        w = np.linalg.eigvalsh(g)
-        lam_max = float(w[-1]) if len(w) else 0.0
-        if len(w) and float(w[0]) < -self.psd_tol * max(1.0, lam_max):
+        w, _ = self._eig
+        if len(w) and float(w[0]) < -self.psd_tol * max(1.0, float(w[-1])):
             raise NotPSD(
                 f"gram has eigenvalue {w[0]:.3e} below -psd_tol*max(1, lam_max)"
             )

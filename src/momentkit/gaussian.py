@@ -37,6 +37,9 @@ from .forms import (
 from .moments import DiscreteMeasure
 from .traces import trace_value
 
+CERTIFY_SIGMAS = 4.0  # a Monte Carlo estimate certifies within this many standard errors
+LEMMA_CERTIFICATE_SLACK = 1e-9  # relative slack on epsilon in the fundamental lemma
+
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
@@ -144,7 +147,7 @@ def second_moment_check(gamma: GaussianMeasure, w, cfg: McConfig) -> McReport:
         estimate=est,
         stderr=stderr,
         bound=1.0,
-        certified=bool(abs(est - 1.0) <= 4.0 * stderr),
+        certified=bool(abs(est - 1.0) <= CERTIFY_SIGMAS * stderr),
         seed=cfg.seed,
     )
 
@@ -153,14 +156,14 @@ def second_moment_check(gamma: GaussianMeasure, w, cfg: McConfig) -> McReport:
 class TailReport:
     exact: float
     bound: float
-    dual_norm_value: float
+    dual_norm_value: object  # float or INFINITE
     ok: bool
 
     def to_jsonable(self) -> dict:
         return {
             "exact": float(self.exact),
             "bound": float(self.bound),
-            "dual_norm": float(self.dual_norm_value),
+            "dual_norm": jsonable(self.dual_norm_value),
             "certified": bool(self.ok),
         }
 
@@ -171,14 +174,12 @@ def tail_lower_bound_check(gamma: GaussianMeasure, l: DualFunctional) -> TailRep
     qp = dual_norm(gamma.q, l)
     if is_infinite(qp):
         exact = 1.0
-        qp_val = float("inf")
+    elif qp < 1.0:
+        raise NotInScope(f"dual norm {qp} < 1: hypothesis fails")
     else:
-        if qp < 1.0:
-            raise NotInScope(f"dual norm {qp} < 1: hypothesis fails")
         exact = math.erfc(1.0 / qp / math.sqrt(2.0))
-        qp_val = float(qp)
     return TailReport(
-        exact=exact, bound=1.0 / 7.0, dual_norm_value=qp_val, ok=bool(exact >= 1.0 / 7.0)
+        exact=exact, bound=1.0 / 7.0, dual_norm_value=qp, ok=bool(exact >= 1.0 / 7.0)
     )
 
 
@@ -219,7 +220,7 @@ def chebyshev_outside_ball(
         mc=est,
         stderr=stderr,
         bound=bound,
-        certified=bool(est <= bound + 4.0 * stderr),
+        certified=bool(est <= bound + CERTIFY_SIGMAS * stderr),
         seed=cfg.seed,
     )
 
@@ -257,7 +258,7 @@ def fundamental_lemma_check(
     q: GramForm,
     epsilon: float,
     delta: float,
-    cert_slack: float = 1e-9,
+    cert_slack: float = LEMMA_CERTIFICATE_SLACK,
     require_certificate: bool = False,
 ) -> FundamentalLemmaReport:
     """The atoms of mu are coefficient vectors of dual functionals.

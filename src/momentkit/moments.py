@@ -67,6 +67,8 @@ class DiscreteMeasure:
             raise DimensionMismatch(
                 f"atoms shape {atoms.shape} vs {len(weights)} weights in dim {self.dim}"
             )
+        if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
+            raise ValueError("atoms and weights must be finite")
         if np.any(weights < -1e-14):
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
@@ -373,8 +375,11 @@ class CarlemanDiagnostic:
         }
 
 
+CARLEMAN_MARGIN = 0.1  # fitted decay slope within this of -1 is undetermined
+
+
 def carleman_from_log_moments(
-    log_even_moments, margin: float = 0.1
+    log_even_moments, margin: float = CARLEMAN_MARGIN
 ) -> CarlemanDiagnostic:
     """Diagnostic from log L(v^{2n}), n = 1..N.  All computation on t_n is
     done from the logs, so the raw moments may exceed float range."""
@@ -434,7 +439,7 @@ def log_even_moments_from_measure(nu: DiscreteMeasure, v, n_max: int) -> np.ndar
 
 
 def carleman_diagnostic(
-    L: MomentFunctional, v: AlgebraElement, n_max: int, margin: float = 0.1
+    L: MomentFunctional, v: AlgebraElement, n_max: int, margin: float = CARLEMAN_MARGIN
 ) -> CarlemanDiagnostic:
     """Diagnostic for the direction v (degree-1 element).  Even moments come
     from the source measure when present (log space, any N) and otherwise

@@ -1,7 +1,9 @@
 """Named verification scenarios behind the command-line front end.
 
 Each scenario kind owns a parameter schema (validated by hand, unknown
-fields rejected) and a runner returning (passed, results, tables).  Results
+fields rejected), a runner returning (passed, results, tables), and the
+tolerances its report echoes: the config's override where the runner reads
+one, else the default of the check it runs.  Results
 are JSON-ready and deterministic for a fixed config including the seed;
 anything time-dependent belongs in the separate metadata file written by
 the CLI.
@@ -16,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import (
+    CERTIFICATE_SLACK,
+    CONSISTENCY_ABS,
+    IDENTITY_ABS,
     MeasureFamily,
     concentration_check,
     concentration_equivalence_check,
@@ -31,6 +36,8 @@ from .forms import (
     whitening_system,
 )
 from .gaussian import (
+    CERTIFY_SIGMAS,
+    LEMMA_CERTIFICATE_SLACK,
     GaussianMeasure,
     McConfig,
     chebyshev_outside_ball,
@@ -39,6 +46,7 @@ from .gaussian import (
     tail_lower_bound_check,
 )
 from .moments import (
+    CARLEMAN_MARGIN,
     WEIGHT_SUM_TOL,
     DiscreteMeasure,
     QuadraticModuleSpec,
@@ -47,7 +55,7 @@ from .moments import (
     log_gaussian_even_moments,
     log_squared_exponential_moments,
 )
-from .symalg import AlgebraElement, GradedSeminormTower, tilde_trace_identity
+from .symalg import TILDE_REL_TOL, AlgebraElement, GradedSeminormTower, tilde_trace_identity
 from .traces import TraceMethod, trace
 
 
@@ -77,7 +85,7 @@ class WeightSequence:
 @dataclass(frozen=True, eq=False)
 class ConstructQRecord:
     q: GramForm
-    trace: float
+    trace: object  # float or INFINITE
     expected_trace: float
     gram_error: float
     ok: bool
@@ -85,15 +93,18 @@ class ConstructQRecord:
     def to_jsonable(self) -> dict:
         return {
             "q": self.q.to_jsonable(),
-            "trace": float(self.trace),
+            "trace": jsonable(self.trace),
             "expected_trace": float(self.expected_trace),
             "gram_error": float(self.gram_error),
             "ok": bool(self.ok),
         }
 
 
+CONSTRUCT_Q_TOL = 1e-10  # trace (relative) and Gram error allowed by construct_q
+
+
 def construct_q(
-    p: GramForm, e_sys: OrthonormalSystem, lam: WeightSequence, tol: float = 1e-10
+    p: GramForm, e_sys: OrthonormalSystem, lam: WeightSequence, tol: float = CONSTRUCT_Q_TOL
 ) -> ConstructQRecord:
     """q(v)^2 = sum_n lambda_n^{-2} <v, e_n>_p^2 over a complete
     p-orthonormal system; then tr(p/q) = sum_n lambda_n^2 and the rescaled
@@ -122,7 +133,7 @@ def construct_q(
     )
     return ConstructQRecord(
         q=q,
-        trace=float(tr) if not is_infinite(tr) else float("nan"),
+        trace=tr,
         expected_trace=expected,
         gram_error=float(gram_err),
         ok=bool(ok),
@@ -204,6 +215,9 @@ _CHECKERS = {
     "positive_integer": lambda x, w, e: None
     if isinstance(x, int) and not isinstance(x, bool) and x > 0
     else e.append(f"{w}: expected a positive integer"),
+    "number_or_infinite": lambda x, w, e: None
+    if x == "infinite" or _is_number(x)
+    else e.append(f'{w}: expected a number or "infinite"'),
     "string": lambda x, w, e: None
     if isinstance(x, str)
     else e.append(f"{w}: expected a string"),
@@ -247,6 +261,9 @@ def _parse_element(data, max_degree) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
+TRACE_AGREEMENT_REL = 1e-9  # relative agreement of the two trace methods and the expected value
+
+
 def _run_trace(params, seed):
     p = _parse_form(params["p"])
     q = _parse_form(params["q"])
@@ -258,7 +275,7 @@ def _run_trace(params, seed):
         agree = (
             not is_infinite(rep_op.value)
             and abs(rep_sum.value - rep_op.value)
-            <= 1e-9 * max(1.0, abs(rep_sum.value))
+            <= TRACE_AGREEMENT_REL * max(1.0, abs(rep_sum.value))
         )
     passed = agree
     expected = params.get("expected")
@@ -268,7 +285,7 @@ def _run_trace(params, seed):
         else:
             passed = passed and not is_infinite(rep_sum.value) and abs(
                 rep_sum.value - expected
-            ) <= 1e-9 * max(1.0, abs(expected))
+            ) <= TRACE_AGREEMENT_REL * max(1.0, abs(expected))
     results = {
         "value": jsonable(rep_sum.value),
         "methods_agree": bool(agree),
@@ -276,6 +293,10 @@ def _run_trace(params, seed):
         "operator_trace": rep_op.to_jsonable(),
     }
     return passed, results, {}
+
+
+def _trace_tolerances(params):
+    return {"method_agreement_rel": TRACE_AGREEMENT_REL}
 
 
 def _run_gaussian(params, seed):
@@ -306,6 +327,10 @@ def _run_gaussian(params, seed):
     return passed, results, {}
 
 
+def _gaussian_tolerances(params):
+    return {"certify_sigmas": CERTIFY_SIGMAS}
+
+
 def _run_fundamental_lemma(params, seed):
     rep = fundamental_lemma_check(
         _parse_measure(params["mu"]),
@@ -316,6 +341,10 @@ def _run_fundamental_lemma(params, seed):
     )
     passed = rep.hypothesis_certified and rep.conclusion_ok is True
     return passed, rep.to_jsonable(), {}
+
+
+def _fundamental_lemma_tolerances(params):
+    return {"certificate_slack": LEMMA_CERTIFICATE_SLACK}
 
 
 def _run_concentration(params, seed):
@@ -343,6 +372,10 @@ def _run_concentration(params, seed):
     return passed, results, {}
 
 
+def _concentration_tolerances(params):
+    return {"certificate_slack": CERTIFICATE_SLACK}
+
+
 def _run_main_theorem(params, seed):
     mu = _parse_measure(params["measure"])
     degrees = params["degrees"]
@@ -365,9 +398,17 @@ def _run_main_theorem(params, seed):
     return report.overall_pass, report.to_jsonable(), tables
 
 
+def _main_theorem_tolerances(params):
+    return {
+        "certificate_slack": CERTIFICATE_SLACK,
+        "consistency_abs": CONSISTENCY_ABS,
+        "identity_abs": IDENTITY_ABS,
+    }
+
+
 def _run_carleman(params, seed):
     n_max = params["n_max"]
-    margin = params.get("margin", 0.1)
+    margin = _carleman_tolerances(params)["decay_margin"]
     family = params.get("family")
     if family is not None:
         if family == "gaussian":
@@ -409,6 +450,10 @@ def _run_carleman(params, seed):
     return passed, diag.to_jsonable(), tables
 
 
+def _carleman_tolerances(params):
+    return {"decay_margin": params.get("margin", CARLEMAN_MARGIN)}
+
+
 def _run_tilde_trace(params, seed):
     pairs = tuple(
         (_parse_form(e["p"]), _parse_form(e["q"])) for e in params["pairs"]
@@ -421,8 +466,12 @@ def _run_tilde_trace(params, seed):
         eta=tuple(params["eta"]),
         constants=tuple(params["constants"]),
     )
-    rep = tilde_trace_identity(tower, rel_tol=params.get("rel_tol", 1e-8))
+    rep = tilde_trace_identity(tower, rel_tol=_tilde_trace_tolerances(params)["two_path_rel"])
     return rep.agree, rep.to_jsonable(), {}
+
+
+def _tilde_trace_tolerances(params):
+    return {"two_path_rel": params.get("rel_tol", TILDE_REL_TOL)}
 
 
 def _run_construct_q(params, seed):
@@ -436,10 +485,15 @@ def _run_construct_q(params, seed):
     return record.ok, record.to_jsonable(), {}
 
 
+def _construct_q_tolerances(params):
+    return {"trace_abs": CONSTRUCT_Q_TOL, "gram_abs": CONSTRUCT_Q_TOL}
+
+
 SCENARIO_KINDS = {
     "trace": {
         "description": "two-method relative trace of a seminorm pair",
         "runner": _run_trace,
+        "tolerances": _trace_tolerances,
         "required": {"p": "matrix", "q": "matrix"},
         "optional": {"expected": "number_or_infinite"},
     },
@@ -447,6 +501,7 @@ SCENARIO_KINDS = {
         "description": "Gaussian measure checks: second moment, tail bound, "
         "Chebyshev mass outside a ball",
         "runner": _run_gaussian,
+        "tolerances": _gaussian_tolerances,
         "required": {"q": "matrix", "samples": "positive_integer"},
         "optional": {
             "streams": "positive_integer",
@@ -460,6 +515,7 @@ SCENARIO_KINDS = {
         "description": "quantitative dual-ball mass bound for a discrete "
         "measure on functionals",
         "runner": _run_fundamental_lemma,
+        "tolerances": _fundamental_lemma_tolerances,
         "required": {
             "mu": "measure",
             "p": "matrix",
@@ -473,6 +529,7 @@ SCENARIO_KINDS = {
         "description": "Chebyshev concentration certificate for the marginal "
         "family of a global measure",
         "runner": _run_concentration,
+        "tolerances": _concentration_tolerances,
         "required": {
             "global_measure": "measure",
             "p": "matrix",
@@ -488,6 +545,7 @@ SCENARIO_KINDS = {
         "description": "nine-stage end-to-end verification for a target "
         "measure",
         "runner": _run_main_theorem,
+        "tolerances": _main_theorem_tolerances,
         "required": {
             "measure": "measure",
             "q": "matrix",
@@ -500,6 +558,7 @@ SCENARIO_KINDS = {
         "description": "log-space moment-growth diagnostic with three-way "
         "verdict",
         "runner": _run_carleman,
+        "tolerances": _carleman_tolerances,
         "required": {"n_max": "positive_integer"},
         "optional": {
             "family": "string",
@@ -515,6 +574,7 @@ SCENARIO_KINDS = {
         "description": "two-path trace identity for weighted graded seminorm "
         "towers",
         "runner": _run_tilde_trace,
+        "tolerances": _tilde_trace_tolerances,
         "required": {
             "dim": "positive_integer",
             "max_degree": "positive_integer",
@@ -529,6 +589,7 @@ SCENARIO_KINDS = {
         "description": "build q from a p-orthonormal system and weights; "
         "verify the trace identity",
         "runner": _run_construct_q,
+        "tolerances": _construct_q_tolerances,
         "required": {"p": "matrix", "lam": "vector"},
         "optional": {"vectors": "vector_list"},
     },
@@ -570,21 +631,11 @@ def validate_config(config) -> list[str]:
         if name not in params:
             errors.append(f"parameters.{name}: required")
         else:
-            _check_param(params[name], typ, f"parameters.{name}", errors)
+            _CHECKERS[typ](params[name], f"parameters.{name}", errors)
     for name, typ in spec["optional"].items():
         if name in params:
-            _check_param(params[name], typ, f"parameters.{name}", errors)
+            _CHECKERS[typ](params[name], f"parameters.{name}", errors)
     return errors
-
-
-def _check_param(value, typ, where, errors):
-    if typ == "number_or_infinite":
-        if value != "infinite" and not _is_number(value):
-            errors.append(f"{where}: expected a number or \"infinite\"")
-        return
-    checker = _CHECKERS.get(typ)
-    if checker is not None:
-        checker(value, where, errors)
 
 
 def run_config(config, seed_override=None):

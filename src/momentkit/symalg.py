@@ -558,8 +558,11 @@ class TildeTraceReport:
         }
 
 
+TILDE_REL_TOL = 1e-8  # relative agreement required of the two tilde-trace paths
+
+
 def tilde_trace_identity(
-    tower: GradedSeminormTower, d_max: int | None = None, rel_tol: float = 1e-8
+    tower: GradedSeminormTower, d_max: int | None = None, rel_tol: float = TILDE_REL_TOL
 ) -> TildeTraceReport:
     """Two-path evaluation of tr(p~/q~).
 

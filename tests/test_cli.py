@@ -22,7 +22,7 @@ from momentkit.concentration import (
     concentration_check,
     consistency_check,
 )
-from momentkit.scenarios import SCENARIO_KINDS, validate_config
+from momentkit.scenarios import _CHECKERS, SCENARIO_KINDS, validate_config
 
 
 def fixture_path(name: str) -> str:
@@ -232,6 +232,69 @@ def test_lattice_tolerances_echo_the_constants_that_ran(tmp_path):
     for stem, tolerances in expected.items():
         assert run_cli("run", fixture_path(f"{stem}.json"), "--out", str(tmp_path)) == 0
         assert read_report(tmp_path, stem)["tolerances"] == tolerances
+
+
+def test_tolerance_echo_follows_overrides(tmp_path):
+    """A config that overrides a tolerance gets that value echoed; without
+    the override the echo is the default the check ran with."""
+    for stem, key, override, echo_key in [
+        ("carleman_gaussian", "margin", 0.3, "decay_margin"),
+        ("tilde_trace", "rel_tol", 1e-3, "two_path_rel"),
+    ]:
+        config = json.loads(Path(fixture_path(f"{stem}.json")).read_text())
+        run_cli("run", fixture_path(f"{stem}.json"), "--out", str(tmp_path / "default"))
+        default = read_report(tmp_path / "default", stem)["tolerances"][echo_key]
+        assert default != override
+        config["parameters"][key] = override
+        cfg = tmp_path / f"{stem}.json"
+        cfg.write_text(json.dumps(config))
+        run_cli("run", str(cfg), "--out", str(tmp_path))
+        assert read_report(tmp_path, stem)["tolerances"] == {echo_key: override}
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+def test_infinite_trace_report_is_valid_json(tmp_path):
+    """A divergent trace is written as the string "infinite", the one JSON
+    encoding of INFINITE, not as NaN or Infinity."""
+    cfg = tmp_path / "construct_q_infinite.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "kind": "construct_q",
+                "parameters": {
+                    "p": [[1.0, 0.0], [0.0, 1.0]],
+                    "vectors": [[1.0, 0.0], [1.0, 0.0]],
+                    "lam": [1.0, 1.0],
+                },
+            }
+        )
+    )
+    assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 1
+    text = (tmp_path / "construct_q_infinite.report.json").read_text()
+    report = json.loads(text, parse_constant=_raise_on_constant)
+    assert report["results"]["trace"] == "infinite"
+    assert report["passed"] is False
+
+
+def test_every_parameter_type_has_a_checker():
+    """validate_config looks each parameter's type tag up in the checker
+    table, so a tag without a checker would fail loudly, not pass silently."""
+    tags = {
+        typ
+        for spec in SCENARIO_KINDS.values()
+        for part in ("required", "optional")
+        for typ in spec[part].values()
+    }
+    assert tags <= set(_CHECKERS)
+    errors: list = []
+    _CHECKERS["number_or_infinite"]("infinite", "x", errors)
+    _CHECKERS["number_or_infinite"](2.5, "x", errors)
+    assert errors == []
+    _CHECKERS["number_or_infinite"]("finite", "x", errors)
+    assert errors == ['x: expected a number or "infinite"']
 
 
 def test_csv_rfc4180(tmp_path):

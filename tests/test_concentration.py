@@ -395,3 +395,94 @@ def test_main_theorem_pipeline_at_n6():
     )
     assert len(report.stages) == 9
     assert [s.status for s in report.stages] == ["pass"] * 9
+
+
+def _five_dim_family(seed):
+    """A full n=5 lattice and a diagonal p large enough that every index is
+    certified at (0.05, 0.5)."""
+    rng = np.random.default_rng(seed)
+    atoms = rng.uniform(-1.0, 1.0, size=(8, 5))
+    w = rng.uniform(0.1, 1.0, 8)
+    fam = MeasureFamily.from_global(DiscreteMeasure(dim=5, atoms=atoms, weights=w / w.sum()))
+    p = GramForm(dim=5, gram=np.diag(rng.uniform(40.0, 80.0, 5)))
+    return fam, p
+
+
+def test_one_decomposition_pass_per_index(monkeypatch):
+    """Counts np.linalg.eigh/eigvalsh calls on a full n=5 lattice (31
+    indices): each check restricts and decomposes an index once, not once
+    per grid point and per caller."""
+    fam, p = _five_dim_family(21)
+    q = GramForm(dim=5, gram=np.eye(5))
+    n_idx = len(fam.entries)
+    assert n_idx == 31
+    calls = {"n": 0}
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls["n"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def count(fn, *args, **kwargs):
+        calls["n"] = 0
+        fn(*args, **kwargs)
+        return calls["n"]
+
+    assert count(concentration_check, fam, p, 0.05, 0.5) <= 2 * n_idx
+    grid = [(0.05, 0.5), (0.1, 0.5), (0.05, 0.25)]
+    assert all(concentration_check(fam, p, e, d, probe_budget=0).certified for e, d in grid)
+    assert count(concentration_equivalence_check, fam, p, grid, probe_budget=4) <= 2 * n_idx
+    assert count(concentration_equivalence_check, fam, p, []) == 0
+    assert count(prokhorov_mass_check, fam, p, q, 0.05, 0.5) <= 3 * n_idx + 4
+
+
+def test_certificate_decisions_agree_at_a_planted_boundary():
+    """At the smallest epsilon the certificate accepts, and at the floats
+    next to it, the equivalence check (which probes only certified grid
+    points) and Prokhorov's HypothesisNotCertified decide as
+    concentration_check does.  The worst sup they share, delta^2 max_S
+    lambda_S, is the largest per-index sup bit for bit."""
+    from momentkit.concentration import CERTIFICATE_SLACK, _index_spectra, _worst_sup
+
+    class CountingRng:
+        def __init__(self):
+            self.draws, self._rng = 0, np.random.default_rng(0)
+
+        def standard_normal(self, size):
+            self.draws += 1
+            return self._rng.standard_normal(size)
+
+    fam, p = _five_dim_family(22)
+    q = GramForm(dim=5, gram=np.eye(5))
+    delta = 0.7
+    details = concentration_check(fam, p, 1.0, delta, probe_budget=0).details
+    worst = details.pop("worst_sup")
+    assert _worst_sup(_index_spectra(fam, p), delta) == max(d["sup"] for d in details.values())
+    assert worst == _worst_sup(_index_spectra(fam, p), delta)
+
+    def certified(eps):
+        return concentration_check(fam, p, eps, delta, probe_budget=0).certified
+
+    eps = (worst - 1e-15) / (1.0 + CERTIFICATE_SLACK)
+    while certified(eps):
+        eps = np.nextafter(eps, 0.0)
+    while not certified(eps):
+        eps = np.nextafter(eps, 1.0)
+    top = worst * (1.0 + CERTIFICATE_SLACK) + 1e-15
+    candidates = [np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)]
+    candidates += [np.nextafter(top, 0.0), top, np.nextafter(top, 1.0)]
+    assert [certified(e) for e in candidates[:2]] == [False, True]
+    for e in map(float, candidates):
+        want = certified(e)
+        rng = CountingRng()
+        concentration_equivalence_check(fam, p, [(e, delta)], probe_budget=1, rng=rng)
+        assert (rng.draws > 0) == want, e
+        try:
+            prokhorov_mass_check(fam, p, q, e, delta)
+            raised = False
+        except HypothesisNotCertified:
+            raised = True
+        assert raised == (not want), e

@@ -4,6 +4,8 @@ dual-ball lemma."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,6 +18,7 @@ from momentkit import (
     McConfig,
     chebyshev_outside_ball,
     fundamental_lemma_check,
+    is_infinite,
     second_moment_check,
     tail_lower_bound_check,
 )
@@ -90,6 +93,21 @@ def test_tail_lower_bound_matches_scipy_normal_tail():
         rep = tail_lower_bound_check(gamma, l)
         want = 2.0 * stats.norm.sf(1.0 / rep.dual_norm_value)
         assert abs(rep.exact - want) <= 4 * np.spacing(want), x
+
+
+def test_tail_report_encodes_infinite_dual_norm():
+    """A functional off range(q) has dual norm INFINITE (reachable on the
+    quotient measure); the report carries it as the string "infinite"."""
+    gamma = GaussianMeasure.from_form(GramForm(dim=2, gram=np.diag([1.0, 0.0])), quotient=True)
+    rep = tail_lower_bound_check(gamma, DualFunctional(dim=2, coeffs=np.array([0.0, 1.0])))
+    assert is_infinite(rep.dual_norm_value)
+    assert rep.exact == 1.0 and rep.ok
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    data = json.loads(json.dumps(rep.to_jsonable()), parse_constant=reject)
+    assert data["dual_norm"] == "infinite"
 
 
 def test_tail_lower_bound_monotone_in_dual_norm():

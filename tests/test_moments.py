@@ -59,6 +59,23 @@ def x(i, dim=2, deg=4):
     return AlgebraElement.variable(i, dim, deg)
 
 
+@pytest.mark.parametrize(
+    "atoms, weights",
+    [
+        ([[1.0], [2.0]], [np.nan, 1.0]),
+        ([[1.0], [2.0]], [np.inf, 0.5]),
+        ([[np.nan], [2.0]], [0.5, 0.5]),
+        ([[1.0], [-np.inf]], [0.5, 0.5]),
+    ],
+    ids=["nan_weight", "inf_weight", "nan_atom", "inf_atom"],
+)
+def test_discrete_measure_rejects_non_finite(atoms, weights):
+    """A NaN compares False with every bound, so the weight checks alone
+    would let it through; non-finite input is rejected first."""
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure(dim=1, atoms=np.array(atoms), weights=np.array(weights))
+
+
 def test_from_measure_moments():
     L = from_measure(two_atom_measure(), 4)
     assert L.moment((0, 0)) == pytest.approx(1.0)
