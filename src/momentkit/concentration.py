@@ -6,16 +6,19 @@ weight sums; concentration over the delta-ball is certified through the
 exact Chebyshev eigenvalue criterion and independently probed by sampling.
 Its sup over the delta-ball of an index S is delta^2 lambda_S, lambda_S
 the top eigenvalue of nu_S's second-moment matrix whitened by p|_S, so one
-spectrum per index decides every (epsilon, delta) pair.  The module ends
-in a nine-stage verification pipeline combining moment functionals,
-concentration certificates and Prokhorov-type mass bounds.
+spectrum per index decides every (epsilon, delta) pair.  A family keeps
+the spectral pass of the last form p it met (its entries are read-only, so
+the pass cannot go stale), so all checks on one (family, p) share it; the
+nested checks sweep each index once against all of its supersets.  The
+module ends in a nine-stage verification pipeline combining moment
+functionals, concentration certificates and Prokhorov-type mass bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -115,11 +118,15 @@ def pushforward(
 
 @dataclass(frozen=True, eq=False)
 class MeasureFamily:
-    """Finite map SubalgebraIndex -> DiscreteMeasure over those coordinates."""
+    """Finite map SubalgebraIndex -> DiscreteMeasure over those coordinates,
+    held read-only.  It keeps the index spectra of the last form it was
+    checked against: one slot, matched by identity (GramForm is frozen)."""
 
-    entries: dict
+    entries: MappingProxyType
+    _spectra: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         for idx, nu in self.entries.items():
             if nu.dim != len(idx):
                 raise DimensionMismatch(
@@ -139,17 +146,19 @@ class MeasureFamily:
         return cls(entries=entries)
 
 
-def _nested_pairs(idxs):
-    """Every pair S within T, S != T, of ``idxs`` with S's positions in T."""
-    for s in idxs:
-        for t in idxs:
-            if s is not t and s.is_subset(t):
-                yield s, t, s.positions_in(t)
+def _supersets(idxs):
+    """Each S of ``idxs`` lying strictly within some T of ``idxs``, with
+    [(T, S's positions in T)] over all such T, built one S at a time."""
+    sets = [(t, set(t.coords)) for t in idxs]
+    for s, cs in sets:
+        sups = [(t, s.positions_in(t)) for t, ct in sets if cs < ct]
+        if sups:
+            yield s, sups
 
 
-def _moment_table(atoms: np.ndarray, weights: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """sum_j w_j prod_i atoms[j, i]^alpha_i for every row alpha of ``exps``."""
-    return weights @ np.prod(atoms[:, None, :] ** exps, axis=2)
+def _power_rows(atoms: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """prod_i atoms[j, i]^alpha_i for every atom j and row alpha of ``exps``."""
+    return np.prod(atoms[:, None, :] ** exps, axis=2)
 
 
 def consistency_check(
@@ -159,15 +168,17 @@ def consistency_check(
     tolerance is absolute, so differences add up along a chain), nu_T pushed
     to S must match nu_S in all moments up to ``degree``.  Those are the
     moments at nu_T's atoms projected onto S (merging coincident atoms only
-    changes rounding); each index's own table is built once."""
-    exps = {k: np.array(monomials_up_to(k, degree)) for k in {len(s) for s in fam.entries}}
-    tables = {
-        s: _moment_table(nu.atoms, nu.weights, exps[len(s)]) for s, nu in fam.entries.items()
-    }
-    for s, t, pos in _nested_pairs(fam.indices()):
-        nu_t = fam.entries[t]
-        pushed = _moment_table(nu_t.atoms[:, pos], nu_t.weights, exps[len(s)])
-        if np.any(np.abs(pushed - tables[s]) > tol):
+    changes rounding).  Per S, one column-major power table (the layout of a
+    lone projection atoms[:, pos], so each product sums as for it alone)
+    covers the projected atoms of all its supersets."""
+    for s, sups in _supersets(fam.indices()):
+        nu_s, exps = fam.entries[s], np.array(monomials_up_to(len(s), degree))
+        own = nu_s.weights @ _power_rows(nu_s.atoms, exps)
+        nus = [fam.entries[t] for t, _ in sups]
+        blocks = [nu.atoms[:, pos] for nu, (_, pos) in zip(nus, sups)]
+        powers = _power_rows(np.asfortranarray(np.vstack(blocks)), exps)
+        tables = np.split(powers, np.cumsum([len(b) for b in blocks[:-1]]))
+        if any(np.any(np.abs(nu.weights @ rows - own) > tol) for nu, rows in zip(nus, tables)):
             return False
     return True
 
@@ -177,16 +188,9 @@ def consistency_check(
 # ---------------------------------------------------------------------------
 
 
-class ConcentrationMode(Enum):
-    EPS_DELTA = "eps_delta"
-    EPS_GAMMA = "eps_gamma"
-
-
 @dataclass(frozen=True, eq=False)
 class ConcentrationReport:
-    mode: ConcentrationMode
     certified_pairs: tuple
-    exact: bool
     details: dict = field(default_factory=dict)
 
     @property
@@ -195,9 +199,9 @@ class ConcentrationReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "mode": self.mode.value,
+            "mode": "eps_delta",
             "certified_pairs": [list(map(float, p)) for p in self.certified_pairs],
-            "exact": self.exact,
+            "exact": True,
             "details": _jsonable_details(self.details),
         }
 
@@ -227,9 +231,13 @@ def exact_tail(nu: DiscreteMeasure, a: np.ndarray, threshold: float = 1.0) -> fl
 
 
 def _index_spectra(fam: MeasureFamily, p: GramForm) -> dict:
-    """{S: (p|_S, lambda_S)}, each index restricted and decomposed once.
+    """{S: (p|_S, lambda_S)}, each index restricted and decomposed once per
+    (family, p): the family keeps the pass of the last form it was given.
     Raises KernelIssue when a supported atom is nonzero on a p|_S-kernel
     direction (concentrated families must vanish there)."""
+    form, spectra = fam._spectra
+    if form is p:
+        return spectra
     out = {}
     for s in fam.indices():
         nu = fam.entries[s]
@@ -241,6 +249,7 @@ def _index_spectra(fam: MeasureFamily, p: GramForm) -> dict:
         w = whitening_system(p_s).matrix
         m = w.T @ _second_moment(nu) @ w
         out[s] = (p_s, float(max(np.linalg.eigvalsh(m)[-1], 0.0)) if w.size else 0.0)
+    object.__setattr__(fam, "_spectra", (p, out))
     return out
 
 
@@ -286,11 +295,7 @@ def concentration_check(
     weights as falsification attempts.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    return _certificate(fam, _index_spectra(fam, p), epsilon, delta, probe_budget, rng, cert_slack)
-
-
-def _certificate(fam, spectra, epsilon, delta, probe_budget, rng, cert_slack=CERTIFICATE_SLACK):
-    """``concentration_check``'s report from the family's index spectra."""
+    spectra = _index_spectra(fam, p)
     details: dict = {}
     for s, (p_s, lam) in spectra.items():
         budget = probe_budget if p_s.rank else 0
@@ -306,12 +311,7 @@ def _certificate(fam, spectra, epsilon, delta, probe_budget, rng, cert_slack=CER
     )
     pairs = ((epsilon, delta),) if certified else ()
     details["worst_sup"] = worst
-    return ConcentrationReport(
-        mode=ConcentrationMode.EPS_DELTA,
-        certified_pairs=pairs,
-        exact=True,
-        details=details,
-    )
+    return ConcentrationReport(certified_pairs=pairs, details=details)
 
 
 def concentration_equivalence_check(
@@ -396,8 +396,9 @@ def prokhorov_mass_check(
 
     the closed unit r_eps|_S-dual ball, tested atom by atom (one restriction
     and one test per index).  Nesting: for every nested pair S within T,
-    nu_T's atoms in K^(T), projected onto S, lie in K^(S).  Also checks the
-    identity tr(p / (delta r_eps)) = eps (exact when tr(p/q) > 0)."""
+    nu_T's atoms in K^(T), projected onto S, lie in K^(S), tested once per S
+    on the stacked atoms of all its supersets.  Also checks the identity
+    tr(p / (delta r_eps)) = eps (exact when tr(p/q) > 0)."""
     tr = trace_value(p, q)
     if is_infinite(tr):
         raise HypothesisNotCertified("tr(p/q) is infinite")
@@ -418,9 +419,10 @@ def prokhorov_mass_check(
         for s in idxs
     }
     mass_ok = not any(mass < bound - 1e-12 for mass in masses.values())
+    kept = {s: fam.entries[s].atoms[inside[s]] for s in idxs}
     nesting_ok = all(
-        _in_unit_dual_ball(r_s[s], fam.entries[t].atoms[inside[t]][:, pos]).all()
-        for s, t, pos in _nested_pairs(idxs)
+        _in_unit_dual_ball(r_s[s], np.vstack([kept[t][:, pos] for t, pos in sups])).all()
+        for s, sups in _supersets(idxs)
     )
 
     if tr > 0:
@@ -567,14 +569,12 @@ def verify_main_theorem_scenario(
     run_stage("consistency", stage_consistency)
 
     def stage_concentration():
-        # concentration_check at each eps, on one pass over the lattice
-        fam, grid = state["family"], list(eps_grid)
-        spectra = _index_spectra(fam, state["s_form"]) if grid else {}
+        fam, s_form = state["family"], state["s_form"]
         results = {
-            f"{eps}": _certificate(
-                fam, spectra, eps, float(np.sqrt(eps)), probe_budget, np.random.default_rng(0)
+            f"{eps}": concentration_check(
+                fam, s_form, eps, float(np.sqrt(eps)), probe_budget
             ).certified
-            for eps in grid
+            for eps in eps_grid
         }
         return ("pass" if all(results.values()) else "fail"), {"certified": results}
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .concentration import CERTIFICATE_SLACK, _certifies, _second_moment
 from .errors import (
     HypothesisUnverifiable,
     KernelNotContained,
@@ -38,7 +39,6 @@ from .moments import DiscreteMeasure
 from .traces import trace_value
 
 CERTIFY_SIGMAS = 4.0  # a Monte Carlo estimate certifies within this many standard errors
-LEMMA_CERTIFICATE_SLACK = 1e-9  # relative slack on epsilon in the fundamental lemma
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +258,7 @@ def fundamental_lemma_check(
     q: GramForm,
     epsilon: float,
     delta: float,
-    cert_slack: float = LEMMA_CERTIFICATE_SLACK,
+    cert_slack: float = CERTIFICATE_SLACK,
     require_certificate: bool = False,
 ) -> FundamentalLemmaReport:
     """The atoms of mu are coefficient vectors of dual functionals.
@@ -275,7 +275,7 @@ def fundamental_lemma_check(
     tr = trace_value(p, q)
     if is_infinite(tr):
         raise KernelNotContained("tr(p/q) is infinite")
-    m = np.einsum("j,ji,jk->ik", mu.weights, mu.atoms, mu.atoms)
+    m = _second_moment(mu)
 
     ker = kernel_basis(p)
     leak = np.abs(m @ np.column_stack(ker)).max() if ker else 0.0
@@ -286,7 +286,7 @@ def fundamental_lemma_check(
         lam = float(np.linalg.eigvalsh(w.T @ m @ w)[-1]) if w.size else 0.0
         sup = delta**2 * max(lam, 0.0)
 
-    certified = (not is_infinite(sup)) and sup <= epsilon * (1.0 + cert_slack) + 1e-15
+    certified = (not is_infinite(sup)) and _certifies(sup, epsilon, cert_slack)
     if require_certificate and not certified:
         raise HypothesisUnverifiable(
             f"sufficient criterion gives {sup}, exceeds epsilon = {epsilon}"

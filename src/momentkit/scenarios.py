@@ -1,17 +1,19 @@
 """Named verification scenarios behind the command-line front end.
 
 Each scenario kind owns a parameter schema (validated by hand, unknown
-fields rejected), a runner returning (passed, results, tables), and the
-tolerances its report echoes: the config's override where the runner reads
-one, else the default of the check it runs.  Results
-are JSON-ready and deterministic for a fixed config including the seed;
-anything time-dependent belongs in the separate metadata file written by
-the CLI.
+fields rejected), optional cross-field rules checked once every field is
+well formed (matching sizes, degree bounds), a runner returning (passed,
+results, tables), and the tolerances its report echoes: the config's
+override where the runner reads one, else the default of the check it
+runs.  Results are JSON-ready and deterministic for a fixed config
+including the seed; anything time-dependent belongs in the separate
+metadata file written by the CLI.
 """
 
 from __future__ import annotations
 
 import difflib
+import math
 import sys
 from dataclasses import dataclass
 
@@ -37,7 +39,6 @@ from .forms import (
 )
 from .gaussian import (
     CERTIFY_SIGMAS,
-    LEMMA_CERTIFICATE_SLACK,
     GaussianMeasure,
     McConfig,
     chebyshev_outside_ball,
@@ -155,6 +156,11 @@ def _is_number(x) -> bool:
     )
 
 
+def _is_squarable(x) -> bool:
+    """A positive number whose square is finite (the checks square delta)."""
+    return _is_number(x) and x > 0 and math.isfinite(float(x) * float(x))
+
+
 def _check_matrix(x, where, errors):
     if (
         not isinstance(x, list)
@@ -165,9 +171,15 @@ def _check_matrix(x, where, errors):
         errors.append(f"{where}: expected a square matrix of numbers")
 
 
-def _check_vector(x, where, errors):
-    if not isinstance(x, list) or not x or any(not _is_number(v) for v in x):
-        errors.append(f"{where}: expected a nonempty list of numbers")
+def _vector_checker(accept, what):
+    def check(x, where, errors):
+        if not isinstance(x, list) or not x or not all(_is_number(v) and accept(v) for v in x):
+            errors.append(f"{where}: expected a nonempty list of {what}")
+
+    return check
+
+
+_check_vector = _vector_checker(lambda v: True, "numbers")
 
 
 def _check_measure(x, where, errors):
@@ -198,20 +210,46 @@ def _check_element(x, where, errors):
     if not isinstance(x, dict) or not {"dim", "terms"} <= set(x):
         errors.append(f"{where}: expected an object with keys dim, terms")
         return
-    for i, t in enumerate(x["terms"]):
+    dim, terms = x["dim"], x["terms"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
+        errors.append(f"{where}.dim: expected a positive integer")
+    if not isinstance(terms, list):
+        errors.append(f"{where}.terms: expected a list")
+        return
+    for i, t in enumerate(terms):
         if not isinstance(t, dict) or set(t) != {"alpha", "c"}:
             errors.append(f"{where}.terms[{i}]: expected keys alpha, c")
+            continue
+        alpha = t["alpha"]
+        if not (
+            isinstance(alpha, list)
+            and len(alpha) == dim
+            and all(isinstance(k, int) and not isinstance(k, bool) and k >= 0 for k in alpha)
+        ):
+            errors.append(f"{where}.terms[{i}].alpha: expected {dim} nonnegative integers")
+        if not _is_number(t["c"]):
+            errors.append(f"{where}.terms[{i}].c: expected a number")
+
+
+def _check_size(errors, where, got, want, of):
+    if got != want:
+        errors.append(f"{where}: size {got}, expected {want} ({of})")
 
 
 _CHECKERS = {
     "matrix": _check_matrix,
     "vector": _check_vector,
+    "positive_vector": _vector_checker(lambda v: v > 0, "positive numbers"),
+    "nonnegative_vector": _vector_checker(lambda v: v >= 0, "nonnegative numbers"),
     "measure": _check_measure,
     "element": _check_element,
     "number": lambda x, w, e: None if _is_number(x) else e.append(f"{w}: expected a number"),
     "positive_number": lambda x, w, e: None
     if _is_number(x) and x > 0
     else e.append(f"{w}: expected a positive number"),
+    "squarable": lambda x, w, e: None
+    if _is_squarable(x)
+    else e.append(f"{w}: expected a positive number whose square is finite"),
     "positive_integer": lambda x, w, e: None
     if isinstance(x, int) and not isinstance(x, bool) and x > 0
     else e.append(f"{w}: expected a positive integer"),
@@ -221,10 +259,10 @@ _CHECKERS = {
     "string": lambda x, w, e: None
     if isinstance(x, str)
     else e.append(f"{w}: expected a string"),
-    "pair_list": lambda x, w, e: None
+    "squarable_pair_list": lambda x, w, e: None
     if isinstance(x, list)
-    and all(isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in x)
-    else e.append(f"{w}: expected a list of [number, number] pairs"),
+    and all(isinstance(p, list) and len(p) == 2 and all(map(_is_squarable, p)) for p in x)
+    else e.append(f"{w}: expected a list of pairs of positive numbers with finite squares"),
     "vector_list": lambda x, w, e: [_check_vector(v, f"{w}[{i}]", e) for i, v in enumerate(x)]
     if isinstance(x, list) and x
     else e.append(f"{w}: expected a nonempty list of vectors"),
@@ -327,6 +365,12 @@ def _run_gaussian(params, seed):
     return passed, results, {}
 
 
+def _gaussian_rules(params, errors):
+    for name in ("w", "functional", "p"):
+        if name in params:
+            _check_size(errors, f"parameters.{name}", len(params[name]), len(params["q"]), "q")
+
+
 def _gaussian_tolerances(params):
     return {"certify_sigmas": CERTIFY_SIGMAS}
 
@@ -343,8 +387,14 @@ def _run_fundamental_lemma(params, seed):
     return passed, rep.to_jsonable(), {}
 
 
+def _fundamental_lemma_rules(params, errors):
+    n = len(params["p"])
+    _check_size(errors, "parameters.q", len(params["q"]), n, "p")
+    _check_size(errors, "parameters.mu.atoms", len(params["mu"]["atoms"][0]), n, "p")
+
+
 def _fundamental_lemma_tolerances(params):
-    return {"certificate_slack": LEMMA_CERTIFICATE_SLACK}
+    return {"certificate_slack": CERTIFICATE_SLACK}
 
 
 def _run_concentration(params, seed):
@@ -372,6 +422,11 @@ def _run_concentration(params, seed):
     return passed, results, {}
 
 
+def _concentration_rules(params, errors):
+    atoms = params["global_measure"]["atoms"]
+    _check_size(errors, "parameters.global_measure.atoms", len(atoms[0]), len(params["p"]), "p")
+
+
 def _concentration_tolerances(params):
     return {"certificate_slack": CERTIFICATE_SLACK}
 
@@ -396,6 +451,18 @@ def _run_main_theorem(params, seed):
         }
     }
     return report.overall_pass, report.to_jsonable(), tables
+
+
+def _main_theorem_rules(params, errors):
+    n = len(params["measure"]["atoms"][0])
+    _check_size(errors, "parameters.q", len(params["q"]), n, "atom length")
+    for i, gen in enumerate(params.get("generators", [])):
+        _check_size(errors, f"parameters.generators[{i}].dim", gen["dim"], n, "atom length")
+        top = max((sum(t["alpha"]) for t in gen["terms"]), default=0)
+        if top > params["degrees"]:
+            errors.append(
+                f"parameters.generators[{i}]: degree {top} exceeds degrees = {params['degrees']}"
+            )
 
 
 def _main_theorem_tolerances(params):
@@ -470,6 +537,17 @@ def _run_tilde_trace(params, seed):
     return rep.agree, rep.to_jsonable(), {}
 
 
+def _tilde_trace_rules(params, errors):
+    dim, top = params["dim"], params["max_degree"]
+    _check_size(errors, "parameters.pairs", len(params["pairs"]), top, "max_degree")
+    for i, pair in enumerate(params["pairs"]):
+        for key in ("p", "q"):
+            _check_size(errors, f"parameters.pairs[{i}].{key}", len(pair[key]), dim, "dim")
+    for name in ("lam", "eta"):
+        _check_size(errors, f"parameters.{name}", len(params[name]), top + 1, "max_degree + 1")
+    _check_size(errors, "parameters.constants", len(params["constants"]), top, "max_degree")
+
+
 def _tilde_trace_tolerances(params):
     return {"two_path_rel": params.get("rel_tol", TILDE_REL_TOL)}
 
@@ -483,6 +561,11 @@ def _run_construct_q(params, seed):
         e_sys = whitening_system(p)
     record = construct_q(p, e_sys, WeightSequence(values=tuple(params["lam"])))
     return record.ok, record.to_jsonable(), {}
+
+
+def _construct_q_rules(params, errors):
+    for i, v in enumerate(params.get("vectors", [])):
+        _check_size(errors, f"parameters.vectors[{i}]", len(v), len(params["p"]), "p")
 
 
 def _construct_q_tolerances(params):
@@ -502,13 +585,14 @@ SCENARIO_KINDS = {
         "Chebyshev mass outside a ball",
         "runner": _run_gaussian,
         "tolerances": _gaussian_tolerances,
+        "rules": _gaussian_rules,
         "required": {"q": "matrix", "samples": "positive_integer"},
         "optional": {
             "streams": "positive_integer",
             "w": "vector",
             "functional": "vector",
             "p": "matrix",
-            "delta": "positive_number",
+            "delta": "squarable",
         },
     },
     "fundamental_lemma": {
@@ -516,12 +600,13 @@ SCENARIO_KINDS = {
         "measure on functionals",
         "runner": _run_fundamental_lemma,
         "tolerances": _fundamental_lemma_tolerances,
+        "rules": _fundamental_lemma_rules,
         "required": {
             "mu": "measure",
             "p": "matrix",
             "q": "matrix",
-            "epsilon": "positive_number",
-            "delta": "positive_number",
+            "epsilon": "squarable",
+            "delta": "squarable",
         },
         "optional": {},
     },
@@ -530,15 +615,16 @@ SCENARIO_KINDS = {
         "family of a global measure",
         "runner": _run_concentration,
         "tolerances": _concentration_tolerances,
+        "rules": _concentration_rules,
         "required": {
             "global_measure": "measure",
             "p": "matrix",
-            "epsilon": "positive_number",
-            "delta": "positive_number",
+            "epsilon": "squarable",
+            "delta": "squarable",
         },
         "optional": {
             "probe_budget": "positive_integer",
-            "equivalence_grid": "pair_list",
+            "equivalence_grid": "squarable_pair_list",
         },
     },
     "main_theorem": {
@@ -546,11 +632,12 @@ SCENARIO_KINDS = {
         "measure",
         "runner": _run_main_theorem,
         "tolerances": _main_theorem_tolerances,
+        "rules": _main_theorem_rules,
         "required": {
             "measure": "measure",
             "q": "matrix",
             "degrees": "positive_integer",
-            "eps_grid": "vector",
+            "eps_grid": "positive_vector",
         },
         "optional": {"generators": "element_list"},
     },
@@ -575,13 +662,14 @@ SCENARIO_KINDS = {
         "towers",
         "runner": _run_tilde_trace,
         "tolerances": _tilde_trace_tolerances,
+        "rules": _tilde_trace_rules,
         "required": {
             "dim": "positive_integer",
             "max_degree": "positive_integer",
             "pairs": "pair_forms_list",
-            "lam": "vector",
-            "eta": "vector",
-            "constants": "vector",
+            "lam": "positive_vector",
+            "eta": "positive_vector",
+            "constants": "nonnegative_vector",
         },
         "optional": {"rel_tol": "positive_number"},
     },
@@ -590,6 +678,7 @@ SCENARIO_KINDS = {
         "verify the trace identity",
         "runner": _run_construct_q,
         "tolerances": _construct_q_tolerances,
+        "rules": _construct_q_rules,
         "required": {"p": "matrix", "lam": "vector"},
         "optional": {"vectors": "vector_list"},
     },
@@ -635,6 +724,8 @@ def validate_config(config) -> list[str]:
     for name, typ in spec["optional"].items():
         if name in params:
             _CHECKERS[typ](params[name], f"parameters.{name}", errors)
+    if not errors and "rules" in spec:
+        spec["rules"](params, errors)
     return errors
 
 

@@ -42,6 +42,7 @@ from .errors import (
     InfiniteTrace,
     NotContinuous,
     NotHomogeneous,
+    NotInScope,
 )
 from .forms import (
     DualFunctional,
@@ -477,9 +478,9 @@ class GradedSeminormTower:
         if len(self.constants) != d_max:
             raise DimensionMismatch("constants must have length max_degree")
         if any(w <= 0 for w in self.lam) or any(w <= 0 for w in self.eta):
-            raise ValueError("weights must be positive")
+            raise NotInScope("weights must be positive")
         if any(c < 0 for c in self.constants):
-            raise ValueError("constants must be nonnegative")
+            raise NotInScope("constants must be nonnegative")
         for p2d, q2d in self.base_forms:
             if p2d.dim != self.dim or q2d.dim != self.dim:
                 raise DimensionMismatch("base form dimension mismatch")

@@ -213,6 +213,107 @@ def test_malformed_measure_exit_2(tmp_path, measure):
     assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 2
 
 
+def _fixture_with(tmp_path, stem, **parameters):
+    """A bundled fixture with some parameters replaced, written to tmp_path."""
+    config = json.loads(Path(fixture_path(f"{stem}.json")).read_text())
+    config["parameters"].update(parameters)
+    cfg = tmp_path / f"{stem}_changed.json"
+    cfg.write_text(json.dumps(config))
+    return str(cfg)
+
+
+_I2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "stem, parameters",
+    [
+        ("concentration", {"global_measure": {"atoms": [[1.0, 2.0, 0.5]], "weights": [1.0]}}),
+        ("fundamental_lemma", {"q": _I2}),
+        ("fundamental_lemma", {"p": _I2, "q": _I2}),
+        ("main_theorem", {"q": [[1.0]]}),
+        ("main_theorem", {"generators": [{"dim": 3, "terms": [{"alpha": [1, 0, 0], "c": 1.0}]}]}),
+        ("main_theorem", {"generators": [{"dim": 2, "terms": [{"alpha": [1, 0, 0], "c": 1.0}]}]}),
+        ("main_theorem", {"generators": [{"dim": 2, "terms": [{"alpha": [4, 1], "c": 1.0}]}]}),
+        ("gaussian", {"w": [1.0, 0.0, 0.0]}),
+        ("gaussian", {"functional": [1.0]}),
+        ("gaussian", {"p": [[1.0]]}),
+        ("tilde_trace", {"dim": 2}),
+        ("tilde_trace", {"max_degree": 2}),
+        ("tilde_trace", {"lam": [1.0]}),
+        ("tilde_trace", {"eta": [1.0, 1.0, 1.0]}),
+        ("tilde_trace", {"constants": [1.0, 1.0]}),
+        ("construct_q", {"vectors": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}),
+    ],
+    ids=[
+        "concentration_atoms_vs_p",
+        "fundamental_lemma_q_vs_p",
+        "fundamental_lemma_atoms_vs_p",
+        "main_theorem_q_vs_atoms",
+        "main_theorem_generator_dim",
+        "main_theorem_generator_alpha_length",
+        "main_theorem_generator_degree",
+        "gaussian_w_vs_q",
+        "gaussian_functional_vs_q",
+        "gaussian_p_vs_q",
+        "tilde_trace_pairs_vs_dim",
+        "tilde_trace_pairs_vs_max_degree",
+        "tilde_trace_lam_length",
+        "tilde_trace_eta_length",
+        "tilde_trace_constants_length",
+        "construct_q_vectors_vs_p",
+    ],
+)
+def test_cross_field_mismatch_exit_2(tmp_path, stem, parameters):
+    """Parameters whose sizes or degrees disagree with one another are a
+    config problem for validate and run alike, not a traceback (exit 1) or a
+    numerical verdict (exit 3)."""
+    cfg = _fixture_with(tmp_path, stem, **parameters)
+    assert run_cli("validate", cfg) == 2
+    assert run_cli("run", cfg, "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize(
+    "stem, parameters",
+    [
+        ("concentration", {"delta": 1e300}),
+        ("concentration", {"epsilon": 1e300}),
+        ("concentration", {"equivalence_grid": [[0.04, 1e300]]}),
+        ("concentration", {"equivalence_grid": [[0.04, 0.0]]}),
+        ("fundamental_lemma", {"delta": 1e300}),
+        ("fundamental_lemma", {"epsilon": 1e300}),
+        ("gaussian", {"delta": 1e300}),
+        ("main_theorem", {"eps_grid": [0.0]}),
+        ("main_theorem", {"eps_grid": [0.04, -0.04]}),
+        ("tilde_trace", {"lam": [-1.0, 1.0]}),
+        ("tilde_trace", {"eta": [1.0, 0.0]}),
+        ("tilde_trace", {"constants": [-1.0]}),
+    ],
+    ids=[
+        "concentration_delta_square_overflows",
+        "concentration_epsilon_square_overflows",
+        "equivalence_grid_delta_square_overflows",
+        "equivalence_grid_delta_zero",
+        "fundamental_lemma_delta_square_overflows",
+        "fundamental_lemma_epsilon_square_overflows",
+        "gaussian_delta_square_overflows",
+        "main_theorem_eps_zero",
+        "main_theorem_eps_negative",
+        "tilde_trace_negative_lam",
+        "tilde_trace_zero_eta",
+        "tilde_trace_negative_constant",
+    ],
+)
+def test_numbers_the_checks_cannot_take_exit_2(tmp_path, stem, parameters):
+    """A delta or epsilon whose square overflows, a grid delta of 0, an eps
+    that is not positive and tower weights of the wrong sign are rejected
+    at the boundary (before, overflow, division by zero or a constructor's
+    error ended in a traceback)."""
+    cfg = _fixture_with(tmp_path, stem, **parameters)
+    assert run_cli("validate", cfg) == 2
+    assert run_cli("run", cfg, "--out", str(tmp_path)) == 2
+
+
 def test_lattice_tolerances_echo_the_constants_that_ran(tmp_path):
     """The tolerances a concentration or main_theorem report echoes are the
     module constants the checks use as their defaults."""

@@ -28,14 +28,14 @@ from momentkit import (
     verify_main_theorem_scenario,
     whitening_system,
 )
-from momentkit.concentration import _moment_table, exact_tail, restrict_form
+from momentkit.concentration import CONSISTENCY_ABS, _power_rows, exact_tail, restrict_form
 from momentkit.errors import (
     HypothesisNotCertified,
     KernelIssue,
     NotInScope,
     NotSubset,
 )
-from momentkit.forms import DualFunctional
+from momentkit.forms import DualFunctional, _in_unit_dual_ball
 from momentkit.moments import monomials_up_to
 from momentkit.symalg import Character
 
@@ -328,8 +328,55 @@ def test_consistency_with_coincident_projected_atoms():
     assert consistency_check(fam)
     # the vectorized table against the one-moment-at-a-time reference
     alphas = monomials_up_to(3, 4)
-    table = _moment_table(nu.atoms, nu.weights, np.array(alphas))
+    table = nu.weights @ _power_rows(nu.atoms, np.array(alphas))
     assert table == pytest.approx([nu.moment(a) for a in alphas], rel=1e-14, abs=1e-15)
+
+
+def _all_pairs_consistency(fam, degree=4, tol=CONSISTENCY_ABS):
+    """Reference for consistency_check: every nested pair S within T on its
+    own, nu_T's atoms projected onto S, one moment table per pair."""
+    for s in fam.entries:
+        exps = np.array(monomials_up_to(len(s), degree))
+        own = fam.entries[s].weights @ _power_rows(fam.entries[s].atoms, exps)
+        for t, nu_t in fam.entries.items():
+            if s != t and s.is_subset(t):
+                pushed = nu_t.weights @ _power_rows(nu_t.atoms[:, s.positions_in(t)], exps)
+                if np.any(np.abs(pushed - own) > tol):
+                    return False
+    return True
+
+
+def _partial_family(nu, rng, keep=0.5):
+    """Marginals of nu on a random part of the full lattice (top kept)."""
+    lattice = full_lattice(nu.dim)
+    return MeasureFamily.from_global(
+        nu, [s for s in lattice[:-1] if rng.random() < keep] + lattice[-1:]
+    )
+
+
+def test_consistency_sweep_matches_all_pairs_reference():
+    """The per-index superset sweep decides as the pair-by-pair reference
+    on full and partial lattices, consistent and with one entry's atom
+    nudged just inside or well past the tolerance."""
+    rng = np.random.default_rng(15)
+    seen = set()
+    for trial in range(24):
+        n, k = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+        w = rng.uniform(0.1, 1.0, k)
+        nu = DiscreteMeasure(dim=n, atoms=rng.uniform(-1.5, 1.5, (k, n)), weights=w / w.sum())
+        fam = MeasureFamily.from_global(nu) if trial % 2 else _partial_family(nu, rng)
+        entries = dict(fam.entries)
+        s = list(entries)[int(rng.integers(len(entries)))]
+        nudge = (1e-14, 1e-6)[trial % 3 != 0]
+        atoms = np.array(entries[s].atoms)
+        atoms[0, int(rng.integers(len(s)))] += nudge
+        entries[s] = DiscreteMeasure(dim=len(s), atoms=atoms, weights=entries[s].weights)
+        for family in (fam, MeasureFamily(entries=entries)):
+            for degree in (2, 4):
+                want = _all_pairs_consistency(family, degree)
+                assert consistency_check(family, degree) == want, (trial, degree)
+                seen.add(want)
+    assert seen == {True, False}
 
 
 def _in_k(form, atom):
@@ -337,12 +384,28 @@ def _in_k(form, atom):
     return not is_infinite(nd) and nd <= 1.0 + 1e-9
 
 
+def _all_pairs_nesting(fam, r_eps):
+    """Reference for Prokhorov nesting: every nested pair S within T on its
+    own, nu_T's atoms in K^(T) projected onto S and tested in K^(S)."""
+    return all(
+        _in_unit_dual_ball(
+            restrict_form(r_eps, s),
+            nu_t.atoms[_in_unit_dual_ball(restrict_form(r_eps, t), nu_t.atoms)][:, s.positions_in(t)],
+        ).all()
+        for s in fam.entries
+        for t, nu_t in fam.entries.items()
+        if s != t and s.is_subset(t)
+    )
+
+
 def test_prokhorov_and_fundamental_lemma_masses_match_per_atom_dual_norms():
     """Masses (bit for bit), nesting and the fundamental-lemma mass equal a
-    per-atom dual_norm reference, on seeded families with full-rank and
-    rank-deficient q and atoms inside, outside and off range(q)."""
+    per-atom dual_norm reference, on seeded full and partial families with
+    full-rank and rank-deficient q and atoms inside, outside and off
+    range(q), some straddling the r_eps ball within 1e-6; nesting also
+    equals the pair-by-pair reference."""
     rng = np.random.default_rng(13)
-    for trial in range(12):
+    for trial in range(16):
         n = int(rng.integers(2, 5))
         b = rng.standard_normal((n, n if trial % 2 else n - 1))
         q = GramForm(dim=n, gram=b @ b.T)
@@ -350,12 +413,18 @@ def test_prokhorov_and_fundamental_lemma_masses_match_per_atom_dual_norms():
         k = int(rng.integers(3, 8))
         atoms = rng.standard_normal((k, n)) * rng.uniform(0.1, 3.0, (k, 1))
         atoms[: k // 2] = atoms[: k // 2] @ q.gram  # in range(q)
+        eps, delta = 0.05, 0.5
+        c = np.sqrt(trace_value(p, q)) / (delta * np.sqrt(eps))
+        r_eps = GramForm(dim=n, gram=c**2 * q.gram, psd_tol=q.psd_tol)
+        if trial % 4 >= 2:  # r_eps-dual norms 1 -+ 1e-6 on the in-range atoms
+            for i in range(k // 2):
+                nd = dual_norm(r_eps, DualFunctional(dim=n, coeffs=atoms[i]))
+                atoms[i] *= (1.0 + (-1.0) ** i * 1e-6) / nd
         w = rng.uniform(0.1, 1.0, k)
         nu = DiscreteMeasure(dim=n, atoms=atoms, weights=w / w.sum())
-        fam = MeasureFamily.from_global(nu)
-        eps, delta = 0.05, 0.5
+        fam = MeasureFamily.from_global(nu) if trial % 3 else _partial_family(nu, rng)
         rep = prokhorov_mass_check(fam, p, q, eps, delta, require_certificate=False)
-        r_eps = GramForm(dim=n, gram=rep.scale**2 * q.gram, psd_tol=q.psd_tol)
+        assert rep.scale == c
         for s, nu_s in fam.entries.items():
             r_s = restrict_form(r_eps, s)
             want = float(sum(w for a, w in zip(nu_s.atoms, nu_s.weights) if _in_k(r_s, a)))
@@ -368,7 +437,7 @@ def test_prokhorov_and_fundamental_lemma_masses_match_per_atom_dual_norms():
             for a in fam.entries[t].atoms
             if _in_k(restrict_form(r_eps, t), a)
         )
-        assert rep.nesting_ok == nesting
+        assert rep.nesting_ok == nesting == _all_pairs_nesting(fam, r_eps)
         fl = fundamental_lemma_check(nu, p, q, eps, delta)
         mass = 0.0
         for a, w in zip(nu.atoms, nu.weights):
@@ -411,7 +480,8 @@ def _five_dim_family(seed):
 def test_one_decomposition_pass_per_index(monkeypatch):
     """Counts np.linalg.eigh/eigvalsh calls on a full n=5 lattice (31
     indices): each check restricts and decomposes an index once, not once
-    per grid point and per caller."""
+    per grid point, and the checks on one (family, p) share one pass, which
+    the read-only entries keep from going stale."""
     fam, p = _five_dim_family(21)
     q = GramForm(dim=5, gram=np.eye(5))
     n_idx = len(fam.entries)
@@ -437,6 +507,22 @@ def test_one_decomposition_pass_per_index(monkeypatch):
     assert count(concentration_equivalence_check, fam, p, grid, probe_budget=4) <= 2 * n_idx
     assert count(concentration_equivalence_check, fam, p, []) == 0
     assert count(prokhorov_mass_check, fam, p, q, 0.05, 0.5) <= 3 * n_idx + 4
+
+    # one spectral pass per (family, p), shared by every check on it
+    fam, p = _five_dim_family(21)
+    calls["n"] = 0
+    concentration_check(fam, p, 0.05, 0.5)
+    concentration_equivalence_check(fam, p, grid, probe_budget=4)
+    assert calls["n"] <= 2 * n_idx
+    fam, p = _five_dim_family(21)
+    concentration_check(fam, p, 0.05, 0.5)
+    assert count(prokhorov_mass_check, fam, p, q, 0.05, 0.5) <= n_idx + 4
+    rng = np.random.default_rng(23)
+    nu = DiscreteMeasure(dim=5, atoms=rng.uniform(-1.0, 1.0, (6, 5)), weights=np.ones(6) / 6)
+    ball = QuadraticModuleSpec(generators=())
+    assert count(verify_main_theorem_scenario, nu, q, ball, 4, [0.04, 0.25]) <= 4 * n_idx + 8
+    with pytest.raises(TypeError):
+        fam.entries[SubalgebraIndex(coords=(0,))] = fam.entries[SubalgebraIndex(coords=(1,))]
 
 
 def test_certificate_decisions_agree_at_a_planted_boundary():

@@ -22,7 +22,7 @@ from momentkit import (
     q_tilde,
     tilde_trace_identity,
 )
-from momentkit.errors import DegreeOverflow, NotHomogeneous
+from momentkit.errors import DegreeOverflow, NotHomogeneous, NotInScope
 from momentkit.forms import gram_schmidt, kernel_basis, whitening_system
 from momentkit.symalg import (
     Character,
@@ -251,6 +251,18 @@ def simple_tower(dim, d_max, p_mats, q_mats, lam=None, eta=None, consts=None):
         eta=tuple(eta),
         constants=tuple(consts),
     )
+
+
+@pytest.mark.parametrize(
+    "field, value", [("lam", (-1.0, 1.0)), ("eta", (1.0, 0.0)), ("constants", (-0.5,))]
+)
+def test_tower_rejects_bad_weights_with_a_library_error(field, value):
+    """Nonpositive lam or eta and a negative constant raise NotInScope, a
+    MomentkitError, not a bare ValueError."""
+    eye = GramForm(dim=1, gram=np.eye(1))
+    weights = {"lam": (1.0, 1.0), "eta": (1.0, 1.0), "constants": (1.0,), field: value}
+    with pytest.raises(NotInScope):
+        GradedSeminormTower(dim=1, max_degree=1, base_forms=((eye, eye),), **weights)
 
 
 def test_p_tilde_example():
