@@ -24,6 +24,7 @@ from .concentration import (
     CONSISTENCY_ABS,
     IDENTITY_ABS,
     MeasureFamily,
+    ProbeRng,
     concentration_check,
     concentration_equivalence_check,
     verify_main_theorem_scenario,
@@ -406,7 +407,7 @@ def _run_concentration(params, seed):
         params["epsilon"],
         params["delta"],
         probe_budget=params.get("probe_budget", 16),
-        rng=np.random.default_rng(seed),
+        rng=ProbeRng(seed),
     )
     passed = rep.certified
     results = {"concentration": rep.to_jsonable()}
@@ -415,7 +416,7 @@ def _run_concentration(params, seed):
             fam,
             p,
             [tuple(g) for g in params["equivalence_grid"]],
-            rng=np.random.default_rng(seed + 1),
+            rng=ProbeRng(seed + 1),
         )
         results["equivalence"] = bool(ok)
         passed = passed and ok

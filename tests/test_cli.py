@@ -77,6 +77,34 @@ def test_run_loads_no_scipy(tmp_path):
     assert (tmp_path / "gaussian.report.json").is_file()
 
 
+def test_only_sampling_kinds_load_numpy_random(tmp_path):
+    """numpy.random (and the OpenSSL library it loads through ``secrets``)
+    is imported by the Monte Carlo kind only; the concentration probes draw
+    from the standard library."""
+    names = sorted(p.name for p in resources.files("momentkit").joinpath("fixtures").iterdir())
+    script = (
+        "import sys, momentkit.cli\n"
+        "for name in sys.argv[2:]:\n"
+        "    momentkit.cli.main(['run', name, '--out', sys.argv[1]])\n"
+        "    print(name.rsplit('/', 1)[-1], 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(momentkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    sampling = ["gaussian.json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path),
+         *[fixture_path(n) for n in names if n not in sampling],
+         *[fixture_path(n) for n in sampling]],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    loaded = dict(ln.split()[-2:] for ln in lines if ln.endswith(("True", "False")))
+    assert loaded == {n: str(n in sampling) for n in names}
+
+
 def test_trace_fixture_report_value(tmp_path):
     assert run_cli("run", fixture_path("trace.json"), "--out", str(tmp_path)) == 0
     rep = read_report(tmp_path, "trace")
