@@ -6,208 +6,77 @@ towers on polynomial algebras, moment functionals with growth diagnostics,
 Chebyshev/Prokhorov concentration pipelines, and atomic measure recovery
 from moment matrices.  The ``momentkit`` console script runs packaged
 verification scenarios.
+
+Public names are exported lazily (PEP 562): ``import momentkit`` loads only
+the standard library, and a submodule (with numpy) is imported on first
+access to one of its names.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    ConfigError,
-    DegreeOverflow,
-    DimensionMismatch,
-    HypothesisNotCertified,
-    HypothesisUnverifiable,
-    IllConditioned,
-    IncompleteSystem,
-    InfiniteTrace,
-    KernelIssue,
-    KernelNotContained,
-    MomentkitError,
-    NegativeEvenMoment,
-    NotContinuous,
-    NotHomogeneous,
-    NotInScope,
-    NotPSD,
-    NotSquarePositive,
-    NotSubset,
-    RankNotFlat,
-    SingularForm,
-    ZeroNormDirection,
-)
-from .forms import (
-    INFINITE,
-    DualFunctional,
-    GramForm,
-    OrthonormalSystem,
-    dual_norm,
-    evaluate,
-    gram_schmidt,
-    is_infinite,
-    kernel_basis,
-    polarize,
-    simultaneous_diagonalize,
-    whitening_system,
-)
-from .traces import (
-    SeminormTower,
-    TraceMethod,
-    TraceReport,
-    dominance_check,
-    nuclear_tower,
-    trace,
-    trace_restriction_check,
-    trace_scaling_check,
-    trace_value,
-)
-from .symalg import (
-    AlgebraElement,
-    GradedSeminormTower,
-    character_norm_bound,
-    evaluate_character,
-    graded_norm,
-    multiply,
-    p_tilde,
-    polarization_bound_check,
-    q_tilde,
-    tilde_trace_identity,
-)
-from .moments import (
-    BksReport,
-    CarlemanVerdict,
-    DiscreteMeasure,
-    MomentFunctional,
-    QuadraticModuleSpec,
-    bks_growth_sequences,
-    carleman_diagnostic,
-    cbs_check,
-    continuity_constant,
-    from_measure,
-    localizing_matrix,
-    moment_matrix,
-    s_L,
-    square_constant,
-    square_positive_check,
-)
-from .gaussian import (
-    GaussianMeasure,
-    McConfig,
-    chebyshev_outside_ball,
-    fundamental_lemma_check,
-    sample,
-    second_moment_check,
-    tail_lower_bound_check,
-)
-from .concentration import (
-    MeasureFamily,
-    SubalgebraIndex,
-    concentration_check,
-    concentration_equivalence_check,
-    consistency_check,
-    full_lattice,
-    orthonormal_cap_check,
-    prokhorov_mass_check,
-    pushforward,
-    reverse_seminorm_construction,
-    verify_main_theorem_scenario,
-)
-from .solver import SolverResult, solve_multivariate, solve_univariate
-from .scenarios import WeightSequence, construct_q
+import importlib
 
-try:
-    from importlib.metadata import version as _dist_version
+_EXPORTS = {
+    "errors": (
+        "ConfigError", "DegreeOverflow", "DimensionMismatch", "HypothesisNotCertified",
+        "HypothesisUnverifiable", "IllConditioned", "IncompleteSystem", "InfiniteTrace",
+        "InvalidInput", "KernelIssue", "KernelNotContained", "MomentkitError",
+        "NegativeEvenMoment", "NotContinuous", "NotHomogeneous", "NotInScope", "NotPSD",
+        "NotSquarePositive", "NotSubset", "RankNotFlat", "SingularForm", "ZeroNormDirection",
+    ),
+    "forms": (
+        "INFINITE", "DualFunctional", "GramForm", "OrthonormalSystem", "dual_norm",
+        "evaluate", "gram_schmidt", "is_infinite", "kernel_basis", "polarize",
+        "simultaneous_diagonalize", "whitening_system",
+    ),
+    "traces": (
+        "SeminormTower", "TraceMethod", "TraceReport", "WeightSequence", "construct_q",
+        "dominance_check", "nuclear_tower", "trace", "trace_restriction_check",
+        "trace_scaling_check", "trace_value",
+    ),
+    "symalg": (
+        "AlgebraElement", "GradedSeminormTower", "character_norm_bound",
+        "evaluate_character", "graded_norm", "multiply", "p_tilde",
+        "polarization_bound_check", "q_tilde", "tilde_trace_identity",
+    ),
+    "moments": (
+        "BksReport", "CarlemanVerdict", "DiscreteMeasure", "MomentFunctional",
+        "QuadraticModuleSpec", "bks_growth_sequences", "carleman_diagnostic", "cbs_check",
+        "continuity_constant", "from_measure", "localizing_matrix", "moment_matrix", "s_L",
+        "square_constant", "square_positive_check",
+    ),
+    "gaussian": (
+        "GaussianMeasure", "McConfig", "chebyshev_outside_ball", "fundamental_lemma_check",
+        "sample", "second_moment_check", "tail_lower_bound_check",
+    ),
+    "concentration": (
+        "MeasureFamily", "SubalgebraIndex", "concentration_check",
+        "concentration_equivalence_check", "consistency_check", "full_lattice",
+        "orthonormal_cap_check", "prokhorov_mass_check", "pushforward",
+        "reverse_seminorm_construction", "verify_main_theorem_scenario",
+    ),
+    "solver": ("SolverResult", "solve_multivariate", "solve_univariate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
-    __version__ = _dist_version("artifact")
-except Exception:  # pragma: no cover
-    __version__ = "0.0.0"
 
-__all__ = [
-    "AlgebraElement",
-    "BksReport",
-    "CarlemanVerdict",
-    "ConfigError",
-    "DegreeOverflow",
-    "DimensionMismatch",
-    "DiscreteMeasure",
-    "DualFunctional",
-    "GaussianMeasure",
-    "GradedSeminormTower",
-    "GramForm",
-    "HypothesisNotCertified",
-    "HypothesisUnverifiable",
-    "IllConditioned",
-    "INFINITE",
-    "IncompleteSystem",
-    "InfiniteTrace",
-    "KernelIssue",
-    "KernelNotContained",
-    "McConfig",
-    "MeasureFamily",
-    "MomentFunctional",
-    "MomentkitError",
-    "NegativeEvenMoment",
-    "NotContinuous",
-    "NotHomogeneous",
-    "NotInScope",
-    "NotPSD",
-    "NotSquarePositive",
-    "NotSubset",
-    "OrthonormalSystem",
-    "QuadraticModuleSpec",
-    "RankNotFlat",
-    "SeminormTower",
-    "SingularForm",
-    "SolverResult",
-    "SubalgebraIndex",
-    "TraceMethod",
-    "TraceReport",
-    "WeightSequence",
-    "ZeroNormDirection",
-    "bks_growth_sequences",
-    "carleman_diagnostic",
-    "cbs_check",
-    "character_norm_bound",
-    "chebyshev_outside_ball",
-    "concentration_check",
-    "concentration_equivalence_check",
-    "consistency_check",
-    "construct_q",
-    "continuity_constant",
-    "dominance_check",
-    "dual_norm",
-    "evaluate",
-    "evaluate_character",
-    "from_measure",
-    "full_lattice",
-    "fundamental_lemma_check",
-    "graded_norm",
-    "gram_schmidt",
-    "is_infinite",
-    "kernel_basis",
-    "localizing_matrix",
-    "moment_matrix",
-    "multiply",
-    "nuclear_tower",
-    "orthonormal_cap_check",
-    "p_tilde",
-    "polarization_bound_check",
-    "polarize",
-    "prokhorov_mass_check",
-    "pushforward",
-    "q_tilde",
-    "reverse_seminorm_construction",
-    "s_L",
-    "sample",
-    "second_moment_check",
-    "simultaneous_diagonalize",
-    "solve_multivariate",
-    "solve_univariate",
-    "square_constant",
-    "square_positive_check",
-    "tail_lower_bound_check",
-    "tilde_trace_identity",
-    "trace",
-    "trace_restriction_check",
-    "trace_scaling_check",
-    "trace_value",
-    "verify_main_theorem_scenario",
-    "whitening_system",
-]
+def __getattr__(name):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name == "__version__":
+        # importlib.metadata is costly to import, so only a report pays for it
+        try:
+            from importlib.metadata import version
+
+            value = version("artifact")
+        except Exception:  # pragma: no cover
+            value = "0.0.0"
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

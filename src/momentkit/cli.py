@@ -14,7 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__ as VERSION
 from .errors import ConfigError, MomentkitError
 from .scenarios import SCENARIO_KINDS, run_config, validate_config
 
@@ -73,10 +72,12 @@ def cmd_run(args) -> int:
         return 3
     finished = datetime.datetime.now(datetime.timezone.utc)
 
+    from . import __version__  # resolved only for a report; costs importlib.metadata
+
     report = {
         "kind": config["kind"],
         "seed": seed,
-        "version": VERSION,
+        "version": __version__,
         # what "passed" meant, without consulting the source
         "tolerances": SCENARIO_KINDS[config["kind"]]["tolerances"](config["parameters"]),
         "passed": passed,

@@ -6,7 +6,24 @@ Two broad families:
 * numerical verdicts (a matrix that must be PSD is not, a rank profile is
   not flat, a kernel containment fails) -- these are *results*, reported as
   typed errors so callers can map them to exit codes.
+
+It also holds the weight-sum rule that the config validator and
+``DiscreteMeasure`` share: this module needs only the standard library, so
+validating a config does not import numpy.
 """
+
+import math
+
+WEIGHT_SUM_TOL = 1e-12  # allowed |sum of weights - 1| of a probability measure
+
+
+def weights_sum_to_one(weights) -> bool:
+    """|fsum(weights) - 1| <= WEIGHT_SUM_TOL for finite weights.  ``fsum`` is
+    correctly rounded, so the verdict does not depend on summation order."""
+    try:
+        return abs(math.fsum(weights) - 1.0) <= WEIGHT_SUM_TOL
+    except OverflowError:  # finite weights whose total leaves the float range
+        return False
 
 
 class MomentkitError(Exception):
@@ -92,3 +109,8 @@ class IncompleteSystem(MomentkitError):
 
 class ConfigError(MomentkitError):
     """A scenario configuration is malformed (schema or IO problem)."""
+
+
+class InvalidInput(MomentkitError, ValueError):
+    """A constructor argument lies outside its domain (non-finite, negative,
+    or not normalized); still a ValueError for callers that catch one."""

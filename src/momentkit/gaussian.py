@@ -19,6 +19,7 @@ import numpy as np
 from .concentration import CERTIFICATE_SLACK, _certifies, _second_moment
 from .errors import (
     HypothesisUnverifiable,
+    InvalidInput,
     KernelNotContained,
     NotInScope,
     SingularForm,
@@ -51,7 +52,7 @@ class McConfig:
 
     def __post_init__(self):
         if self.samples <= 0 or self.streams <= 0:
-            raise ValueError("samples and streams must be positive")
+            raise InvalidInput("samples and streams must be positive")
 
     def block_counts(self) -> list[int]:
         base, rem = divmod(self.samples, self.streams)

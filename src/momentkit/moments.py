@@ -18,10 +18,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    WEIGHT_SUM_TOL,
     DegreeOverflow,
     DimensionMismatch,
+    InvalidInput,
     NegativeEvenMoment,
     NotSquarePositive,
+    weights_sum_to_one,
 )
 from .forms import GramForm, INFINITE, OrthonormalSystem, is_infinite, jsonable
 from .symalg import (
@@ -49,9 +52,6 @@ def monomials_up_to(dim: int, degree: int) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
-WEIGHT_SUM_TOL = 1e-12  # allowed |sum of weights - 1| of a DiscreteMeasure
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely supported probability measure on R^dim."""
@@ -68,11 +68,11 @@ class DiscreteMeasure:
                 f"atoms shape {atoms.shape} vs {len(weights)} weights in dim {self.dim}"
             )
         if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
-            raise ValueError("atoms and weights must be finite")
+            raise InvalidInput("atoms and weights must be finite")
         if np.any(weights < -1e-14):
-            raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {weights.sum()}, expected 1")
+            raise InvalidInput("weights must be nonnegative")
+        if not weights_sum_to_one(weights.tolist()):
+            raise InvalidInput(f"weights do not sum to 1 within {WEIGHT_SUM_TOL}")
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
@@ -155,7 +155,7 @@ class MomentFunctional:
                 clean[a] = float(v)
         zero = (0,) * self.dim
         if abs(clean.get(zero, 0.0) - 1.0) > 1e-9:
-            raise ValueError(f"L(1) = {clean.get(zero, 0.0)}, expected 1")
+            raise InvalidInput(f"L(1) = {clean.get(zero, 0.0)}, expected 1")
         object.__setattr__(self, "moments", clean)
 
     def moment(self, alpha) -> float:

@@ -15,131 +15,8 @@ from __future__ import annotations
 import difflib
 import math
 import sys
-from dataclasses import dataclass
 
-import numpy as np
-
-from .concentration import (
-    CERTIFICATE_SLACK,
-    CONSISTENCY_ABS,
-    IDENTITY_ABS,
-    MeasureFamily,
-    ProbeRng,
-    concentration_check,
-    concentration_equivalence_check,
-    verify_main_theorem_scenario,
-)
-from .errors import ConfigError, IncompleteSystem
-from .forms import (
-    DualFunctional,
-    GramForm,
-    OrthonormalSystem,
-    is_infinite,
-    jsonable,
-    whitening_system,
-)
-from .gaussian import (
-    CERTIFY_SIGMAS,
-    GaussianMeasure,
-    McConfig,
-    chebyshev_outside_ball,
-    fundamental_lemma_check,
-    second_moment_check,
-    tail_lower_bound_check,
-)
-from .moments import (
-    CARLEMAN_MARGIN,
-    WEIGHT_SUM_TOL,
-    DiscreteMeasure,
-    QuadraticModuleSpec,
-    carleman_from_log_moments,
-    log_even_moments_from_measure,
-    log_gaussian_even_moments,
-    log_squared_exponential_moments,
-)
-from .symalg import TILDE_REL_TOL, AlgebraElement, GradedSeminormTower, tilde_trace_identity
-from .traces import TraceMethod, trace
-
-
-# ---------------------------------------------------------------------------
-# The q-construction from a weight sequence
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class WeightSequence:
-    """Positive weights lambda_1..lambda_N; the truncated sum of squares is
-    recorded as the expected trace."""
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if not vals or any(v <= 0 for v in vals):
-            raise ConfigError("weights must be a nonempty positive sequence")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def sum_squares(self) -> float:
-        return float(sum(v * v for v in self.values))
-
-
-@dataclass(frozen=True, eq=False)
-class ConstructQRecord:
-    q: GramForm
-    trace: object  # float or INFINITE
-    expected_trace: float
-    gram_error: float
-    ok: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "q": self.q.to_jsonable(),
-            "trace": jsonable(self.trace),
-            "expected_trace": float(self.expected_trace),
-            "gram_error": float(self.gram_error),
-            "ok": bool(self.ok),
-        }
-
-
-CONSTRUCT_Q_TOL = 1e-10  # trace (relative) and Gram error allowed by construct_q
-
-
-def construct_q(
-    p: GramForm, e_sys: OrthonormalSystem, lam: WeightSequence, tol: float = CONSTRUCT_Q_TOL
-) -> ConstructQRecord:
-    """q(v)^2 = sum_n lambda_n^{-2} <v, e_n>_p^2 over a complete
-    p-orthonormal system; then tr(p/q) = sum_n lambda_n^2 and the rescaled
-    family {lambda_n e_n} is a complete q-orthonormal system."""
-    if len(e_sys) != p.rank or len(e_sys) != len(lam.values):
-        raise IncompleteSystem(
-            f"need |E| = rank p = |lambda|, got {len(e_sys)}, {p.rank}, "
-            f"{len(lam.values)}"
-        )
-    g = np.zeros((p.dim, p.dim))
-    for lam_n, e_n in zip(lam.values, e_sys.vectors):
-        u = p.gram @ e_n
-        g += np.outer(u, u) / lam_n**2
-    q = GramForm(dim=p.dim, gram=g, psd_tol=p.psd_tol)
-    tr = trace(p, q).value
-    expected = lam.sum_squares
-    scaled = tuple(
-        lam_n * e_n for lam_n, e_n in zip(lam.values, e_sys.vectors)
-    )
-    sys_q = OrthonormalSystem(form=q, vectors=scaled, complete=True)
-    gram_err = sys_q.gram_error()
-    ok = (
-        not is_infinite(tr)
-        and abs(tr - expected) <= tol * max(1.0, abs(expected))
-        and gram_err < tol
-    )
-    return ConstructQRecord(
-        q=q,
-        trace=tr,
-        expected_trace=expected,
-        gram_error=float(gram_err),
-        ok=bool(ok),
-    )
+from .errors import ConfigError, weights_sum_to_one
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +80,7 @@ def _check_measure(x, where, errors):
         errors.append(f"{where}.weights: expected a list of nonnegative numbers")
     elif atoms_ok and len(weights) != len(atoms):
         errors.append(f"{where}.weights: {len(weights)} weights for {len(atoms)} atoms")
-    elif abs(float(np.sum(np.asarray(weights, dtype=float))) - 1.0) > WEIGHT_SUM_TOL:
+    elif not weights_sum_to_one(weights):
         errors.append(f"{where}.weights: expected weights summing to 1")
 
 
@@ -281,29 +158,43 @@ _CHECKERS = {
 }
 
 
-def _parse_form(rows) -> GramForm:
+# ---------------------------------------------------------------------------
+# Scenario runners — each returns (passed, results, tables).  A runner and a
+# tolerance echo import the modules their kind needs in their own body, so
+# validating (or rejecting) a config loads neither numpy nor the numerical
+# modules.
+# ---------------------------------------------------------------------------
+
+
+def _parse_form(rows):
+    import numpy as np
+
+    from .forms import GramForm
+
     rows = np.asarray(rows, dtype=float)
     return GramForm(dim=rows.shape[0], gram=rows)
 
 
-def _parse_measure(data) -> DiscreteMeasure:
+def _parse_measure(data):
+    from .moments import DiscreteMeasure
+
     return DiscreteMeasure.from_jsonable(data)
 
 
-def _parse_element(data, max_degree) -> AlgebraElement:
+def _parse_element(data, max_degree):
+    from .symalg import AlgebraElement
+
     terms = {tuple(t["alpha"]): t["c"] for t in data["terms"]}
     return AlgebraElement(data["dim"], max_degree, terms)
-
-
-# ---------------------------------------------------------------------------
-# Scenario runners — each returns (passed, results, tables)
-# ---------------------------------------------------------------------------
 
 
 TRACE_AGREEMENT_REL = 1e-9  # relative agreement of the two trace methods and the expected value
 
 
 def _run_trace(params, seed):
+    from .forms import is_infinite, jsonable
+    from .traces import TraceMethod, trace
+
     p = _parse_form(params["p"])
     q = _parse_form(params["q"])
     rep_sum = trace(p, q, method=TraceMethod.ORTHONORMAL_SUM)
@@ -339,6 +230,17 @@ def _trace_tolerances(params):
 
 
 def _run_gaussian(params, seed):
+    import numpy as np
+
+    from .forms import DualFunctional
+    from .gaussian import (
+        GaussianMeasure,
+        McConfig,
+        chebyshev_outside_ball,
+        second_moment_check,
+        tail_lower_bound_check,
+    )
+
     q = _parse_form(params["q"])
     cfg = McConfig(
         seed=seed, samples=params["samples"], streams=params.get("streams", 1)
@@ -357,7 +259,7 @@ def _run_gaussian(params, seed):
         tail = tail_lower_bound_check(gamma, l)
         results["tail_lower_bound"] = tail.to_jsonable()
         passed = passed and tail.ok
-    if "p" in params and "delta" in params:
+    if "p" in params:
         cheb = chebyshev_outside_ball(
             gamma, _parse_form(params["p"]), params["delta"], cfg
         )
@@ -370,13 +272,22 @@ def _gaussian_rules(params, errors):
     for name in ("w", "functional", "p"):
         if name in params:
             _check_size(errors, f"parameters.{name}", len(params[name]), len(params["q"]), "q")
+    if ("p" in params) != ("delta" in params):
+        given, missing = ("p", "delta") if "p" in params else ("delta", "p")
+        errors.append(
+            f"parameters.{missing}: required with {given} (the Chebyshev check needs both)"
+        )
 
 
 def _gaussian_tolerances(params):
+    from .gaussian import CERTIFY_SIGMAS
+
     return {"certify_sigmas": CERTIFY_SIGMAS}
 
 
 def _run_fundamental_lemma(params, seed):
+    from .gaussian import fundamental_lemma_check
+
     rep = fundamental_lemma_check(
         _parse_measure(params["mu"]),
         _parse_form(params["p"]),
@@ -395,10 +306,19 @@ def _fundamental_lemma_rules(params, errors):
 
 
 def _fundamental_lemma_tolerances(params):
+    from .concentration import CERTIFICATE_SLACK
+
     return {"certificate_slack": CERTIFICATE_SLACK}
 
 
 def _run_concentration(params, seed):
+    from .concentration import (
+        MeasureFamily,
+        ProbeRng,
+        concentration_check,
+        concentration_equivalence_check,
+    )
+
     fam = MeasureFamily.from_global(_parse_measure(params["global_measure"]))
     p = _parse_form(params["p"])
     rep = concentration_check(
@@ -429,10 +349,15 @@ def _concentration_rules(params, errors):
 
 
 def _concentration_tolerances(params):
+    from .concentration import CERTIFICATE_SLACK
+
     return {"certificate_slack": CERTIFICATE_SLACK}
 
 
 def _run_main_theorem(params, seed):
+    from .concentration import verify_main_theorem_scenario
+    from .moments import QuadraticModuleSpec
+
     mu = _parse_measure(params["measure"])
     degrees = params["degrees"]
     gens = tuple(
@@ -467,6 +392,8 @@ def _main_theorem_rules(params, errors):
 
 
 def _main_theorem_tolerances(params):
+    from .concentration import CERTIFICATE_SLACK, CONSISTENCY_ABS, IDENTITY_ABS
+
     return {
         "certificate_slack": CERTIFICATE_SLACK,
         "consistency_abs": CONSISTENCY_ABS,
@@ -475,6 +402,15 @@ def _main_theorem_tolerances(params):
 
 
 def _run_carleman(params, seed):
+    import numpy as np
+
+    from .moments import (
+        carleman_from_log_moments,
+        log_even_moments_from_measure,
+        log_gaussian_even_moments,
+        log_squared_exponential_moments,
+    )
+
     n_max = params["n_max"]
     margin = _carleman_tolerances(params)["decay_margin"]
     family = params.get("family")
@@ -519,10 +455,14 @@ def _run_carleman(params, seed):
 
 
 def _carleman_tolerances(params):
+    from .moments import CARLEMAN_MARGIN
+
     return {"decay_margin": params.get("margin", CARLEMAN_MARGIN)}
 
 
 def _run_tilde_trace(params, seed):
+    from .symalg import GradedSeminormTower, tilde_trace_identity
+
     pairs = tuple(
         (_parse_form(e["p"]), _parse_form(e["q"])) for e in params["pairs"]
     )
@@ -550,10 +490,17 @@ def _tilde_trace_rules(params, errors):
 
 
 def _tilde_trace_tolerances(params):
+    from .symalg import TILDE_REL_TOL
+
     return {"two_path_rel": params.get("rel_tol", TILDE_REL_TOL)}
 
 
 def _run_construct_q(params, seed):
+    import numpy as np
+
+    from .forms import OrthonormalSystem, whitening_system
+    from .traces import WeightSequence, construct_q
+
     p = _parse_form(params["p"])
     if "vectors" in params:
         vecs = tuple(np.asarray(v, dtype=float) for v in params["vectors"])
@@ -570,6 +517,8 @@ def _construct_q_rules(params, errors):
 
 
 def _construct_q_tolerances(params):
+    from .traces import CONSTRUCT_Q_TOL
+
     return {"trace_abs": CONSTRUCT_Q_TOL, "gram_abs": CONSTRUCT_Q_TOL}
 
 

@@ -4,7 +4,9 @@ The trace tr(p/q) is the supremum of sum p(e)^2 over finite q-orthonormal
 sets; at finite dimension it is computed as the sum over any complete
 q-orthonormal system (basis independence) and is infinite exactly when
 ker(q) is not contained in ker(p).  An operator-theoretic cross-check
-computes the same number as the trace of the q-whitened p.
+computes the same number as the trace of the q-whitened p.  The converse
+construction, a q with prescribed trace tr(p/q) = sum lambda_n^2, is
+``construct_q``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch, IncompleteSystem
 from .forms import (
     GramForm,
     INFINITE,
@@ -163,3 +165,84 @@ def nuclear_tower(dim: int, levels: int) -> SeminormTower:
         GramForm(dim, np.diag(n ** (2 * k))) for k in range(1, levels + 1)
     )
     return SeminormTower(dim=dim, forms=forms)
+
+
+# ---------------------------------------------------------------------------
+# The q-construction from a weight sequence
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class WeightSequence:
+    """Positive weights lambda_1..lambda_N; the truncated sum of squares is
+    recorded as the expected trace."""
+
+    values: tuple
+
+    def __post_init__(self):
+        vals = tuple(float(v) for v in self.values)
+        if not vals or any(v <= 0 for v in vals):
+            raise ConfigError("weights must be a nonempty positive sequence")
+        object.__setattr__(self, "values", vals)
+
+    @property
+    def sum_squares(self) -> float:
+        return float(sum(v * v for v in self.values))
+
+
+@dataclass(frozen=True, eq=False)
+class ConstructQRecord:
+    q: GramForm
+    trace: object  # float or INFINITE
+    expected_trace: float
+    gram_error: float
+    ok: bool
+
+    def to_jsonable(self) -> dict:
+        return {
+            "q": self.q.to_jsonable(),
+            "trace": jsonable(self.trace),
+            "expected_trace": float(self.expected_trace),
+            "gram_error": float(self.gram_error),
+            "ok": bool(self.ok),
+        }
+
+
+CONSTRUCT_Q_TOL = 1e-10  # trace (relative) and Gram error allowed by construct_q
+
+
+def construct_q(
+    p: GramForm, e_sys: OrthonormalSystem, lam: WeightSequence, tol: float = CONSTRUCT_Q_TOL
+) -> ConstructQRecord:
+    """q(v)^2 = sum_n lambda_n^{-2} <v, e_n>_p^2 over a complete
+    p-orthonormal system; then tr(p/q) = sum_n lambda_n^2 and the rescaled
+    family {lambda_n e_n} is a complete q-orthonormal system."""
+    if len(e_sys) != p.rank or len(e_sys) != len(lam.values):
+        raise IncompleteSystem(
+            f"need |E| = rank p = |lambda|, got {len(e_sys)}, {p.rank}, "
+            f"{len(lam.values)}"
+        )
+    g = np.zeros((p.dim, p.dim))
+    for lam_n, e_n in zip(lam.values, e_sys.vectors):
+        u = p.gram @ e_n
+        g += np.outer(u, u) / lam_n**2
+    q = GramForm(dim=p.dim, gram=g, psd_tol=p.psd_tol)
+    tr = trace(p, q).value
+    expected = lam.sum_squares
+    scaled = tuple(
+        lam_n * e_n for lam_n, e_n in zip(lam.values, e_sys.vectors)
+    )
+    sys_q = OrthonormalSystem(form=q, vectors=scaled, complete=True)
+    gram_err = sys_q.gram_error()
+    ok = (
+        not is_infinite(tr)
+        and abs(tr - expected) <= tol * max(1.0, abs(expected))
+        and gram_err < tol
+    )
+    return ConstructQRecord(
+        q=q,
+        trace=tr,
+        expected_trace=expected,
+        gram_error=float(gram_err),
+        ok=bool(ok),
+    )

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +24,8 @@ from momentkit.concentration import (
     concentration_check,
     consistency_check,
 )
+from momentkit.errors import WEIGHT_SUM_TOL
+from momentkit.moments import DiscreteMeasure
 from momentkit.scenarios import _CHECKERS, SCENARIO_KINDS, validate_config
 
 
@@ -75,6 +79,66 @@ def test_run_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "gaussian.report.json").is_file()
+
+
+def test_validate_and_rejected_runs_load_only_the_standard_library(tmp_path):
+    """import momentkit, list, validate and every run that fails validation
+    load neither numpy nor importlib.metadata (the version lookup)."""
+    bad = {
+        "misspelled_kind.json": '{"kind": "concentraton", "parameters": {}}',
+        "unknown_field.json": '{"kind": "trace", "parameters": {"p": [[1.0]], "q": [[1.0]], "bogus": 1}}',
+        "nan_entry.json": '{"kind": "trace", "parameters": {"p": [[NaN]], "q": [[1.0]]}}',
+        "weights_0.9.json": '{"kind": "concentration", "parameters": {"global_measure": '
+        '{"atoms": [[1.0, 2.0], [-1.0, 0.0]], "weights": [0.45, 0.45]}, '
+        '"p": [[1.0, 1.0], [1.0, 2.0]], "epsilon": 0.04, "delta": 0.2}}',
+    }
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+    fixtures = sorted(
+        str(p) for p in resources.files("momentkit").joinpath("fixtures").iterdir()
+    )
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import momentkit, momentkit.cli as cli\n"
+        "out, configs = sys.argv[1], sys.argv[2:]\n"
+        "codes = [cli.main(['list'])]\n"
+        "codes += [cli.main(['validate', c]) for c in configs[:-4]]\n"
+        "codes += [cli.main(['run', c, '--out', out]) for c in configs[-4:]]\n"
+        "heavy = ('numpy', 'importlib.metadata')\n"
+        "print(json.dumps([codes, [m for m in heavy if m in set(sys.modules) - before]]))\n"
+    )
+    src = str(Path(momentkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out"), *fixtures,
+         *[str(tmp_path / name) for name in bad]],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert len(fixtures) == 10
+    assert codes == [0] + [0] * len(fixtures) + [2] * len(bad)
+    assert loaded == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_lazy_exports_resolve_to_their_submodule_objects():
+    """Each public name is listed once and resolves, on first access, to the
+    object its submodule defines; dir() and import * see every one."""
+    table = momentkit._EXPORTS
+    assert sum(map(len, table.values())) == len(set(momentkit.__all__))
+    for name in momentkit.__all__:
+        module = importlib.import_module(f"momentkit.{momentkit._MODULE_OF[name]}")
+        assert getattr(momentkit, name) is getattr(module, name), name
+    assert set(momentkit.__all__) <= set(dir(momentkit))
+    namespace: dict = {}
+    exec("from momentkit import *", namespace)
+    assert set(momentkit.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        momentkit.no_such_name
 
 
 def test_only_sampling_kinds_load_numpy_random(tmp_path):
@@ -225,8 +289,15 @@ def test_non_finite_matrix_entry_exit_2(tmp_path, entry):
         '{"atoms": [[1.0, 2.0], [-1.0]], "weights": [0.5, 0.5]}',
         '{"atoms": [[1.0, 2.0], [-1.0, 0.0]], "weights": [1.0]}',
         '{"atoms": [[1.0, 2.0], [-1.0, 0.0]], "weights": [0.45, 0.45]}',
+        '{"atoms": [[1.0, 2.0], [-1.0, 0.0]], "weights": [1e308, 1e308]}',
     ],
-    ids=["nan_atom", "ragged_atoms", "one_weight_two_atoms", "weights_sum_0.9"],
+    ids=[
+        "nan_atom",
+        "ragged_atoms",
+        "one_weight_two_atoms",
+        "weights_sum_0.9",
+        "weights_sum_overflows",
+    ],
 )
 def test_malformed_measure_exit_2(tmp_path, measure):
     """A measure's atoms must be equal-length lists of finite numbers and its
@@ -241,10 +312,59 @@ def test_malformed_measure_exit_2(tmp_path, measure):
     assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 2
 
 
+def _boundary_totals():
+    """The floats x nearest 1 +- WEIGHT_SUM_TOL with |x - 1| <= WEIGHT_SUM_TOL,
+    each paired with its neighbour just outside the band."""
+    hi = 1.0 + WEIGHT_SUM_TOL
+    while hi - 1.0 > WEIGHT_SUM_TOL:
+        hi = math.nextafter(hi, 0.0)
+    while math.nextafter(hi, 2.0) - 1.0 <= WEIGHT_SUM_TOL:
+        hi = math.nextafter(hi, 2.0)
+    lo = 1.0 - WEIGHT_SUM_TOL
+    while 1.0 - lo > WEIGHT_SUM_TOL:
+        lo = math.nextafter(lo, 2.0)
+    while 1.0 - math.nextafter(lo, 0.0) <= WEIGHT_SUM_TOL:
+        lo = math.nextafter(lo, 0.0)
+    return [(hi, True), (math.nextafter(hi, 2.0), False), (lo, True),
+            (math.nextafter(lo, 0.0), False), (1.0, True)]
+
+
+@pytest.mark.parametrize("total, accepted", _boundary_totals())
+def test_weight_sum_boundary_is_one_rule(total, accepted):
+    """validate_config accepts exactly the weights DiscreteMeasure accepts,
+    at the edges of the WEIGHT_SUM_TOL band.  Both 0.5 and total - 0.5 are
+    exact, so the weights sum to ``total`` exactly."""
+    weights = [0.5, total - 0.5]
+    atoms = [[1.0, 2.0], [-1.0, 0.0]]
+    config = {
+        "kind": "concentration",
+        "parameters": {
+            "global_measure": {"atoms": atoms, "weights": weights},
+            "p": [[1.0, 1.0], [1.0, 2.0]],
+            "epsilon": 0.04,
+            "delta": 0.2,
+        },
+    }
+    assert (validate_config(config) == []) is accepted
+    try:
+        DiscreteMeasure(dim=2, atoms=atoms, weights=weights)
+    except ValueError:
+        assert not accepted
+    else:
+        assert accepted
+
+
+_DROP = object()  # a parameter given this value is removed from the fixture
+
+
 def _fixture_with(tmp_path, stem, **parameters):
-    """A bundled fixture with some parameters replaced, written to tmp_path."""
+    """A bundled fixture with some parameters replaced (or removed, when
+    given as _DROP), written to tmp_path."""
     config = json.loads(Path(fixture_path(f"{stem}.json")).read_text())
     config["parameters"].update(parameters)
+    for name, value in parameters.items():
+        if value is _DROP:
+            del config["parameters"][name]
     cfg = tmp_path / f"{stem}_changed.json"
     cfg.write_text(json.dumps(config))
     return str(cfg)
@@ -266,6 +386,8 @@ _I2 = [[1.0, 0.0], [0.0, 1.0]]
         ("gaussian", {"w": [1.0, 0.0, 0.0]}),
         ("gaussian", {"functional": [1.0]}),
         ("gaussian", {"p": [[1.0]]}),
+        ("gaussian", {"delta": _DROP}),
+        ("gaussian", {"p": _DROP}),
         ("tilde_trace", {"dim": 2}),
         ("tilde_trace", {"max_degree": 2}),
         ("tilde_trace", {"lam": [1.0]}),
@@ -284,6 +406,8 @@ _I2 = [[1.0, 0.0], [0.0, 1.0]]
         "gaussian_w_vs_q",
         "gaussian_functional_vs_q",
         "gaussian_p_vs_q",
+        "gaussian_p_without_delta",
+        "gaussian_delta_without_p",
         "tilde_trace_pairs_vs_dim",
         "tilde_trace_pairs_vs_max_degree",
         "tilde_trace_lam_length",

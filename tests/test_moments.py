@@ -31,9 +31,12 @@ from momentkit import (
 )
 from momentkit.errors import (
     DegreeOverflow,
+    InvalidInput,
+    MomentkitError,
     NegativeEvenMoment,
     NotSquarePositive,
 )
+from momentkit.gaussian import McConfig
 from momentkit.forms import gram_schmidt, kernel_basis, whitening_system
 from momentkit.moments import (
     _logsumexp,
@@ -74,6 +77,28 @@ def test_discrete_measure_rejects_non_finite(atoms, weights):
     would let it through; non-finite input is rejected first."""
     with pytest.raises(ValueError, match="finite"):
         DiscreteMeasure(dim=1, atoms=np.array(atoms), weights=np.array(weights))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DiscreteMeasure(dim=1, atoms=np.array([[np.nan]]), weights=np.array([1.0])),
+        lambda: DiscreteMeasure(dim=1, atoms=np.array([[1.0], [2.0]]), weights=np.array([1.5, -0.5])),
+        lambda: DiscreteMeasure(dim=1, atoms=np.array([[1.0], [2.0]]), weights=np.array([0.5, 0.4])),
+        lambda: McConfig(seed=0, samples=0),
+        lambda: McConfig(seed=0, samples=10, streams=0),
+        lambda: MomentFunctional(dim=1, max_degree=2, moments={(0,): 0.5}),
+    ],
+    ids=["non_finite", "negative_weight", "weight_sum", "samples", "streams", "L_of_1"],
+)
+def test_constructors_raise_typed_invalid_input(build):
+    """Out-of-domain constructor arguments raise InvalidInput: a
+    MomentkitError for the CLI's typed exits and a ValueError for callers
+    that catch one."""
+    with pytest.raises(InvalidInput) as info:
+        build()
+    assert isinstance(info.value, MomentkitError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_from_measure_moments():
