@@ -6,17 +6,22 @@ weight sums; concentration over the delta-ball is certified through the
 exact Chebyshev eigenvalue criterion and independently probed by sampling.
 Its sup over the delta-ball of an index S is delta^2 lambda_S, lambda_S
 the top eigenvalue of nu_S's second-moment matrix whitened by p|_S, so one
-spectrum per index decides every (epsilon, delta) pair.  A family keeps
-the spectral pass of the last form p it met (its entries are read-only, so
-the pass cannot go stale), so all checks on one (family, p) share it; the
-nested checks sweep each index once against all of its supersets.  The
-module ends in a nine-stage verification pipeline combining moment
-functionals, concentration certificates and Prokhorov-type mass bounds.
+spectrum per index decides every (epsilon, delta) pair.  The spectral pass
+restricts all indices of one size with one stacked decomposition and
+whitens them in stacks per (size, rank).  A family keeps the pass of the
+last form p it met (its entries are read-only, so the pass cannot go
+stale), so all checks on one (family, p) share it; the nested checks sweep
+each index once against all of its supersets.  The probes are drawn per
+index, as blocks in stream order, and evaluated a block at a time, each
+value bit for bit what a lone probe gets.  The module ends in a nine-stage
+verification pipeline combining moment functionals, concentration
+certificates and Prokhorov-type mass bounds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -24,6 +29,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import (
+    LATTICE_CAP,
     DimensionMismatch,
     HypothesisNotCertified,
     KernelIssue,
@@ -35,11 +41,13 @@ from .forms import (
     DualFunctional,
     GramForm,
     OrthonormalSystem,
+    _above_cutoff,
+    _evaluate_rows,
     _in_unit_dual_ball,
     dual_norm,
     is_infinite,
     jsonable,
-    whitening_system,
+    principal_restrictions,
 )
 from .moments import (
     DiscreteMeasure,
@@ -55,8 +63,6 @@ from .traces import trace_value
 # ---------------------------------------------------------------------------
 # Index lattice and families
 # ---------------------------------------------------------------------------
-
-_LATTICE_CAP = 12
 
 # Tolerances of the lattice checks; the CLI echoes these into reports.
 CERTIFICATE_SLACK = 1e-9  # relative slack on epsilon in the concentration certificate
@@ -91,8 +97,8 @@ class SubalgebraIndex:
 
 def full_lattice(n: int) -> list[SubalgebraIndex]:
     """All 2^n - 1 nonempty coordinate subsets, ordered by size then lex."""
-    if n > _LATTICE_CAP:
-        raise NotInScope(f"full lattice capped at n = {_LATTICE_CAP}, got {n}")
+    if n > LATTICE_CAP:
+        raise NotInScope(f"full lattice capped at n = {LATTICE_CAP}, got {n}")
     return [
         SubalgebraIndex(coords=combo)
         for size in range(1, n + 1)
@@ -217,39 +223,77 @@ def _jsonable_details(d):
 
 def restrict_form(p: GramForm, s: SubalgebraIndex) -> GramForm:
     """Principal submatrix of the Gram on the S coordinates."""
-    idx = np.asarray(s.coords, dtype=int)
-    return GramForm(dim=len(idx), gram=p.gram[np.ix_(idx, idx)], psd_tol=p.psd_tol)
+    return principal_restrictions(p, [s.coords])[0]
 
 
 def _second_moment(nu: DiscreteMeasure) -> np.ndarray:
     return np.einsum("j,ji,jk->ik", nu.weights, nu.atoms, nu.atoms)
 
 
+def _abs_values(nu: DiscreteMeasure, a: np.ndarray) -> np.ndarray:
+    """|alpha(a)| for each row a of ``a`` (rows) and atom alpha (columns):
+    one stacked product of the matrix-vector products nu.atoms @ a, so each
+    value is the one a lone vector gets (one matrix product atoms @ a.T
+    would sum in another order)."""
+    return np.abs(np.matmul(nu.atoms, a[:, :, None])[:, :, 0])
+
+
+def _row_tails(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """weights[m].sum() for each row m of a boolean (rows, atoms) mask, the
+    same float sum as for a lone row; a row that selects no atom is 0.0."""
+    out = np.zeros(len(mask))
+    for i in mask.any(axis=1).nonzero()[0]:
+        out[i] = weights[mask[i]].sum()
+    return out
+
+
 def exact_tail(nu: DiscreteMeasure, a: np.ndarray, threshold: float = 1.0) -> float:
     """nu({alpha : |alpha(a)| >= threshold}) as an exact weight sum."""
-    vals = np.abs(nu.atoms @ a)
-    return float(nu.weights[vals >= threshold].sum())
+    a = np.asarray(a, dtype=float)[None]
+    return float(_row_tails(nu.weights, _abs_values(nu, a) >= threshold)[0])
 
 
 def _index_spectra(fam: MeasureFamily, p: GramForm) -> dict:
-    """{S: (p|_S, lambda_S)}, each index restricted and decomposed once per
-    (family, p): the family keeps the pass of the last form it was given.
-    Raises KernelIssue when a supported atom is nonzero on a p|_S-kernel
-    direction (concentrated families must vanish there)."""
+    """{S: (p|_S, lambda_S)} in index order, computed once per (family, p):
+    the family keeps the pass of the last form it was given.  One stacked
+    eigh restricts every index of a size; the whitening (the trailing rank
+    eigenvectors over the square roots of their eigenvalues, as in
+    whitening_system), the whitened second moments and their eigvalsh run
+    in stacks per (size, rank).  Each second moment (atom counts differ)
+    and each kernel test (only where p|_S has a kernel) stays per index,
+    so every value is the one a lone index gets.  Raises KernelIssue when a
+    supported atom is nonzero on a p|_S-kernel direction (concentrated
+    families must vanish there)."""
     form, spectra = fam._spectra
     if form is p:
         return spectra
-    out = {}
-    for s in fam.indices():
-        nu = fam.entries[s]
-        p_s = restrict_form(p, s)
-        _, _, _, ker = p_s._split
-        scale = max(1.0, float(np.abs(nu.support).max(initial=0.0)))
-        if np.abs(nu.support @ ker).max(initial=0.0) > 1e-10 * scale:
-            raise KernelIssue("supported character is nonzero on a kernel direction of p|_S")
-        w = whitening_system(p_s).matrix
-        m = w.T @ _second_moment(nu) @ w
-        out[s] = (p_s, float(max(np.linalg.eigvalsh(m)[-1], 0.0)) if w.size else 0.0)
+    idxs = fam.indices()
+    forms = principal_restrictions(p, [s.coords for s in idxs])
+    lams = [0.0] * len(idxs)
+    for size, run in itertools.groupby(range(len(idxs)), key=lambda i: len(idxs[i])):
+        run = list(run)
+        w = np.stack([forms[i]._eig[0] for i in run])
+        v = np.stack([forms[i]._eig[1] for i in run])
+        ranks = _above_cutoff(w, p.psd_tol).sum(axis=1)
+        for r in sorted(set(ranks.tolist())):
+            group = np.flatnonzero(ranks == r)
+            members = [run[j] for j in group]
+            if r < size:
+                for i in members:
+                    support = fam.entries[idxs[i]].support
+                    scale = max(1.0, float(np.abs(support).max(initial=0.0)))
+                    if np.abs(support @ forms[i]._split[3]).max(initial=0.0) > 1e-10 * scale:
+                        raise KernelIssue(
+                            "supported character is nonzero on a kernel direction of p|_S"
+                        )
+            if r == 0:
+                continue
+            white = v[group][:, :, size - r:] / np.sqrt(w[group][:, None, size - r:])
+            moments = np.stack([_second_moment(fam.entries[idxs[i]]) for i in members])
+            tops = np.linalg.eigvalsh(np.swapaxes(white, 1, 2) @ moments @ white)[:, -1]
+            for i, top in zip(members, tops):
+                lams[i] = float(max(top, 0.0))
+    out = {s: (p_s, lam) for s, p_s, lam in zip(idxs, forms, lams)}
     object.__setattr__(fam, "_spectra", (p, out))
     return out
 
@@ -266,32 +310,74 @@ def _certifies(value: float, epsilon: float, slack: float = CERTIFICATE_SLACK) -
 
 
 class ProbeRng:
-    """Seeded standard normal vectors for the falsification probes, drawn
-    from the standard library's Mersenne Twister.  The probes cannot change
-    a decision (Chebyshev bounds every probed tail by the certified sup), so
+    """Seeded standard normal draws for the falsification probes, from the
+    standard library's Mersenne Twister.  The probes cannot change a
+    decision (Chebyshev bounds every probed tail by the certified sup), so
     any seeded stream serves; this one keeps ``numpy.random``, and the
     OpenSSL library it loads through ``secrets`` (about 6 MB resident and
     14 ms of import on a 2-core x86-64 machine), out of every run that
-    does not sample.  Any
-    object with ``standard_normal(size)``, a numpy Generator too, can stand
-    in for it."""
+    does not sample.  ``standard_normal(size)`` takes a length or a shape
+    and fills it in stream order, as a numpy Generator does, so one
+    (draws, dim) block holds the draws of as many length-dim calls.  The
+    checks draw each index's probes as such blocks; any object with this
+    method, a numpy Generator too, can stand in for it.
+
+    The stream is that of ``random.Random(seed).gauss(0.0, 1.0)``: each
+    pair of uniforms gives two values by the same Box-Muller arithmetic,
+    and the second waits for the next draw as ``gauss`` keeps it, without
+    a method call per value (which took about 60 % of the drawing time)."""
 
     def __init__(self, seed: int):
-        self._gauss = random.Random(seed).gauss
+        self._random = random.Random(seed).random
+        self._spare: list = []  # the second value of the last pair, not yet drawn
 
-    def standard_normal(self, size: int) -> np.ndarray:
-        return np.array([self._gauss(0.0, 1.0) for _ in range(size)])
+    def standard_normal(self, size) -> np.ndarray:
+        out = np.empty(size)
+        values, rand = self._spare, self._random
+        for _ in range((out.size - len(values) + 1) // 2):
+            x2pi = rand() * _TWOPI
+            g2rad = math.sqrt(-2.0 * math.log(1.0 - rand()))
+            values.append(0.0 + math.cos(x2pi) * g2rad * 1.0)
+            values.append(0.0 + math.sin(x2pi) * g2rad * 1.0)
+        out.reshape(-1)[:] = values[: out.size]
+        self._spare = values[out.size:]
+        return out
+
+
+_TWOPI = 2.0 * math.pi  # random.TWOPI
+_PROBE_BLOCK = 1024  # most probes drawn and evaluated at once: bounds peak memory
+
+
+def _probe_blocks(rng, budget: int, dim: int):
+    """``budget`` standard normal vectors of R^dim in stream order, as
+    (rows, dim) blocks of at most _PROBE_BLOCK rows."""
+    for start in range(0, budget, _PROBE_BLOCK):
+        yield rng.standard_normal((min(_PROBE_BLOCK, budget - start), dim))
 
 
 def _sphere_tails(nu: DiscreteMeasure, p_s: GramForm, radius: float, budget: int, rng):
-    """Exact tails nu(|alpha(a)| >= 1) at a = radius u / p_S(u), one standard
-    normal vector u per draw; draws with p_S(u) = 0 are skipped."""
-    for _ in range(budget):
-        u = rng.standard_normal(p_s.dim)
-        nrm = p_s(u)
-        if nrm <= 0:
-            continue
-        yield exact_tail(nu, (radius / nrm) * u)
+    """Exact tails nu(|alpha(a)| >= 1) at a = radius u / p_S(u) for
+    ``budget`` standard normal vectors u, yielded as one array per block;
+    draws with p_S(u) = 0 are skipped.  A NotPSD met in a block is raised
+    after the tails of the draws before it, as a draw-by-draw loop would."""
+    for u in _probe_blocks(rng, budget, p_s.dim):
+        nrm, err = _evaluate_rows(p_s, u)
+        keep = nrm > 0
+        a = (radius / nrm[keep])[:, None] * u[: len(nrm)][keep]
+        yield _row_tails(nu.weights, _abs_values(nu, a) >= 1.0)
+        if err is not None:
+            raise err
+
+
+def _forward_tails(nu: DiscreteMeasure, p_s: GramForm, a: np.ndarray, gamma: float):
+    """For the rows a of one block, up to a NotPSD (see _evaluate_rows):
+    (p_S(a), forward tails nu(|alpha(a)| > gamma p_S(a)) where p_S(a) > 0,
+    kernel-branch tails nu(|alpha(a)| >= 1e-9) where p_S(a) = 0, error)."""
+    pa, err = _evaluate_rows(p_s, a)
+    vals, pos = _abs_values(nu, a[: len(pa)]), (pa > 0)[:, None]
+    forward = _row_tails(nu.weights, (vals > gamma * pa[:, None]) & pos)
+    kernel = _row_tails(nu.weights, (vals >= 1e-9) & ~pos)
+    return pa, forward, kernel, err
 
 
 def concentration_check(
@@ -318,7 +404,8 @@ def concentration_check(
     details: dict = {}
     for s, (p_s, lam) in spectra.items():
         budget = probe_budget if p_s.rank else 0
-        probes = list(_sphere_tails(fam.entries[s], p_s, delta, budget, rng))
+        tails = _sphere_tails(fam.entries[s], p_s, delta, budget, rng)
+        probes = [t for block in tails for t in block.tolist()]
         details[s] = {
             "sup": delta**2 * lam,
             "probe_tails": probes,
@@ -356,19 +443,17 @@ def concentration_equivalence_check(
         gamma = 1.0 / (delta / 2.0)
         for s, (p_s, _) in spectra.items():
             nu = fam.entries[s]
-            for _ in range(probe_budget):
-                a = rng.standard_normal(len(s))
-                pa = p_s(a)
-                if pa > 0:
-                    # forward: nu(|alpha(a)| > gamma p(a)) <= epsilon
-                    if nu.weights[np.abs(nu.atoms @ a) > gamma * pa].sum() > epsilon + 1e-12:
-                        return False
-                elif exact_tail(nu, a, threshold=1e-9) > 1e-12:
-                    # kernel branch: all mass at alpha(a) = 0
+            for a in _probe_blocks(rng, probe_budget, len(s)):
+                pa, forward, kernel, err = _forward_tails(nu, p_s, a, gamma)
+                # forward: nu(|alpha(a)| > gamma p(a)) <= epsilon;
+                # kernel branch: all mass at alpha(a) = 0
+                if np.any(np.where(pa > 0, forward > epsilon + 1e-12, kernel > 1e-12)):
                     return False
+                if err is not None:
+                    raise err
             # converse: eps-gamma at gamma implies eps-delta at delta'' < 1/gamma
             tails = _sphere_tails(nu, p_s, 0.9 / gamma, probe_budget, rng)
-            if any(t > epsilon + 1e-12 for t in tails):
+            if any(np.any(block > epsilon + 1e-12) for block in tails):
                 return False
     return True
 
@@ -431,7 +516,7 @@ def prokhorov_mass_check(
 
     bound = 1.0 - 14.0 * epsilon
     idxs = fam.indices()
-    r_s = {s: restrict_form(r_eps, s) for s in idxs}
+    r_s = dict(zip(idxs, principal_restrictions(r_eps, [s.coords for s in idxs])))
     inside = {s: _in_unit_dual_ball(r_s[s], fam.entries[s].atoms) for s in idxs}
     masses = {
         s: float(sum(w for w, ok in zip(fam.entries[s].weights, inside[s]) if ok))
@@ -540,18 +625,21 @@ def verify_main_theorem_scenario(
     full coordinate lattice, then check consistency, concentration at
     delta = sqrt(eps), Prokhorov mass bounds, support continuity plus
     nonnegativity-set membership, and the representation identity.  Stage
-    failures are recorded and the pipeline continues."""
+    failures are recorded and the pipeline continues; a stage that needs
+    the output of a failed stage is "skipped"."""
     stages = []
+    state: dict = {}
 
-    def run_stage(name, fn):
-        try:
-            status, data = fn()
-        except MomentkitError as exc:
-            status, data = "fail", {"error": f"{type(exc).__name__}: {exc}"}
+    def run_stage(name, fn, needs=()):
+        if not all(key in state for key in needs):
+            status, data = "skipped", {}
+        else:
+            try:
+                status, data = fn()
+            except MomentkitError as exc:
+                status, data = "fail", {"error": f"{type(exc).__name__}: {exc}"}
         stages.append(StageResult(name=name, status=status, data=data))
         return stages[-1]
-
-    state: dict = {}
 
     def stage_functional():
         state["L"] = from_measure(mu_target, degrees)
@@ -573,7 +661,7 @@ def verify_main_theorem_scenario(
         state["trace"] = tr
         return "pass", {"trace": float(tr)}
 
-    run_stage("trace_s_L_over_q", stage_trace)
+    run_stage("trace_s_L_over_q", stage_trace, needs=("s_form",))
 
     def stage_family():
         state["family"] = MeasureFamily.from_global(mu_target)
@@ -585,7 +673,7 @@ def verify_main_theorem_scenario(
         ok = consistency_check(state["family"], degree=min(degrees, 4))
         return ("pass" if ok else "fail"), {"consistent": ok}
 
-    run_stage("consistency", stage_consistency)
+    run_stage("consistency", stage_consistency, needs=("family",))
 
     def stage_concentration():
         fam, s_form = state["family"], state["s_form"]
@@ -597,7 +685,7 @@ def verify_main_theorem_scenario(
         }
         return ("pass" if all(results.values()) else "fail"), {"certified": results}
 
-    run_stage("concentration_sqrt_eps", stage_concentration)
+    run_stage("concentration_sqrt_eps", stage_concentration, needs=("family", "s_form"))
 
     def stage_prokhorov():
         results = {}
@@ -615,7 +703,7 @@ def verify_main_theorem_scenario(
             all_ok = all_ok and ok
         return ("pass" if all_ok else "fail"), {"per_eps": results}
 
-    run_stage("prokhorov_mass", stage_prokhorov)
+    run_stage("prokhorov_mass", stage_prokhorov, needs=("family", "s_form"))
 
     def stage_support():
         norms = [dual_norm(q, DualFunctional(dim=q.dim, coeffs=a)) for a in mu_target.atoms]
@@ -631,8 +719,6 @@ def verify_main_theorem_scenario(
     run_stage("support_continuity_and_kq", stage_support)
 
     def stage_representation():
-        if "L" not in state:
-            return "skipped", {}
         L = state["L"]
         worst = 0.0
         for alpha in monomials_up_to(mu_target.dim, degrees):
@@ -641,6 +727,6 @@ def verify_main_theorem_scenario(
         ok = worst <= IDENTITY_ABS
         return ("pass" if ok else "fail"), {"max_error": worst}
 
-    run_stage("representation_identity", stage_representation)
+    run_stage("representation_identity", stage_representation, needs=("L",))
 
     return ScenarioReport(stages=tuple(stages))

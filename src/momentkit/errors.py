@@ -7,14 +7,20 @@ Two broad families:
   not flat, a kernel containment fails) -- these are *results*, reported as
   typed errors so callers can map them to exit codes.
 
-It also holds the weight-sum rule that the config validator and
-``DiscreteMeasure`` share: this module needs only the standard library, so
-validating a config does not import numpy.
+It also holds the rules that the config validator shares with the
+library (the weight-sum rule of ``DiscreteMeasure``, the lattice cap of
+``full_lattice``) and the work-size cap of ``main_theorem`` configs: this
+module needs only the standard library, so validating a config does not
+import numpy.
 """
 
 import math
 
 WEIGHT_SUM_TOL = 1e-12  # allowed |sum of weights - 1| of a probability measure
+LATTICE_CAP = 12  # largest dimension whose full coordinate lattice is swept
+# Most monomials C(n + degrees, degrees) a main_theorem config may ask for:
+# the count of the largest lattice (n = LATTICE_CAP) at degree 4.
+MONOMIAL_CAP = math.comb(LATTICE_CAP + 4, 4)
 
 
 def weights_sum_to_one(weights) -> bool:

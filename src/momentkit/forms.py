@@ -71,11 +71,27 @@ def _as_vector(v, dim: int) -> np.ndarray:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Deterministic sign convention for eigenvector columns: the entry of
-    largest magnitude is made positive (first such entry on ties)."""
+    largest magnitude is made positive (first such entry on ties).  Acts on
+    each matrix of a stack alike."""
     if not vectors.size:
         return vectors.copy()
-    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    rows = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    peaks = np.take_along_axis(vectors, rows, axis=-2)
     return np.where(peaks < 0, -vectors, vectors)
+
+
+def _check_psd(w: np.ndarray, psd_tol: float) -> None:
+    """GramForm's PSD rule on ascending eigenvalues w."""
+    if len(w) and float(w[0]) < -psd_tol * max(1.0, float(w[-1])):
+        raise NotPSD(
+            f"gram has eigenvalue {w[0]:.3e} below -psd_tol*max(1, lam_max)"
+        )
+
+
+def _above_cutoff(w: np.ndarray, psd_tol: float) -> np.ndarray:
+    """Which ascending eigenvalues (last axis, stacks too) lie above the
+    kernel cutoff psd_tol * lambda_max; the rest count as kernel."""
+    return w > psd_tol * np.maximum(w[..., -1:], 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,11 +113,19 @@ class GramForm:
         g = 0.5 * (g + g.T)  # symmetrize exactly against round-off
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
-        w, _ = self._eig
-        if len(w) and float(w[0]) < -self.psd_tol * max(1.0, float(w[-1])):
-            raise NotPSD(
-                f"gram has eigenvalue {w[0]:.3e} below -psd_tol*max(1, lam_max)"
-            )
+        _check_psd(self._eig[0], self.psd_tol)
+
+    @classmethod
+    def _decomposed(cls, gram, w, v, psd_tol) -> "GramForm":
+        """A form on an exactly symmetric, read-only gram whose ascending
+        eigenvalues w and sign-fixed eigenvectors v are already known: the
+        constructor's PSD rule, without its copy and its eigh."""
+        form = cls.__new__(cls)
+        for name, value in (("dim", len(w)), ("gram", gram), ("psd_tol", psd_tol)):
+            object.__setattr__(form, name, value)
+        form.__dict__["_eig"] = (w, v)  # the slot cached_property fills
+        _check_psd(w, psd_tol)
+        return form
 
     # -- spectral data ----------------------------------------------------
 
@@ -125,7 +149,7 @@ class GramForm:
     def _split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(positive eigenvalues, their vectors, kernel eigenvalues, kernel vectors)."""
         w, v = self._eig
-        keep = w > self.kernel_cutoff
+        keep = _above_cutoff(w, self.psd_tol)
         return w[keep], v[:, keep], w[~keep], v[:, ~keep]
 
     @property
@@ -228,16 +252,40 @@ class OrthonormalSystem:
 # ---------------------------------------------------------------------------
 
 
-def evaluate(p: GramForm, v) -> float:
-    """Seminorm value p(v) = sqrt(v' gram v), clamping tiny negative round-off."""
-    v = _as_vector(v, p.dim)
-    val = float(v @ p.gram @ v)
+def _clamped(p: GramForm, val: float, v: np.ndarray) -> float:
+    """``evaluate``'s rule for val = v' gram v < 0: round-off down to
+    -psd_tol * max(1, lambda_max v'v) reads 0, anything lower is NotPSD."""
     if val < 0.0:
         scale = max(1.0, p.lambda_max * float(v @ v))
         if val < -p.psd_tol * scale:
             raise NotPSD(f"quadratic form value {val:.3e} below clamping tolerance")
         val = 0.0
-    return float(np.sqrt(val))
+    return val
+
+
+def evaluate(p: GramForm, v) -> float:
+    """Seminorm value p(v) = sqrt(v' gram v), clamping tiny negative round-off."""
+    v = _as_vector(v, p.dim)
+    return float(np.sqrt(_clamped(p, float(v @ p.gram @ v), v)))
+
+
+def _evaluate_rows(p: GramForm, vs: np.ndarray):
+    """p(v) for the rows v of a (rows, dim) array, each bit for bit as
+    ``evaluate`` gives it: one stacked product runs evaluate's
+    vector-matrix product and dot on every row.  Rows count in order up to
+    the first that breaks evaluate's NotPSD rule; returns the values before
+    it and that error (None when every row passes), so a caller can act on
+    those rows first, as a row-by-row loop would."""
+    vs = np.asarray(vs, dtype=float)
+    if vs.ndim != 2 or vs.shape[1] != p.dim:
+        raise DimensionMismatch(f"expected rows of length {p.dim}, got shape {vs.shape}")
+    vals = np.matmul(np.matmul(vs[:, None, :], p.gram), vs[:, :, None])[:, 0, 0]
+    for i in (vals < 0.0).nonzero()[0]:
+        try:
+            vals[i] = _clamped(p, float(vals[i]), vs[i])
+        except NotPSD as err:
+            return np.sqrt(vals[:i]), err
+    return np.sqrt(vals), None
 
 
 def polarize(p: GramForm, v, w) -> float:
@@ -358,6 +406,27 @@ def simultaneous_diagonalize(p: GramForm, q: GramForm) -> OrthonormalSystem:
     return OrthonormalSystem(
         form=q, vectors=tuple(g[:, j] for j in range(g.shape[1])), complete=True
     )
+
+
+def principal_restrictions(p: GramForm, index_sets) -> list:
+    """p restricted to each coordinate tuple of ``index_sets`` (the principal
+    submatrices of gram), in input order.  The sets of one size share one
+    gather and one stacked eigh; each restriction keeps its slice of that
+    decomposition, which is bit for bit what it would compute alone, and
+    passes the PSD rule of GramForm's constructor."""
+    sets = [tuple(s) for s in index_sets]
+    by_size: dict = {}
+    for i, s in enumerate(sets):
+        by_size.setdefault(len(s), []).append(i)
+    out: list = [None] * len(sets)
+    for size, pos in by_size.items():
+        cols = np.array([sets[i] for i in pos], dtype=int).reshape(len(pos), size)
+        grams = p.gram[cols[:, :, None], cols[:, None, :]]
+        grams.setflags(write=False)
+        w, v = np.linalg.eigh(grams)
+        for i, g, w_i, v_i in zip(pos, grams, w, _fix_signs(v)):
+            out[i] = GramForm._decomposed(g, w_i, v_i, p.psd_tol)
+    return out
 
 
 def restrict_gram(p: GramForm, basis_vectors) -> GramForm:

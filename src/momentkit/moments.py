@@ -386,7 +386,7 @@ def carleman_from_log_moments(
     logs = np.asarray(log_even_moments, dtype=float)
     n_max = len(logs)
     if n_max < 4:
-        raise ValueError("need at least 4 even moments")
+        raise InvalidInput("need at least 4 even moments")
     ns = np.arange(1, n_max + 1)
     log_t = -logs / (2.0 * ns)
     terms = np.exp(log_t)

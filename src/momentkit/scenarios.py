@@ -16,7 +16,7 @@ import difflib
 import math
 import sys
 
-from .errors import ConfigError, weights_sum_to_one
+from .errors import LATTICE_CAP, MONOMIAL_CAP, ConfigError, weights_sum_to_one
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,12 @@ def _check_element(x, where, errors):
 def _check_size(errors, where, got, want, of):
     if got != want:
         errors.append(f"{where}: size {got}, expected {want} ({of})")
+
+
+def _check_lattice(errors, where, n):
+    """The runs sweep the full coordinate lattice of R^n (full_lattice)."""
+    if n > LATTICE_CAP:
+        errors.append(f"{where}: atom length {n} exceeds the lattice cap {LATTICE_CAP}")
 
 
 _CHECKERS = {
@@ -346,6 +352,7 @@ def _run_concentration(params, seed):
 def _concentration_rules(params, errors):
     atoms = params["global_measure"]["atoms"]
     _check_size(errors, "parameters.global_measure.atoms", len(atoms[0]), len(params["p"]), "p")
+    _check_lattice(errors, "parameters.global_measure.atoms", len(atoms[0]))
 
 
 def _concentration_tolerances(params):
@@ -380,15 +387,19 @@ def _run_main_theorem(params, seed):
 
 
 def _main_theorem_rules(params, errors):
-    n = len(params["measure"]["atoms"][0])
+    n, degrees = len(params["measure"]["atoms"][0]), params["degrees"]
     _check_size(errors, "parameters.q", len(params["q"]), n, "atom length")
+    _check_lattice(errors, "parameters.measure.atoms", n)
+    if n <= LATTICE_CAP and math.comb(n + degrees, degrees) > MONOMIAL_CAP:
+        errors.append(
+            f"parameters.degrees: {degrees} asks for more than {MONOMIAL_CAP} monomials "
+            f"in {n} variables"
+        )
     for i, gen in enumerate(params.get("generators", [])):
         _check_size(errors, f"parameters.generators[{i}].dim", gen["dim"], n, "atom length")
         top = max((sum(t["alpha"]) for t in gen["terms"]), default=0)
-        if top > params["degrees"]:
-            errors.append(
-                f"parameters.generators[{i}]: degree {top} exceeds degrees = {params['degrees']}"
-            )
+        if top > degrees:
+            errors.append(f"parameters.generators[{i}]: degree {top} exceeds degrees = {degrees}")
 
 
 def _main_theorem_tolerances(params):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, NotPSD, RankNotFlat
+from .errors import IllConditioned, InvalidInput, NotPSD, RankNotFlat
 from .moments import DiscreteMeasure, MomentFunctional, moment_matrix, monomials_up_to
 
 _RANK_TOL = 1e-9  # singular values below tol * sigma_max count as rank deficiency
@@ -61,7 +61,7 @@ def solve_univariate(moments) -> SolverResult:
     rank r = d+1 case needs); m_0 = 1."""
     moments = np.asarray(moments, dtype=float)
     if len(moments) < 3:
-        raise ValueError("need at least m_0, m_1, m_2")
+        raise InvalidInput("need at least m_0, m_1, m_2")
     d = (len(moments) - 1) // 2
     h_d = _hankel(moments, d + 1)
     w_eig = np.linalg.eigvalsh(h_d)

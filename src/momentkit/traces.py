@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, IncompleteSystem
+from .errors import ConfigError, DimensionMismatch, IncompleteSystem, InvalidInput
 from .forms import (
     GramForm,
     INFINITE,
@@ -89,7 +89,7 @@ def trace_scaling_check(p: GramForm, q: GramForm, eps: float, delta: float,
     sides independently."""
     base = trace(p, q)
     if not base.finite:
-        raise ValueError("trace_scaling_check requires finite tr(p/q)")
+        raise InvalidInput("trace_scaling_check requires finite tr(p/q)")
     scaled_p = GramForm(p.dim, eps**2 * np.asarray(p.gram), psd_tol=p.psd_tol)
     scaled_q = GramForm(q.dim, delta**2 * np.asarray(q.gram), psd_tol=q.psd_tol)
     lhs = trace(scaled_p, scaled_q).value
@@ -120,7 +120,7 @@ def dominance_check(p: GramForm, q: GramForm, rng=None, n_random: int = 32,
     trace) and pointwise on the standard basis plus random vectors."""
     rep = trace(p, q)
     if not rep.finite:
-        raise ValueError("dominance_check requires finite tr(p/q)")
+        raise InvalidInput("dominance_check requires finite tr(p/q)")
     tr = rep.value
     w = whitening_system(q).matrix
     if w.shape[1]:
@@ -159,7 +159,7 @@ class SeminormTower:
 def nuclear_tower(dim: int, levels: int) -> SeminormTower:
     """Build the diagonal tower (p_k)_{nn} = n^{2k}, k = 1..levels."""
     if dim < 1 or levels < 2:
-        raise ValueError("need dim >= 1 and levels >= 2")
+        raise InvalidInput("need dim >= 1 and levels >= 2")
     n = np.arange(1, dim + 1, dtype=float)
     forms = tuple(
         GramForm(dim, np.diag(n ** (2 * k))) for k in range(1, levels + 1)

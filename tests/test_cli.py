@@ -466,6 +466,47 @@ def test_numbers_the_checks_cannot_take_exit_2(tmp_path, stem, parameters):
     assert run_cli("run", cfg, "--out", str(tmp_path)) == 2
 
 
+_I13 = [[float(i == j) for j in range(13)] for i in range(13)]
+_ATOMS13 = {"atoms": [[0.5] * 13, [-0.5] * 13], "weights": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "stem, parameters, problem",
+    [
+        ("concentration", {"global_measure": _ATOMS13, "p": _I13}, "lattice cap 12"),
+        ("main_theorem", {"measure": _ATOMS13, "q": _I13, "generators": []}, "lattice cap 12"),
+        ("main_theorem", {"degrees": 10**6}, "monomials"),
+    ],
+    ids=["concentration_n13", "main_theorem_n13", "main_theorem_degrees_1e6"],
+)
+def test_work_the_runs_cannot_do_exit_2(tmp_path, capsys, stem, parameters, problem):
+    """A lattice past the cap (before, a concentration run exited 3 with
+    NotInScope and a main_theorem run ended in a KeyError traceback) and a
+    degree whose monomial count passes MONOMIAL_CAP (before, a run without
+    end) are config problems for validate and run alike."""
+    cfg = _fixture_with(tmp_path, stem, **parameters)
+    assert run_cli("validate", cfg) == 2
+    assert problem in capsys.readouterr().err
+    assert run_cli("run", cfg, "--out", str(tmp_path)) == 2
+    assert problem in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_monomial_cap_admits_every_degree_4_lattice():
+    """MONOMIAL_CAP admits degree 4 up to the lattice cap, as every bundled
+    and benchmark main_theorem config asks for, and nothing above it."""
+    from momentkit.errors import LATTICE_CAP, MONOMIAL_CAP
+
+    config = json.loads(Path(fixture_path("main_theorem.json")).read_text())
+    params = config["parameters"]
+    params.update(generators=[], measure={"atoms": [[0.0] * LATTICE_CAP], "weights": [1.0]},
+                  q=[[float(i == j) for j in range(LATTICE_CAP)] for i in range(LATTICE_CAP)])
+    assert validate_config(config) == []
+    assert math.comb(LATTICE_CAP + 4, 4) == MONOMIAL_CAP
+    params["degrees"] = 5
+    assert len(validate_config(config)) == 1
+
+
 def test_lattice_tolerances_echo_the_constants_that_ran(tmp_path):
     """The tolerances a concentration or main_theorem report echoes are the
     module constants the checks use as their defaults."""

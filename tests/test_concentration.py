@@ -3,6 +3,8 @@ and the end-to-end scenario pipeline."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -28,14 +30,29 @@ from momentkit import (
     verify_main_theorem_scenario,
     whitening_system,
 )
-from momentkit.concentration import CONSISTENCY_ABS, _power_rows, exact_tail, restrict_form
+from momentkit.concentration import (
+    CONSISTENCY_ABS,
+    ProbeRng,
+    _abs_values,
+    _forward_tails,
+    _index_spectra,
+    _power_rows,
+    exact_tail,
+    restrict_form,
+)
 from momentkit.errors import (
     HypothesisNotCertified,
     KernelIssue,
     NotInScope,
+    NotPSD,
     NotSubset,
 )
-from momentkit.forms import DualFunctional, _in_unit_dual_ball
+from momentkit.forms import (
+    DualFunctional,
+    _evaluate_rows,
+    _in_unit_dual_ball,
+    principal_restrictions,
+)
 from momentkit.moments import monomials_up_to
 from momentkit.symalg import Character
 
@@ -295,6 +312,32 @@ def test_main_theorem_origin_trivial():
     )
     assert report.overall_pass
     assert report.stages[2].data["trace"] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_main_theorem_past_the_lattice_cap_skips_what_needs_the_family():
+    """At n = 13 the marginal family cannot be built (NotInScope): the
+    stages that need it report "skipped" instead of failing on a missing
+    family, and the others still run."""
+    nu = DiscreteMeasure(dim=13, atoms=np.array([[0.5] * 13, [-0.5] * 13]),
+                         weights=np.array([0.5, 0.5]))
+    report = verify_main_theorem_scenario(
+        nu, GramForm(dim=13, gram=np.eye(13)), QuadraticModuleSpec(generators=()),
+        degrees=1, eps_grid=[0.1],
+    )
+    status = {s.name: s.status for s in report.stages}
+    assert status == {
+        "moment_functional": "pass",
+        "s_L_degree_one_form": "pass",
+        "trace_s_L_over_q": "pass",
+        "marginal_family": "fail",
+        "consistency": "skipped",
+        "concentration_sqrt_eps": "skipped",
+        "prokhorov_mass": "skipped",
+        "support_continuity_and_kq": "pass",
+        "representation_identity": "pass",
+    }
+    assert "NotInScope" in report.stages[3].data["error"]
+    assert not report.overall_pass
 
 
 def test_consistency_compares_pairs_that_are_not_covering():
@@ -572,3 +615,333 @@ def test_certificate_decisions_agree_at_a_planted_boundary():
         except HypothesisNotCertified:
             raised = True
         assert raised == (not want), e
+
+
+# ---------------------------------------------------------------------------
+# Stacked lattice numerics against the per-index and per-probe routes
+# ---------------------------------------------------------------------------
+
+
+def _ref_eig(gram):
+    """eigh of one gram with the sign convention of forms._fix_signs."""
+    w, v = np.linalg.eigh(gram)
+    peaks = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return w, np.where(peaks < 0, -v, v)
+
+
+def _ref_spectra(fam, p):
+    """{S: (p|_S gram, lambda_S)}, one index at a time: the restriction,
+    kernel test, whitening and whitened spectrum each computed alone."""
+    out = {}
+    for s in fam.indices():
+        nu = fam.entries[s]
+        idx = np.asarray(s.coords, dtype=int)
+        gram = p.gram[np.ix_(idx, idx)]
+        w, v = _ref_eig(gram)
+        keep = w > p.psd_tol * max(float(w[-1]), 0.0)
+        scale = max(1.0, float(np.abs(nu.support).max(initial=0.0)))
+        if np.abs(nu.support @ v[:, ~keep]).max(initial=0.0) > 1e-10 * scale:
+            raise KernelIssue("kernel")
+        wp, vp = w[keep], v[:, keep]
+        white = np.zeros((len(s), 0))
+        if wp.size:
+            white = np.column_stack([vp[:, j] / np.sqrt(wp[j]) for j in range(vp.shape[1])])
+        m = white.T @ np.einsum("j,ji,jk->ik", nu.weights, nu.atoms, nu.atoms) @ white
+        lam = float(max(np.linalg.eigvalsh(m)[-1], 0.0)) if white.size else 0.0
+        out[s] = (gram, (w, v), int(keep.sum()), lam)
+    return out
+
+
+def _ref_evaluate(gram, psd_tol, v):
+    """One probe's p_S(v), clamping as forms.evaluate."""
+    val = float(v @ gram @ v)
+    if val < 0.0:
+        lam_max = max(float(np.linalg.eigh(gram)[0][-1]), 0.0)
+        if val < -psd_tol * max(1.0, lam_max * float(v @ v)):
+            raise NotPSD(f"quadratic form value {val:.3e} below clamping tolerance")
+        val = 0.0
+    return float(np.sqrt(val))
+
+
+def _ref_tail(nu, a, threshold=1.0):
+    return float(nu.weights[np.abs(nu.atoms @ a) >= threshold].sum())
+
+
+def _ref_details(fam, p, delta, budget, rng):
+    """concentration_check's details, one probe at a time."""
+    details = {}
+    spectra = _ref_spectra(fam, p)
+    for s, (gram, _, rank, lam) in spectra.items():
+        probes = []
+        for _ in range(budget if rank else 0):
+            u = rng.standard_normal(len(s))
+            nrm = _ref_evaluate(gram, p.psd_tol, u)
+            if nrm > 0:
+                probes.append(_ref_tail(fam.entries[s], (delta / nrm) * u))
+        details[s] = {"sup": delta**2 * lam, "probe_tails": probes,
+                      "max_probe_tail": max(probes, default=0.0)}
+    details["worst_sup"] = delta**2 * max([0.0] + [sp[3] for sp in spectra.values()])
+    return details
+
+
+def _ref_equivalence(fam, p, grid, budget, rng):
+    """concentration_equivalence_check, one probe at a time."""
+    spectra = _ref_spectra(fam, p)
+    for epsilon, delta in grid:
+        if not delta**2 * max([0.0] + [sp[3] for sp in spectra.values()]) <= (
+            epsilon * (1.0 + 1e-9) + 1e-15
+        ):
+            continue
+        gamma = 1.0 / (delta / 2.0)
+        for s, (gram, _, _, _) in spectra.items():
+            nu = fam.entries[s]
+            for _ in range(budget):
+                a = rng.standard_normal(len(s))
+                pa = _ref_evaluate(gram, p.psd_tol, a)
+                if pa > 0:
+                    if nu.weights[np.abs(nu.atoms @ a) > gamma * pa].sum() > epsilon + 1e-12:
+                        return False
+                elif _ref_tail(nu, a, threshold=1e-9) > 1e-12:
+                    return False
+            for _ in range(budget):
+                u = rng.standard_normal(len(s))
+                nrm = _ref_evaluate(gram, p.psd_tol, u)
+                if nrm > 0 and _ref_tail(nu, (0.9 / gamma / nrm) * u) > epsilon + 1e-12:
+                    return False
+    return True
+
+
+class _RecordingRng:
+    """A ProbeRng that keeps every value it hands out, in order."""
+
+    def __init__(self, seed):
+        self._rng, self.drawn = ProbeRng(seed), []
+
+    def standard_normal(self, size):
+        out = self._rng.standard_normal(size)
+        self.drawn.extend(out.ravel().tolist())
+        return out
+
+
+def _seeded_family(rng, n, rank, partial):
+    k = int(rng.integers(2, 9))
+    atoms = rng.uniform(-1.5, 1.5, (k, n))
+    b = rng.standard_normal((n, rank))
+    gram = b @ b.T
+    if rank < n:  # atoms in range(p), so no kernel leak
+        atoms = atoms @ gram
+    w = rng.uniform(0.1, 1.0, k)
+    nu = DiscreteMeasure(dim=n, atoms=atoms, weights=w / w.sum())
+    fam = _partial_family(nu, rng) if partial else MeasureFamily.from_global(nu)
+    return fam, GramForm(dim=n, gram=rng.uniform(0.5, 4.0) * gram)
+
+
+def _same_bits(x, y):
+    """Equal, every float bit for bit: repr round-trips and tells -0.0 from 0.0."""
+    return repr(x) == repr(y)
+
+
+def test_probe_rng_shaped_draw_is_consecutive_vector_draws():
+    """A (rows, dim) draw holds the values of rows consecutive length-dim
+    draws, row by row, and the stream goes on where they would."""
+    shaped, flat = ProbeRng(5), ProbeRng(5)
+    block = shaped.standard_normal((7, 3))
+    assert block.shape == (7, 3)
+    rows = [flat.standard_normal(3) for _ in range(7)]
+    assert np.array_equal(block, np.vstack(rows))
+    assert np.array_equal(shaped.standard_normal(4), flat.standard_normal(4))
+    assert ProbeRng(5).standard_normal((0, 3)).shape == (0, 3)
+    # the stream is random.gauss's, also across odd sizes (a pair's second
+    # value waits for the next draw) and an empty draw
+    probe, gauss = ProbeRng(5), random.Random(5).gauss
+    for size in [3, (2, 3), 1, 0, (4, 5), 7, (1, 1), 2]:
+        drawn = probe.standard_normal(size)
+        want = [gauss(0.0, 1.0) for _ in range(drawn.size)]
+        assert [x.hex() for x in drawn.ravel().tolist()] == [x.hex() for x in want]
+
+
+def test_stacked_restrictions_equal_lone_restrictions():
+    """Each restriction of the stacked helper has the gram, decomposition
+    and rank a lone eigh gives it, bit for bit, a read-only gram, and the
+    constructor's PSD rule."""
+    rng = np.random.default_rng(31)
+    for n, rank in [(5, 5), (5, 2), (4, 1)]:
+        b = rng.standard_normal((n, rank))
+        p = GramForm(dim=n, gram=b @ b.T)
+        sets = [s.coords for s in full_lattice(n)][::-1]
+        for coords, form in zip(sets, principal_restrictions(p, sets)):
+            lone = GramForm(dim=len(coords), gram=p.gram[np.ix_(coords, coords)])
+            assert np.array_equal(form.gram, lone.gram)
+            assert not form.gram.flags.writeable
+            assert all(np.array_equal(x, y) for x, y in zip(form._eig, lone._eig))
+            assert all(np.array_equal(x, y) for x, y in zip(form._split, lone._split))
+            assert form.rank == lone.rank and form.psd_tol == lone.psd_tol
+    # a principal submatrix can break the PSD rule its parent passes
+    p = GramForm(dim=2, gram=np.diag([-5e-9, 100.0]))
+    with pytest.raises(NotPSD):
+        GramForm(dim=1, gram=np.array([[-5e-9]]))
+    with pytest.raises(NotPSD):
+        restrict_form(p, SubalgebraIndex(coords=(0,)))
+
+
+def test_stacked_spectra_and_probes_match_per_index_references():
+    """On seeded full and partial families with full-rank and
+    rank-deficient p, the stacked spectral pass, the probe details of
+    concentration_check and the equivalence verdict (with the values it
+    draws) equal the per-index and per-probe references bit for bit, also
+    when the probe budget spans several blocks."""
+    rng = np.random.default_rng(32)
+    for trial in range(12):
+        n = int(rng.integers(2, 6))
+        rank = n if trial % 3 else int(rng.integers(1, n))
+        fam, p = _seeded_family(rng, n, rank, partial=trial % 2 == 1)
+        want = _ref_spectra(fam, p)
+        got = _index_spectra(fam, p)
+        assert list(got) == list(want)
+        for s, (p_s, lam) in got.items():
+            gram, eig, r, ref_lam = want[s]
+            assert _same_bits(lam, ref_lam) and p_s.rank == r
+            assert np.array_equal(p_s.gram, gram)
+            assert all(np.array_equal(x, y) for x, y in zip(p_s._eig, eig))
+            u, atoms = rng.standard_normal((7, len(s))), fam.entries[s].atoms
+            norms, err = _evaluate_rows(p_s, u)
+            assert err is None
+            assert np.array_equal(norms, [_ref_evaluate(gram, p.psd_tol, x) for x in u])
+            assert np.array_equal(_abs_values(fam.entries[s], u), np.abs([atoms @ x for x in u]))
+        delta, seed = float(rng.uniform(0.2, 1.0)), int(rng.integers(100))
+        for budget in (16, 3):
+            rep = concentration_check(fam, p, 0.1, delta, probe_budget=budget, rng=ProbeRng(seed))
+            assert _same_bits(rep.details, _ref_details(fam, p, delta, budget, ProbeRng(seed)))
+        worst = rep.details["worst_sup"]
+        grid = [(max(worst, 1e-3), delta), (worst / 2.0, delta)]
+        new, ref = _RecordingRng(seed), _RecordingRng(seed)
+        assert concentration_equivalence_check(fam, p, grid, probe_budget=5, rng=new) is (
+            _ref_equivalence(fam, p, grid, 5, ref)
+        )
+        assert new.drawn == ref.drawn
+
+
+def test_probe_blocks_smaller_than_the_budget_change_nothing(monkeypatch):
+    """Budgets spanning many blocks (the block size shrunk to 3 rows, and
+    a budget past the real block size) give the reference results."""
+    from momentkit import concentration
+
+    fam, p = _seeded_family(np.random.default_rng(33), 3, 3, partial=False)
+    budget = concentration._PROBE_BLOCK + 5
+    rep = concentration_check(fam, p, 0.1, 0.5, probe_budget=budget, rng=ProbeRng(4))
+    assert _same_bits(rep.details, _ref_details(fam, p, 0.5, budget, ProbeRng(4)))
+    assert len(rep.details[SubalgebraIndex(coords=(0,))]["probe_tails"]) == budget
+    monkeypatch.setattr(concentration, "_PROBE_BLOCK", 3)
+    rep = concentration_check(fam, p, 0.1, 0.5, probe_budget=16, rng=ProbeRng(4))
+    assert _same_bits(rep.details, _ref_details(fam, p, 0.5, 16, ProbeRng(4)))
+    new, ref = _RecordingRng(6), _RecordingRng(6)
+    grid = [(rep.details["worst_sup"], 0.5)]
+    assert concentration_equivalence_check(fam, p, grid, probe_budget=16, rng=new)
+    assert _ref_equivalence(fam, p, grid, 16, ref)
+    assert new.drawn == ref.drawn
+
+
+def _planted_atom(target, a):
+    """An atom alpha on one coordinate axis with |alpha . a| == target
+    exactly (the product of its one nonzero entry with a's)."""
+    for i, x in enumerate(a):
+        t = target / x
+        for t in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
+            if abs(t * x) == target:
+                atom = np.zeros(len(a))
+                atom[i] = t
+                return atom
+    raise AssertionError("no exact multiplier")
+
+
+def test_planted_boundary_atoms_match_per_probe_references():
+    """Atoms planted on the thresholds of the first probe: |alpha(a)| = 1
+    exactly counts in the sphere tail (>=), |alpha(a)| = gamma p(a)
+    exactly stays out of the forward tail (>), and the kernel-branch tail
+    counts |alpha(a)| >= 1e-9; each as the per-probe reference counts it."""
+    p = GramForm(dim=3, gram=np.diag([2.0, 3.0, 5.0]))
+    s = SubalgebraIndex(coords=(0, 1, 2))
+    u = ProbeRng(9).standard_normal(3)
+    delta = 0.5
+    a = (delta / _ref_evaluate(p.gram, p.psd_tol, u)) * u
+    edge = _planted_atom(1.0, a)
+    for atom, inside in [(edge, True), (np.nextafter(edge, 0.0), False)]:
+        nu = DiscreteMeasure(dim=3, atoms=np.array([atom, [0.1, 0.2, 0.3]]),
+                             weights=np.array([0.25, 0.75]))
+        fam = MeasureFamily(entries={s: nu})
+        rep = concentration_check(fam, p, 1.0, delta, probe_budget=4, rng=ProbeRng(9))
+        assert _same_bits(rep.details, _ref_details(fam, p, delta, 4, ProbeRng(9)))
+        assert (rep.details[s]["probe_tails"][0] == 0.25) is inside
+
+    gamma, pa = 4.0, _ref_evaluate(p.gram, p.psd_tol, u)
+    edge, tiny = _planted_atom(gamma * pa, u), _planted_atom(1e-9, u)
+    zero = GramForm(dim=3, gram=np.zeros((3, 3)))  # every probe takes the kernel branch
+    for atom, counted in [(edge, False), (edge * (1.0 + 1e-15), True)]:
+        nu = DiscreteMeasure(dim=3, atoms=np.array([atom, tiny, np.zeros(3)]),
+                             weights=np.array([0.5, 0.25, 0.25]))
+        _, forward, kernel, _ = _forward_tails(nu, p, u[None], gamma)
+        want = float(nu.weights[np.abs(nu.atoms @ u) > gamma * pa].sum())
+        assert _same_bits(float(forward[0]), want) and kernel[0] == 0.0
+        assert bool(forward[0] == 0.5) is counted
+        pa_zero, forward, kernel, _ = _forward_tails(nu, zero, u[None], gamma)
+        assert pa_zero[0] == 0.0 and forward[0] == 0.0
+        assert _same_bits(float(kernel[0]), _ref_tail(nu, u, threshold=1e-9))
+        assert kernel[0] == 0.75
+        assert _same_bits(exact_tail(nu, u, 1e-9), float(kernel[0]))
+
+
+def test_kernel_branch_and_not_psd_clamp_follow_the_per_probe_route():
+    """A p|_S that vanishes (every probe takes the kernel branch), one whose
+    slightly negative values clamp to 0 (those draws are skipped) and one
+    whose values break evaluate's NotPSD rule: the stacked route decides,
+    skips and raises as the per-probe reference does."""
+    s1, s01 = SubalgebraIndex(coords=(1,)), SubalgebraIndex(coords=(0, 1))
+    nu = DiscreteMeasure(dim=2, atoms=np.array([[0.5, 0.0], [-0.5, 0.0]]),
+                         weights=np.array([0.5, 0.5]))
+    kernel_p = GramForm(dim=2, gram=np.diag([1.0, 0.0]))  # p|_{1} = 0
+    fam = MeasureFamily(entries={s1: pushforward(nu, s1, s01), s01: nu})
+    new, ref = _RecordingRng(2), _RecordingRng(2)
+    assert concentration_equivalence_check(fam, kernel_p, [(0.5, 0.5)], probe_budget=6, rng=new)
+    assert _ref_equivalence(fam, kernel_p, [(0.5, 0.5)], 6, ref)
+    assert new.drawn == ref.drawn
+
+    clamped = GramForm(dim=2, gram=np.diag([1e-14, -9e-12]))
+    fam = MeasureFamily(entries={s01: nu})
+    rep = concentration_check(fam, clamped, 1.0, 0.5, probe_budget=16, rng=ProbeRng(3))
+    want = _ref_details(fam, clamped, 0.5, 16, ProbeRng(3))
+    assert _same_bits(rep.details, want)
+    assert 0 < len(want[s01]["probe_tails"]) < 16  # some draws clamp to 0
+
+    breaking = GramForm(dim=2, gram=np.diag([1e-14, -9.9e-11]))
+    with pytest.raises(NotPSD) as ref_err:
+        _ref_details(fam, breaking, 0.5, 16, ProbeRng(3))
+    with pytest.raises(NotPSD) as new_err:
+        concentration_check(fam, breaking, 1.0, 0.5, probe_budget=16, rng=ProbeRng(3))
+    assert str(new_err.value) == str(ref_err.value)
+    origin = MeasureFamily(entries={s01: DiscreteMeasure(dim=2, atoms=np.zeros((1, 2)),
+                                                          weights=np.array([1.0]))})
+    with pytest.raises(NotPSD) as ref_err:
+        _ref_equivalence(origin, breaking, [(1.0, 0.5)], 16, ProbeRng(3))
+    with pytest.raises(NotPSD) as new_err:
+        concentration_equivalence_check(
+            origin, breaking, [(1.0, 0.5)], probe_budget=16, rng=ProbeRng(3)
+        )
+    assert str(new_err.value) == str(ref_err.value)
+
+
+def test_spectral_pass_makes_one_eigh_per_index_size(monkeypatch):
+    """The spectral pass of an n-dim family restricts every index of one
+    size with one stacked eigh: at most n calls for 2^n - 1 indices, and
+    one eigvalsh per (size, rank) group."""
+    fam, p = _five_dim_family(24)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert concentration_check(fam, p, 0.05, 0.5).certified
+    assert calls == {"eigh": 5, "eigvalsh": 5}

@@ -47,7 +47,9 @@ from momentkit.moments import (
     log_squared_exponential_moments,
     monomials_up_to,
 )
+from momentkit.solver import solve_univariate
 from momentkit.symalg import power, slice_monomials
+from momentkit.traces import dominance_check, nuclear_tower, trace_scaling_check
 
 
 def two_atom_measure():
@@ -97,6 +99,31 @@ def test_constructors_raise_typed_invalid_input(build):
     that catch one."""
     with pytest.raises(InvalidInput) as info:
         build()
+    assert isinstance(info.value, MomentkitError)
+    assert isinstance(info.value, ValueError)
+
+
+_I2 = GramForm(dim=2, gram=np.eye(2))
+_Q_KERNEL = GramForm(dim=2, gram=np.diag([1.0, 0.0]))  # tr(I / q) is infinite
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: trace_scaling_check(_I2, _Q_KERNEL, 0.5, 2.0),
+        lambda: dominance_check(_I2, _Q_KERNEL),
+        lambda: nuclear_tower(dim=3, levels=1),
+        lambda: solve_univariate([1.0, 0.0]),
+        lambda: carleman_from_log_moments([0.0, 0.0, 0.0]),
+    ],
+    ids=["trace_scaling_infinite", "dominance_infinite", "tower_levels", "too_few_moments",
+         "too_few_log_moments"],
+)
+def test_library_calls_raise_typed_invalid_input(call):
+    """Out-of-domain arguments of library calls raise InvalidInput, which
+    is still the ValueError these calls raised before."""
+    with pytest.raises(InvalidInput) as info:
+        call()
     assert isinstance(info.value, MomentkitError)
     assert isinstance(info.value, ValueError)
 
