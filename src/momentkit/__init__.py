@@ -2,10 +2,9 @@
 
 The package covers: Gram-matrix seminorms and their relative traces,
 Gaussian sampling with certified tail/concentration bounds, graded seminorm
-towers on polynomial algebras, moment functionals with growth diagnostics,
-Chebyshev/Prokhorov concentration pipelines, and atomic measure recovery
-from moment matrices.  The ``momentkit`` console script runs packaged
-verification scenarios.
+towers on polynomial algebras, moment functionals, Chebyshev/Prokhorov
+concentration pipelines, and atomic measure recovery from moment matrices.
+The ``momentkit`` console script runs packaged verification scenarios.
 
 Public names are exported lazily (PEP 562): ``import momentkit`` loads only
 the standard library, and a submodule (with numpy) is imported on first
@@ -19,29 +18,29 @@ import importlib
 _EXPORTS = {
     "errors": (
         "ConfigError", "DegreeOverflow", "DimensionMismatch", "HypothesisNotCertified",
-        "HypothesisUnverifiable", "IllConditioned", "IncompleteSystem", "InfiniteTrace",
+        "IllConditioned", "IncompleteSystem", "InfiniteTrace",
         "InvalidInput", "KernelIssue", "KernelNotContained", "MomentkitError",
         "NegativeEvenMoment", "NotContinuous", "NotHomogeneous", "NotInScope", "NotPSD",
         "NotSquarePositive", "NotSubset", "RankNotFlat", "SingularForm", "ZeroNormDirection",
     ),
     "forms": (
         "INFINITE", "DualFunctional", "GramForm", "OrthonormalSystem", "dual_norm",
-        "evaluate", "gram_schmidt", "is_infinite", "kernel_basis", "polarize",
+        "evaluate", "gram_schmidt", "is_infinite", "kernel_basis",
         "simultaneous_diagonalize", "whitening_system",
     ),
     "traces": (
         "SeminormTower", "TraceMethod", "TraceReport", "WeightSequence", "construct_q",
-        "dominance_check", "nuclear_tower", "trace", "trace_restriction_check",
+        "nuclear_tower", "trace", "trace_restriction_check",
         "trace_scaling_check", "trace_value",
     ),
     "symalg": (
         "AlgebraElement", "GradedSeminormTower", "character_norm_bound",
         "evaluate_character", "graded_norm", "multiply", "p_tilde",
-        "polarization_bound_check", "q_tilde", "tilde_trace_identity",
+        "tilde_trace_identity",
     ),
     "moments": (
-        "BksReport", "CarlemanVerdict", "DiscreteMeasure", "MomentFunctional",
-        "QuadraticModuleSpec", "bks_growth_sequences", "carleman_diagnostic", "cbs_check",
+        "CarlemanVerdict", "DiscreteMeasure", "MomentFunctional",
+        "QuadraticModuleSpec", "carleman_diagnostic", "cbs_check",
         "continuity_constant", "from_measure", "localizing_matrix", "moment_matrix", "s_L",
         "square_constant", "square_positive_check",
     ),
@@ -52,7 +51,7 @@ _EXPORTS = {
     "concentration": (
         "MeasureFamily", "SubalgebraIndex", "concentration_check",
         "concentration_equivalence_check", "consistency_check", "full_lattice",
-        "orthonormal_cap_check", "prokhorov_mass_check", "pushforward",
+        "prokhorov_mass_check", "pushforward",
         "reverse_seminorm_construction", "verify_main_theorem_scenario",
     ),
     "solver": ("SolverResult", "solve_multivariate", "solve_univariate"),

@@ -40,7 +40,6 @@ from .errors import (
 from .forms import (
     DualFunctional,
     GramForm,
-    OrthonormalSystem,
     _above_cutoff,
     _evaluate_rows,
     _in_unit_dual_ball,
@@ -51,12 +50,11 @@ from .forms import (
 )
 from .moments import (
     DiscreteMeasure,
-    MomentFunctional,
     QuadraticModuleSpec,
     from_measure,
     monomials_up_to,
 )
-from .symalg import AlgebraElement, Character
+from .symalg import AlgebraElement
 from .traces import trace_value
 
 
@@ -168,14 +166,12 @@ def _power_rows(atoms: np.ndarray, exps: np.ndarray) -> np.ndarray:
     return np.prod(atoms[:, None, :] ** exps, axis=2)
 
 
-def consistency_check(
-    fam: MeasureFamily, degree: int = 4, tol: float = CONSISTENCY_ABS
-) -> bool:
+def consistency_check(fam: MeasureFamily, degree: int = 4) -> bool:
     """For every nested pair S within T (not only |T| = |S| + 1: the
-    tolerance is absolute, so differences add up along a chain), nu_T pushed
-    to S must match nu_S in all moments up to ``degree``.  Those are the
-    moments at nu_T's atoms projected onto S (merging coincident atoms only
-    changes rounding).  Per S, one column-major power table (the layout of a
+    tolerance CONSISTENCY_ABS is absolute, so differences add up along a
+    chain), nu_T pushed to S must match nu_S in all moments up to
+    ``degree``.  Those are the moments at nu_T's atoms projected onto S
+    (merging coincident atoms only changes rounding).  Per S, one column-major power table (the layout of a
     lone projection atoms[:, pos], so each product sums as for it alone)
     covers the projected atoms of all its supersets."""
     for s, sups in _supersets(fam.indices()):
@@ -185,7 +181,10 @@ def consistency_check(
         blocks = [nu.atoms[:, pos] for nu, (_, pos) in zip(nus, sups)]
         powers = _power_rows(np.asfortranarray(np.vstack(blocks)), exps)
         tables = np.split(powers, np.cumsum([len(b) for b in blocks[:-1]]))
-        if any(np.any(np.abs(nu.weights @ rows - own) > tol) for nu, rows in zip(nus, tables)):
+        if any(
+            np.any(np.abs(nu.weights @ rows - own) > CONSISTENCY_ABS)
+            for nu, rows in zip(nus, tables)
+        ):
             return False
     return True
 
@@ -304,9 +303,10 @@ def _worst_sup(spectra: dict, delta: float) -> float:
     return delta**2 * max([0.0] + [lam for _, lam in spectra.values()])
 
 
-def _certifies(value: float, epsilon: float, slack: float = CERTIFICATE_SLACK) -> bool:
-    """The certificate's acceptance rule: value <= epsilon (1 + slack) + 1e-15."""
-    return value <= epsilon * (1.0 + slack) + 1e-15
+def _certifies(value: float, epsilon: float) -> bool:
+    """The certificate's acceptance rule:
+    value <= epsilon (1 + CERTIFICATE_SLACK) + 1e-15."""
+    return value <= epsilon * (1.0 + CERTIFICATE_SLACK) + 1e-15
 
 
 class ProbeRng:
@@ -387,7 +387,6 @@ def concentration_check(
     delta: float,
     probe_budget: int = 16,
     rng=None,
-    cert_slack: float = CERTIFICATE_SLACK,
 ) -> ConcentrationReport:
     """Exact sufficient certificate per index S:
 
@@ -412,8 +411,8 @@ def concentration_check(
             "max_probe_tail": max(probes, default=0.0),
         }
     worst = _worst_sup(spectra, delta)
-    certified = _certifies(worst, epsilon, cert_slack) and all(
-        _certifies(t, epsilon, cert_slack) for d in details.values() for t in d["probe_tails"]
+    certified = _certifies(worst, epsilon) and all(
+        _certifies(t, epsilon) for d in details.values() for t in d["probe_tails"]
     )
     pairs = ((epsilon, delta),) if certified else ()
     details["worst_sup"] = worst
@@ -548,18 +547,8 @@ def prokhorov_mass_check(
 
 
 # ---------------------------------------------------------------------------
-# Reverse construction and the orthonormal cap
+# Reverse construction
 # ---------------------------------------------------------------------------
-
-
-def orthonormal_cap_check(
-    q: GramForm, e_sys: OrthonormalSystem, n: int, alpha: Character, slack: float = 1e-9
-) -> bool:
-    """For a character whose degree-1 functional has q-dual norm at most n,
-    the Bessel bound sum_e alpha(e)^2 <= n^2 over any q-orthonormal system."""
-    point = alpha.point
-    total = float(sum((point @ e) ** 2 for e in e_sys.vectors))
-    return total <= n**2 * (1.0 + slack) + 1e-12
 
 
 def reverse_seminorm_construction(

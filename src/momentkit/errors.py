@@ -96,11 +96,6 @@ class NotInScope(MomentkitError):
     """The hypothesis of the statement under test does not hold for the input."""
 
 
-class HypothesisUnverifiable(MomentkitError):
-    """The sufficient certificate for a lemma hypothesis failed; the
-    conclusion is reported but not asserted."""
-
-
 class HypothesisNotCertified(MomentkitError):
     """A downstream check requires a certificate that was not established."""
 

@@ -269,6 +269,18 @@ def evaluate(p: GramForm, v) -> float:
     return float(np.sqrt(_clamped(p, float(v @ p.gram @ v), v)))
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each row i: a stacked matmul runs, row by row, the
+    dot product two lone vectors get."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _quad_rows(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """v @ m @ v for each row v of ``vs``, bit for bit as for a lone v: its
+    vector-matrix product, then its dot product."""
+    return _row_dots(np.matmul(vs[:, None, :], m)[:, 0, :], vs)
+
+
 def _evaluate_rows(p: GramForm, vs: np.ndarray):
     """p(v) for the rows v of a (rows, dim) array, each bit for bit as
     ``evaluate`` gives it: one stacked product runs evaluate's
@@ -279,21 +291,13 @@ def _evaluate_rows(p: GramForm, vs: np.ndarray):
     vs = np.asarray(vs, dtype=float)
     if vs.ndim != 2 or vs.shape[1] != p.dim:
         raise DimensionMismatch(f"expected rows of length {p.dim}, got shape {vs.shape}")
-    vals = np.matmul(np.matmul(vs[:, None, :], p.gram), vs[:, :, None])[:, 0, 0]
+    vals = _quad_rows(p.gram, vs)
     for i in (vals < 0.0).nonzero()[0]:
         try:
             vals[i] = _clamped(p, float(vals[i]), vs[i])
         except NotPSD as err:
             return np.sqrt(vals[:i]), err
     return np.sqrt(vals), None
-
-
-def polarize(p: GramForm, v, w) -> float:
-    """Recover the bilinear form from the seminorm via the polarization
-    identity: <v, w>_p = (p(v+w)^2 - p(v)^2 - p(w)^2) / 2."""
-    v = _as_vector(v, p.dim)
-    w = _as_vector(w, p.dim)
-    return 0.5 * (evaluate(p, v + w) ** 2 - evaluate(p, v) ** 2 - evaluate(p, w) ** 2)
 
 
 def kernel_basis(p: GramForm) -> list[np.ndarray]:
@@ -309,16 +313,16 @@ def kernel_component(q: GramForm, vec) -> float:
     return float(np.linalg.norm(vk.T @ vec))
 
 
-def is_continuous(q: GramForm, l: DualFunctional, ker_tol: float | None = None) -> bool:
-    """Whether ell is q-continuous: coeffs orthogonal to ker(q) within tolerance."""
+def is_continuous(q: GramForm, l: DualFunctional) -> bool:
+    """Whether ell is q-continuous: coeffs orthogonal to ker(q) within
+    _KER_REL_TOL * max(1, |coeffs|)."""
     if l.dim != q.dim:
         raise DimensionMismatch(f"functional dim {l.dim} != form dim {q.dim}")
-    if ker_tol is None:
-        ker_tol = _KER_REL_TOL * max(1.0, float(np.linalg.norm(l.coeffs)))
+    ker_tol = _KER_REL_TOL * max(1.0, float(np.linalg.norm(l.coeffs)))
     return kernel_component(q, l.coeffs) <= ker_tol
 
 
-def dual_norm(q: GramForm, l: DualFunctional, ker_tol: float | None = None):
+def dual_norm(q: GramForm, l: DualFunctional):
     """Operator seminorm q'(ell) = sup_{q(v)<=1} |ell(v)|.
 
     Returns INFINITE when ell has a kernel component beyond tolerance,
@@ -326,7 +330,7 @@ def dual_norm(q: GramForm, l: DualFunctional, ker_tol: float | None = None):
     """
     if l.dim != q.dim:
         raise DimensionMismatch(f"functional dim {l.dim} != form dim {q.dim}")
-    if not is_continuous(q, l, ker_tol=ker_tol):
+    if not is_continuous(q, l):
         return INFINITE
     val = float(l.coeffs @ q.pseudo_inverse @ l.coeffs)
     return float(np.sqrt(max(val, 0.0)))
@@ -334,11 +338,15 @@ def dual_norm(q: GramForm, l: DualFunctional, ker_tol: float | None = None):
 
 def _in_unit_dual_ball(q: GramForm, points: np.ndarray) -> np.ndarray:
     """Row by row, whether those coefficients lie in the closed unit q-dual
-    ball; rows failing ``is_continuous``'s kernel test are outside."""
+    ball: dual_norm <= 1 + _DUAL_BALL_SLACK, where a row failing
+    ``is_continuous``'s kernel test is outside.  Each row's kernel test and
+    quadratic form run the products that row gets alone (stacked matmuls),
+    so its verdict does not depend on the rows stacked with it."""
     _, _, _, vk = q._split
-    ker_tol = _KER_REL_TOL * np.maximum(1.0, np.linalg.norm(points, axis=1))
-    continuous = np.linalg.norm(points @ vk, axis=1) <= ker_tol
-    quad = ((points @ q.pseudo_inverse) * points).sum(axis=1)
+    leak = np.matmul(vk.T, points[:, :, None])[:, :, 0]
+    ker_tol = _KER_REL_TOL * np.maximum(1.0, np.sqrt(_row_dots(points, points)))
+    continuous = np.sqrt(_row_dots(leak, leak)) <= ker_tol
+    quad = _quad_rows(q.pseudo_inverse, points)
     return continuous & (np.sqrt(np.maximum(quad, 0.0)) <= 1.0 + _DUAL_BALL_SLACK)
 
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import CERTIFICATE_SLACK, _certifies, _second_moment
+from .concentration import _certifies, _second_moment
 from .errors import (
-    HypothesisUnverifiable,
     InvalidInput,
     KernelNotContained,
     NotInScope,
@@ -259,8 +258,6 @@ def fundamental_lemma_check(
     q: GramForm,
     epsilon: float,
     delta: float,
-    cert_slack: float = CERTIFICATE_SLACK,
-    require_certificate: bool = False,
 ) -> FundamentalLemmaReport:
     """The atoms of mu are coefficient vectors of dual functionals.
 
@@ -287,11 +284,7 @@ def fundamental_lemma_check(
         lam = float(np.linalg.eigvalsh(w.T @ m @ w)[-1]) if w.size else 0.0
         sup = delta**2 * max(lam, 0.0)
 
-    certified = (not is_infinite(sup)) and _certifies(sup, epsilon, cert_slack)
-    if require_certificate and not certified:
-        raise HypothesisUnverifiable(
-            f"sufficient criterion gives {sup}, exceeds epsilon = {epsilon}"
-        )
+    certified = (not is_infinite(sup)) and _certifies(sup, epsilon)
 
     inside = _in_unit_dual_ball(q, mu.atoms)
     mass = sum(w for w, ok in zip(mu.weights, inside) if ok)

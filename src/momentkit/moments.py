@@ -10,7 +10,6 @@ in log space so that double-factorial growth at cutoff 200 stays finite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,7 +25,7 @@ from .errors import (
     NotSquarePositive,
     weights_sum_to_one,
 )
-from .forms import GramForm, INFINITE, OrthonormalSystem, is_infinite, jsonable
+from .forms import GramForm, INFINITE, OrthonormalSystem, jsonable
 from .symalg import (
     AlgebraElement,
     Character,
@@ -34,7 +33,6 @@ from .symalg import (
     evaluate_character,
     gradlex_key,
     multiply,
-    power,
     slice_monomials,
 )
 
@@ -480,123 +478,3 @@ def log_squared_exponential_moments(n_max: int) -> np.ndarray:
     """log e^{2n^2} = 2n^2 (an indeterminate-type growth profile)."""
     ns = np.arange(1, n_max + 1)
     return 2.0 * ns.astype(float) ** 2
-
-
-# ---------------------------------------------------------------------------
-# Growth sequences m_k, z_k
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class BksReport:
-    m: np.ndarray
-    z: tuple  # entries float or INFINITE
-    checks: dict
-    probe_results: tuple
-
-    def to_jsonable(self) -> dict:
-        return {
-            "m": [float(x) for x in self.m],
-            "z": [jsonable(x) for x in self.z],
-            "checks": dict(self.checks),
-            "probes": [dict(p) for p in self.probe_results],
-        }
-
-
-def bks_growth_sequences(
-    L: MomentFunctional,
-    E: list,
-    forms: list,
-    n_max: int,
-    probes: list | None = None,
-    slack: float = 1e-9,
-) -> BksReport:
-    """Growth sequences over a finite generating family E of degree-1
-    elements:
-
-        m_k = sqrt(max over 2k-tuples from E of |L(v_1 ... v_{2k})|)
-        z_k = (max_{v in E} p_{2k}(v))^k * sqrt(C_{L,2k})
-
-    with forms[k-1] = p_{2k}.  Checks: m_k <= z_k, log-convexity
-    m_k^2 <= m_{k-1} m_{k+1} (m_0 = 1), monotone k-th roots, and for each
-    probe v = sum lambda_i E_i the composite bound
-
-        L(v^{2k})^{1/(2k)} <= K_v * m_{2k}^{1/(2k)},   K_v = 1 + sum |lambda_i|.
-    """
-    if len(forms) != n_max:
-        raise DimensionMismatch(f"need {n_max} forms, got {len(forms)}")
-    elems = []
-    for e in E:
-        if isinstance(e, AlgebraElement):
-            elems.append(e)
-        else:
-            elems.append(AlgebraElement.from_vector(e, L.max_degree))
-    if 2 * n_max > L.max_degree:
-        raise DegreeOverflow(
-            f"need moments to degree {2 * n_max}, stored {L.max_degree}"
-        )
-
-    m = np.zeros(n_max + 1)
-    m[0] = float(np.sqrt(abs(L(AlgebraElement.one(L.dim, L.max_degree)))))
-    for k in range(1, n_max + 1):
-        best = 0.0
-        for combo in itertools.combinations_with_replacement(range(len(elems)), 2 * k):
-            prod = AlgebraElement.one(L.dim, L.max_degree)
-            for i in combo:
-                prod = multiply(prod, elems[i])
-            best = max(best, abs(L(prod)))
-        m[k] = np.sqrt(best)
-
-    z = []
-    for k in range(1, n_max + 1):
-        p2k = forms[k - 1]
-        sup_p = max(p2k(e.linear_coeffs()) for e in elems)
-        c = continuity_constant(L, p2k, k)
-        z.append(INFINITE if is_infinite(c) else float(sup_p**k * np.sqrt(c)))
-
-    definit_ok = all(
-        is_infinite(zk) or mk <= zk * (1 + slack) + slack
-        for mk, zk in zip(m[1:], z)
-    )
-    log_convex_ok = all(
-        m[k] ** 2 <= m[k - 1] * m[k + 1] * (1 + slack) + slack
-        for k in range(1, n_max)
-    )
-    roots = [m[k] ** (1.0 / k) if m[k] > 0 else 0.0 for k in range(1, n_max + 1)]
-    roots_ok = all(
-        roots[i] <= roots[i + 1] * (1 + slack) + slack for i in range(len(roots) - 1)
-    )
-
-    probe_results = []
-    bound_ok = True
-    for lam in probes or []:
-        lam = np.asarray(lam, dtype=float)
-        if len(lam) != len(elems):
-            raise DimensionMismatch("probe length must match |E|")
-        v = AlgebraElement.zero(L.dim, L.max_degree)
-        for c, e in zip(lam, elems):
-            v = v + float(c) * e
-        k_v = 1.0 + float(np.sum(np.abs(lam)))
-        worst = 0.0
-        ok = True
-        for k in range(1, n_max // 2 + 1):
-            val = max(L(power(v, 2 * k)), 0.0)
-            lhs = val ** (1.0 / (2 * k))
-            rhs = k_v * m[2 * k] ** (1.0 / (2 * k))
-            worst = max(worst, lhs - rhs)
-            if lhs > rhs * (1 + slack) + slack:
-                ok = False
-        probe_results.append(
-            {"lambda": [float(x) for x in lam], "K_v": k_v, "ok": ok, "worst_gap": worst}
-        )
-        bound_ok = bound_ok and ok
-
-    checks = {
-        "definit_ok": bool(definit_ok),
-        "log_convex_ok": bool(log_convex_ok),
-        "roots_monotone_ok": bool(roots_ok),
-        "bound_2k_ok": bool(bound_ok),
-    }
-    return BksReport(
-        m=m[1:], z=tuple(z), checks=checks, probe_results=tuple(probe_results)
-    )

@@ -327,12 +327,13 @@ def _run_concentration(params, seed):
 
     fam = MeasureFamily.from_global(_parse_measure(params["global_measure"]))
     p = _parse_form(params["p"])
+    budget = params.get("probe_budget", 16)
     rep = concentration_check(
         fam,
         p,
         params["epsilon"],
         params["delta"],
-        probe_budget=params.get("probe_budget", 16),
+        probe_budget=budget,
         rng=ProbeRng(seed),
     )
     passed = rep.certified
@@ -342,6 +343,7 @@ def _run_concentration(params, seed):
             fam,
             p,
             [tuple(g) for g in params["equivalence_grid"]],
+            probe_budget=budget,
             rng=ProbeRng(seed + 1),
         )
         results["equivalence"] = bool(ok)

@@ -47,7 +47,6 @@ from .errors import (
 from .forms import (
     DualFunctional,
     GramForm,
-    INFINITE,
     OrthonormalSystem,
     dual_norm,
     is_infinite,
@@ -492,51 +491,22 @@ class GradedSeminormTower:
         return float(sum(1.0 / w**2 for w in self.lam))
 
 
-def _tilde(
-    tower: GradedSeminormTower,
-    a: AlgebraElement,
-    systems: dict | None,
-    weights: tuple,
-    which: int,
-    with_constants: bool,
-) -> float:
-    """sqrt(w_0^2 |a^(0)|^2 + sum_d w_d^2 [C_{2d}] s_d~^(d)(a^(d))^2) with
-    s_d = base_forms[d-1][which]; shared by p~ and q~."""
+def p_tilde(tower: GradedSeminormTower, a: AlgebraElement) -> float:
+    """The weighted seminorm p~(a) =
+    sqrt(lam_0^2 |a^(0)|^2 + sum_d lam_d^2 C_{2d} p_{2d}~^(d)(a^(d))^2)."""
     if a.degree() > tower.max_degree:
         raise DegreeOverflow(
             f"element degree {a.degree()} exceeds tower degree {tower.max_degree}"
         )
     zero_idx = (0,) * tower.dim
-    total = (weights[0] * a.coefficient(zero_idx)) ** 2
+    total = (tower.lam[0] * a.coefficient(zero_idx)) ** 2
     for d in range(1, tower.max_degree + 1):
         comp = a.graded_component(d)
         if not comp.terms:
             continue
-        form = tower.base_forms[d - 1][which]
-        sysd = systems.get(d) if systems else None
-        gn = graded_norm(form, d, comp, system=sysd)
-        const = tower.constants[d - 1] if with_constants else 1.0
-        total += weights[d] ** 2 * const * gn**2
+        gn = graded_norm(tower.base_forms[d - 1][0], d, comp)
+        total += tower.lam[d] ** 2 * tower.constants[d - 1] * gn**2
     return float(np.sqrt(total))
-
-
-def p_tilde(
-    tower: GradedSeminormTower,
-    a: AlgebraElement,
-    systems: dict | None = None,
-) -> float:
-    """The weighted seminorm p~(a).  ``systems`` optionally maps degree d to
-    a reference OrthonormalSystem for p_{2d}."""
-    return _tilde(tower, a, systems, tower.lam, 0, True)
-
-
-def q_tilde(
-    tower: GradedSeminormTower,
-    a: AlgebraElement,
-    systems: dict | None = None,
-) -> float:
-    """The weighted seminorm q~(a) (weights eta_d, forms q_{2d}, no C)."""
-    return _tilde(tower, a, systems, tower.eta, 1, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,7 +533,7 @@ TILDE_REL_TOL = 1e-8  # relative agreement required of the two tilde-trace paths
 
 
 def tilde_trace_identity(
-    tower: GradedSeminormTower, d_max: int | None = None, rel_tol: float = TILDE_REL_TOL
+    tower: GradedSeminormTower, rel_tol: float = TILDE_REL_TOL
 ) -> TildeTraceReport:
     """Two-path evaluation of tr(p~/q~).
 
@@ -578,14 +548,10 @@ def tilde_trace_identity(
     paths compute the same quantity; the comparison checks the
     combinatorial bookkeeping, not a tautology.
     """
-    if d_max is None:
-        d_max = tower.max_degree
-    if not 1 <= d_max <= tower.max_degree:
-        raise DimensionMismatch(f"d_max {d_max} outside 1..{tower.max_degree}")
     formula = tower.lam[0] ** 2 / tower.eta[0] ** 2
     direct = formula
     per_degree = [(0, formula, formula)]
-    for d in range(1, d_max + 1):
+    for d in range(1, tower.max_degree + 1):
         p2d, q2d = tower.base_forms[d - 1]
         tr = trace(p2d, q2d)
         if is_infinite(tr.value):
@@ -628,7 +594,7 @@ def tilde_trace_identity(
 
 
 # ---------------------------------------------------------------------------
-# Character bound and polarization bound
+# Character bound
 # ---------------------------------------------------------------------------
 
 
@@ -655,42 +621,3 @@ def character_norm_bound(
     rhs = (rp * tr.value) ** d * graded_norm(s, d, a_d)
     ok = lhs <= rhs * (1.0 + 1e-9) + 1e-12
     return {"lhs": lhs, "rhs": rhs, "dual_norm": rp, "trace": tr.value, "ok": bool(ok)}
-
-
-def polarization_bound_check(
-    slice_functional,
-    r: GramForm,
-    d: int,
-    rng=None,
-    n_tuples: int = 64,
-    slack: float = 1e-9,
-) -> bool:
-    """Given a functional on the degree-d slice with |L(v^d)| <= r(v)^d
-    (certified on a sample), verify the polarization bound
-
-        |L(v_1 ... v_d)| <= (d^d / d!) r(v_1) ... r(v_d)
-
-    on random tuples.  ``slice_functional`` is a callable on AlgebraElement.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n = r.dim
-    const = d**d / math.factorial(d)
-    max_degree = d
-    # hypothesis certification on single vectors
-    for _ in range(n_tuples):
-        v = rng.standard_normal(n)
-        elem = power(AlgebraElement.from_vector(v, max_degree), d)
-        if abs(slice_functional(elem)) > r(v) ** d * (1.0 + slack) + slack:
-            return False
-    # polarization bound on tuples
-    for _ in range(n_tuples):
-        vs = [rng.standard_normal(n) for _ in range(d)]
-        elem = AlgebraElement.one(n, max_degree)
-        bound = const
-        for v in vs:
-            elem = multiply(elem, AlgebraElement.from_vector(v, max_degree))
-            bound *= r(v)
-        if abs(slice_functional(elem)) > bound * (1.0 + slack) + slack:
-            return False
-    return True

@@ -112,34 +112,6 @@ def trace_restriction_check(p: GramForm, q: GramForm, subspace_vectors,
     return bool(restricted.value <= full.value * (1.0 + slack) + slack)
 
 
-def dominance_check(p: GramForm, q: GramForm, rng=None, n_random: int = 32,
-                    slack: float = 1e-9) -> bool:
-    """Verify p(v)^2 <= tr(p/q) q(v)^2.
-
-    Checked both spectrally (lambda_max of the q-whitened p is at most the
-    trace) and pointwise on the standard basis plus random vectors."""
-    rep = trace(p, q)
-    if not rep.finite:
-        raise InvalidInput("dominance_check requires finite tr(p/q)")
-    tr = rep.value
-    w = whitening_system(q).matrix
-    if w.shape[1]:
-        p_hat = w.T @ p.gram @ w
-        lam = float(np.linalg.eigvalsh(0.5 * (p_hat + p_hat.T))[-1])
-        if lam > tr * (1.0 + slack) + slack:
-            return False
-    if rng is None:
-        rng = np.random.default_rng(0)
-    probes = [np.eye(p.dim)[i] for i in range(p.dim)]
-    probes += [rng.standard_normal(p.dim) for _ in range(n_random)]
-    for v in probes:
-        lhs = float(v @ p.gram @ v)
-        rhs = tr * float(v @ q.gram @ v)
-        if lhs > rhs * (1.0 + slack) + slack:
-            return False
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class SeminormTower:
     """Finite truncation of a directed family of seminorms: diagonal forms

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import importlib
-import inspect
 import json
 import math
 import os
@@ -17,16 +16,10 @@ import pytest
 
 import momentkit
 from momentkit.cli import main
-from momentkit.concentration import (
-    CERTIFICATE_SLACK,
-    CONSISTENCY_ABS,
-    IDENTITY_ABS,
-    concentration_check,
-    consistency_check,
-)
+from momentkit.concentration import CERTIFICATE_SLACK, CONSISTENCY_ABS, IDENTITY_ABS, ProbeRng
 from momentkit.errors import WEIGHT_SUM_TOL
 from momentkit.moments import DiscreteMeasure
-from momentkit.scenarios import _CHECKERS, SCENARIO_KINDS, validate_config
+from momentkit.scenarios import _CHECKERS, SCENARIO_KINDS, run_config, validate_config
 
 
 def fixture_path(name: str) -> str:
@@ -509,12 +502,7 @@ def test_monomial_cap_admits_every_degree_4_lattice():
 
 def test_lattice_tolerances_echo_the_constants_that_ran(tmp_path):
     """The tolerances a concentration or main_theorem report echoes are the
-    module constants the checks use as their defaults."""
-    assert inspect.signature(consistency_check).parameters["tol"].default == CONSISTENCY_ABS
-    assert (
-        inspect.signature(concentration_check).parameters["cert_slack"].default
-        == CERTIFICATE_SLACK
-    )
+    module constants the checks use."""
     expected = {
         "concentration": {"certificate_slack": CERTIFICATE_SLACK},
         "main_theorem": {
@@ -526,6 +514,25 @@ def test_lattice_tolerances_echo_the_constants_that_ran(tmp_path):
     for stem, tolerances in expected.items():
         assert run_cli("run", fixture_path(f"{stem}.json"), "--out", str(tmp_path)) == 0
         assert read_report(tmp_path, stem)["tolerances"] == tolerances
+
+
+def test_probe_budget_reaches_the_equivalence_check(monkeypatch):
+    """A concentration config's probe_budget sets the probes per index of
+    the equivalence check as well as those of the certificate."""
+    config = json.loads(Path(fixture_path("concentration.json")).read_text())
+    config["parameters"]["probe_budget"] = 1
+    rows = []
+    draw = ProbeRng.standard_normal
+
+    def counted(self, size):
+        out = draw(self, size)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(ProbeRng, "standard_normal", counted)
+    passed, results, _, _ = run_config(config)
+    assert passed and results["equivalence"]
+    assert rows and set(rows) == {1}
 
 
 def test_tolerance_echo_follows_overrides(tmp_path):

@@ -22,13 +22,11 @@ from momentkit import (
     full_lattice,
     fundamental_lemma_check,
     is_infinite,
-    orthonormal_cap_check,
     prokhorov_mass_check,
     pushforward,
     reverse_seminorm_construction,
     trace_value,
     verify_main_theorem_scenario,
-    whitening_system,
 )
 from momentkit.concentration import (
     CONSISTENCY_ABS,
@@ -54,7 +52,6 @@ from momentkit.forms import (
     principal_restrictions,
 )
 from momentkit.moments import monomials_up_to
-from momentkit.symalg import Character
 
 
 def two_atom():
@@ -218,20 +215,6 @@ def test_prokhorov_trace_identity_exact():
         c = np.sqrt(tr) / (delta * np.sqrt(eps))
         scaled = GramForm(dim=n, gram=(delta * c) ** 2 * np.asarray(q.gram))
         assert trace_value(p, scaled) == pytest.approx(eps, rel=1e-10)
-
-
-def test_orthonormal_cap():
-    q = GramForm(dim=3, gram=np.eye(3))
-    e_sys = whitening_system(q)
-    rng = np.random.default_rng(8)
-    for n in (1, 2, 4):
-        # alpha inside the dual ball of radius n
-        point = rng.standard_normal(3)
-        point = point / np.linalg.norm(point) * (0.9 * n)
-        assert orthonormal_cap_check(q, e_sys, n, Character(point=point))
-    # Parseval equality at dual norm exactly n
-    point = np.array([2.0, 0.0, 0.0])
-    assert orthonormal_cap_check(q, e_sys, 2, Character(point=point))
 
 
 def test_reverse_seminorm_trace_bound():

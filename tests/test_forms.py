@@ -16,7 +16,6 @@ from momentkit import (
     gram_schmidt,
     is_infinite,
     kernel_basis,
-    polarize,
     simultaneous_diagonalize,
     whitening_system,
 )
@@ -44,13 +43,6 @@ def test_evaluate_diag():
 def test_not_psd_rejected():
     with pytest.raises(NotPSD):
         GramForm(dim=2, gram=np.diag([1.0, -1.0]))
-
-
-def test_polarize_recovers_inner_product():
-    rng = np.random.default_rng(0)
-    p = random_psd(rng, 4)
-    v, w = rng.standard_normal(4), rng.standard_normal(4)
-    assert polarize(p, v, w) == pytest.approx(v @ p.gram @ w, rel=1e-10)
 
 
 def test_kernel_basis_rank_one_form():
@@ -198,7 +190,7 @@ def test_seminorm_triangle_and_homogeneity(data):
 def test_cauchy_schwarz_and_parallelogram(data):
     p, v, w = data
     pv, pw = evaluate(p, v), evaluate(p, w)
-    assert abs(polarize(p, v, w)) <= pv * pw * (1 + 1e-8) + 1e-8
+    assert abs(p.inner(v, w)) <= pv * pw * (1 + 1e-8) + 1e-8
     lhs = evaluate(p, v + w) ** 2 + evaluate(p, v - w) ** 2
     rhs = 2 * (pv**2 + pw**2)
     assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-7)
@@ -235,3 +227,32 @@ def test_in_unit_dual_ball_matches_dual_norm():
             assert got[len(rows):].tolist() == [inside for _, inside in planted]
             checked += len(points)
     assert checked > 400
+
+
+def test_in_unit_dual_ball_verdict_does_not_depend_on_the_stack():
+    """Rows planted on the 1 + 1e-9 dual-norm boundary and on the kernel
+    tolerance, stacked with random rows: the stacked verdict on each row
+    equals the verdict on that row alone and dual_norm's verdict."""
+    rng = np.random.default_rng(23)
+    checked = 0
+    for n, rank in [(2, 2), (3, 3), (4, 2), (5, 5), (6, 4), (7, 7), (8, 5)]:
+        for _ in range(6):
+            q = random_psd(rng, n, rank)
+            _, vr, _, vk = q._split
+            rows = []
+            for _ in range(60):
+                r = vr @ rng.standard_normal(vr.shape[1])
+                r = r / dual_norm(q, DualFunctional(dim=n, coeffs=r))
+                rows.append(r * (1.0 + 1e-9))
+                if vk.shape[1]:
+                    half = 0.5 * r
+                    tol = 1e-8 * max(1.0, float(np.linalg.norm(half)))
+                    rows.append(half + tol * vk[:, int(rng.integers(vk.shape[1]))])
+            rows += [rng.standard_normal(n) for _ in range(20)]
+            points = np.array(rows)[rng.permutation(len(rows))]
+            stacked = forms._in_unit_dual_ball(q, points).tolist()
+            alone = [bool(forms._in_unit_dual_ball(q, row[None])[0]) for row in points]
+            assert stacked == alone
+            assert stacked == [_inside_by_dual_norm(q, row) for row in points]
+            checked += len(points)
+    assert checked > 4000

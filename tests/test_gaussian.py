@@ -23,7 +23,6 @@ from momentkit import (
     tail_lower_bound_check,
 )
 from momentkit.errors import (
-    HypothesisUnverifiable,
     KernelNotContained,
     NotInScope,
     SingularForm,
@@ -173,10 +172,6 @@ def test_fundamental_lemma_uncertified_branch():
     rep = fundamental_lemma_check(mu, p, q, epsilon=0.01, delta=0.1)
     assert not rep.hypothesis_certified
     assert rep.conclusion_ok is None
-    with pytest.raises(HypothesisUnverifiable):
-        fundamental_lemma_check(
-            mu, p, q, epsilon=0.01, delta=0.1, require_certificate=True
-        )
 
 
 def test_fundamental_lemma_mass_bound_random():

@@ -17,7 +17,6 @@ from momentkit import (
     INFINITE,
     MomentFunctional,
     QuadraticModuleSpec,
-    bks_growth_sequences,
     carleman_diagnostic,
     continuity_constant,
     from_measure,
@@ -49,7 +48,7 @@ from momentkit.moments import (
 )
 from momentkit.solver import solve_univariate
 from momentkit.symalg import power, slice_monomials
-from momentkit.traces import dominance_check, nuclear_tower, trace_scaling_check
+from momentkit.traces import nuclear_tower, trace_scaling_check
 
 
 def two_atom_measure():
@@ -111,13 +110,11 @@ _Q_KERNEL = GramForm(dim=2, gram=np.diag([1.0, 0.0]))  # tr(I / q) is infinite
     "call",
     [
         lambda: trace_scaling_check(_I2, _Q_KERNEL, 0.5, 2.0),
-        lambda: dominance_check(_I2, _Q_KERNEL),
         lambda: nuclear_tower(dim=3, levels=1),
         lambda: solve_univariate([1.0, 0.0]),
         lambda: carleman_from_log_moments([0.0, 0.0, 0.0]),
     ],
-    ids=["trace_scaling_infinite", "dominance_infinite", "tower_levels", "too_few_moments",
-         "too_few_log_moments"],
+    ids=["trace_scaling_infinite", "tower_levels", "too_few_moments", "too_few_log_moments"],
 )
 def test_library_calls_raise_typed_invalid_input(call):
     """Out-of-domain arguments of library calls raise InvalidInput, which
@@ -419,18 +416,3 @@ def test_carleman_via_functional_measure_path():
     L = from_measure(nu, 4)
     diag = carleman_diagnostic(L, AlgebraElement.variable(1, 2, 1), n_max=100)
     assert diag.verdict is CarlemanVerdict.DIVERGENT_LIKELY
-
-
-def test_bks_growth_sequences_gaussian_like():
-    """Two-atom symmetric measure: checks m0 = 1, log-convexity, monotone
-    roots, the z-domination, and the 2k-th moment probe bound."""
-    nu = DiscreteMeasure(
-        dim=1, atoms=np.array([[-1.0], [1.0]]), weights=np.array([0.5, 0.5])
-    )
-    L = from_measure(nu, 8)
-    E = [np.array([1.0])]
-    p = GramForm(dim=1, gram=np.eye(1))
-    forms = [p] * 4
-    rep = bks_growth_sequences(L, E, forms, n_max=4)
-    assert rep.m[0] == pytest.approx(1.0)
-    assert all(rep.checks.values()), rep.checks

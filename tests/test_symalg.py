@@ -18,8 +18,6 @@ from momentkit import (
     graded_norm,
     multiply,
     p_tilde,
-    polarization_bound_check,
-    q_tilde,
     tilde_trace_identity,
 )
 from momentkit.errors import DegreeOverflow, NotHomogeneous, NotInScope
@@ -286,13 +284,6 @@ def test_p_tilde_2sqrt3_example():
     assert p_tilde(tower, a) == pytest.approx(2.0 * np.sqrt(3.0), abs=1e-10)
 
 
-def test_q_tilde_no_constants():
-    tower = simple_tower(1, 2, [np.eye(1)] * 2, [np.eye(1)] * 2,
-                         consts=[5.0, 7.0], eta=[1.0, 2.0, 1.0])
-    a = x(0, 1, 2)
-    assert q_tilde(tower, a) == pytest.approx(2.0, abs=1e-12)
-
-
 def test_tilde_trace_identity_minimal():
     tower = simple_tower(1, 1, [np.eye(1)], [np.eye(1)])
     rep = tilde_trace_identity(tower)
@@ -373,22 +364,3 @@ def test_polarization_constants():
     assert 1**1 / math.factorial(1) == 1.0
     assert 2**2 / math.factorial(2) == 2.0
     assert 3**3 / math.factorial(3) == 4.5
-
-
-def test_polarization_bound_on_measure_functional():
-    """|L(v^d)| <= r(v)^d for L integrating against a measure inside the
-    r-unit ball implies the d^d/d! tuple bound."""
-    rng = np.random.default_rng(4)
-    r = GramForm(dim=2, gram=np.eye(2))
-    # atoms strictly inside the Euclidean unit ball
-    atoms = np.array([[0.3, 0.2], [-0.4, 0.1], [0.0, -0.5]])
-    weights = np.array([0.5, 0.3, 0.2])
-    for d in (1, 2, 3):
-
-        def slice_l(elem, d=d):
-            return sum(
-                w * evaluate_character(Character(point=a), elem)
-                for a, w in zip(atoms, weights)
-            )
-
-        assert polarization_bound_check(slice_l, r, d, rng=rng)

@@ -8,7 +8,6 @@ import pytest
 from momentkit import (
     GramForm,
     TraceMethod,
-    dominance_check,
     is_infinite,
     nuclear_tower,
     trace,
@@ -74,13 +73,6 @@ def test_trace_restriction_monotone():
         q = random_psd(rng, 5)
         sub = [rng.standard_normal(5) for _ in range(3)]
         assert trace_restriction_check(p, q, sub)
-
-
-def test_dominance_bound():
-    rng = np.random.default_rng(12)
-    p = random_psd(rng, 4)
-    q = random_psd(rng, 4)
-    assert dominance_check(p, q, rng=np.random.default_rng(0))
 
 
 def test_nuclear_tower_consecutive_traces():
