@@ -51,6 +51,8 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     problems = validate_config(config)
+    if args.seed is not None and args.seed < 0:
+        problems.append("--seed must be a nonnegative integer")
     if problems:
         for p in problems:
             print(f"error: {p}", file=sys.stderr)

@@ -3,26 +3,23 @@
 A family assigns to each coordinate subset S a discrete measure on R^|S|
 (the marginal picture of a projective system).  All probabilities are exact
 weight sums; concentration over the delta-ball is certified through the
-exact Chebyshev eigenvalue criterion and independently probed by sampling.
-Its sup over the delta-ball of an index S is delta^2 lambda_S, lambda_S
-the top eigenvalue of nu_S's second-moment matrix whitened by p|_S, so one
-spectrum per index decides every (epsilon, delta) pair.  The spectral pass
-restricts all indices of one size with one stacked decomposition and
+exact Chebyshev eigenvalue criterion.  Its sup over the delta-ball of an
+index S is delta^2 lambda_S, lambda_S the top eigenvalue of nu_S's
+second-moment matrix whitened by p|_S, so one spectrum per index decides
+every (epsilon, delta) pair, and the eps-gamma equivalence too: Chebyshev
+bounds every tail the certificate speaks of by that sup.  The spectral
+pass restricts all indices of one size with one stacked decomposition and
 whitens them in stacks per (size, rank).  A family keeps the pass of the
 last form p it met (its entries are read-only, so the pass cannot go
 stale), so all checks on one (family, p) share it; the nested checks sweep
-each index once against all of its supersets.  The probes are drawn per
-index, as blocks in stream order, and evaluated a block at a time, each
-value bit for bit what a lone probe gets.  The module ends in a nine-stage
-verification pipeline combining moment functionals, concentration
-certificates and Prokhorov-type mass bounds.
+each index once against all of its supersets.  The module ends in a
+nine-stage verification pipeline combining moment functionals,
+concentration certificates and Prokhorov-type mass bounds.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -41,7 +38,6 @@ from .forms import (
     DualFunctional,
     GramForm,
     _above_cutoff,
-    _evaluate_rows,
     _in_unit_dual_ball,
     dual_norm,
     is_infinite,
@@ -229,27 +225,10 @@ def _second_moment(nu: DiscreteMeasure) -> np.ndarray:
     return np.einsum("j,ji,jk->ik", nu.weights, nu.atoms, nu.atoms)
 
 
-def _abs_values(nu: DiscreteMeasure, a: np.ndarray) -> np.ndarray:
-    """|alpha(a)| for each row a of ``a`` (rows) and atom alpha (columns):
-    one stacked product of the matrix-vector products nu.atoms @ a, so each
-    value is the one a lone vector gets (one matrix product atoms @ a.T
-    would sum in another order)."""
-    return np.abs(np.matmul(nu.atoms, a[:, :, None])[:, :, 0])
-
-
-def _row_tails(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """weights[m].sum() for each row m of a boolean (rows, atoms) mask, the
-    same float sum as for a lone row; a row that selects no atom is 0.0."""
-    out = np.zeros(len(mask))
-    for i in mask.any(axis=1).nonzero()[0]:
-        out[i] = weights[mask[i]].sum()
-    return out
-
-
 def exact_tail(nu: DiscreteMeasure, a: np.ndarray, threshold: float = 1.0) -> float:
     """nu({alpha : |alpha(a)| >= threshold}) as an exact weight sum."""
-    a = np.asarray(a, dtype=float)[None]
-    return float(_row_tails(nu.weights, _abs_values(nu, a) >= threshold)[0])
+    a = np.asarray(a, dtype=float)
+    return float(nu.weights[np.abs(nu.atoms @ a) >= threshold].sum())
 
 
 def _index_spectra(fam: MeasureFamily, p: GramForm) -> dict:
@@ -309,151 +288,47 @@ def _certifies(value: float, epsilon: float) -> bool:
     return value <= epsilon * (1.0 + CERTIFICATE_SLACK) + 1e-15
 
 
-class ProbeRng:
-    """Seeded standard normal draws for the falsification probes, from the
-    standard library's Mersenne Twister.  The probes cannot change a
-    decision (Chebyshev bounds every probed tail by the certified sup), so
-    any seeded stream serves; this one keeps ``numpy.random``, and the
-    OpenSSL library it loads through ``secrets`` (about 6 MB resident and
-    14 ms of import on a 2-core x86-64 machine), out of every run that
-    does not sample.  ``standard_normal(size)`` takes a length or a shape
-    and fills it in stream order, as a numpy Generator does, so one
-    (draws, dim) block holds the draws of as many length-dim calls.  The
-    checks draw each index's probes as such blocks; any object with this
-    method, a numpy Generator too, can stand in for it.
-
-    The stream is that of ``random.Random(seed).gauss(0.0, 1.0)``: each
-    pair of uniforms gives two values by the same Box-Muller arithmetic,
-    and the second waits for the next draw as ``gauss`` keeps it, without
-    a method call per value (which took about 60 % of the drawing time)."""
-
-    def __init__(self, seed: int):
-        self._random = random.Random(seed).random
-        self._spare: list = []  # the second value of the last pair, not yet drawn
-
-    def standard_normal(self, size) -> np.ndarray:
-        out = np.empty(size)
-        values, rand = self._spare, self._random
-        for _ in range((out.size - len(values) + 1) // 2):
-            x2pi = rand() * _TWOPI
-            g2rad = math.sqrt(-2.0 * math.log(1.0 - rand()))
-            values.append(0.0 + math.cos(x2pi) * g2rad * 1.0)
-            values.append(0.0 + math.sin(x2pi) * g2rad * 1.0)
-        out.reshape(-1)[:] = values[: out.size]
-        self._spare = values[out.size:]
-        return out
-
-
-_TWOPI = 2.0 * math.pi  # random.TWOPI
-_PROBE_BLOCK = 1024  # most probes drawn and evaluated at once: bounds peak memory
-
-
-def _probe_blocks(rng, budget: int, dim: int):
-    """``budget`` standard normal vectors of R^dim in stream order, as
-    (rows, dim) blocks of at most _PROBE_BLOCK rows."""
-    for start in range(0, budget, _PROBE_BLOCK):
-        yield rng.standard_normal((min(_PROBE_BLOCK, budget - start), dim))
-
-
-def _sphere_tails(nu: DiscreteMeasure, p_s: GramForm, radius: float, budget: int, rng):
-    """Exact tails nu(|alpha(a)| >= 1) at a = radius u / p_S(u) for
-    ``budget`` standard normal vectors u, yielded as one array per block;
-    draws with p_S(u) = 0 are skipped.  A NotPSD met in a block is raised
-    after the tails of the draws before it, as a draw-by-draw loop would."""
-    for u in _probe_blocks(rng, budget, p_s.dim):
-        nrm, err = _evaluate_rows(p_s, u)
-        keep = nrm > 0
-        a = (radius / nrm[keep])[:, None] * u[: len(nrm)][keep]
-        yield _row_tails(nu.weights, _abs_values(nu, a) >= 1.0)
-        if err is not None:
-            raise err
-
-
-def _forward_tails(nu: DiscreteMeasure, p_s: GramForm, a: np.ndarray, gamma: float):
-    """For the rows a of one block, up to a NotPSD (see _evaluate_rows):
-    (p_S(a), forward tails nu(|alpha(a)| > gamma p_S(a)) where p_S(a) > 0,
-    kernel-branch tails nu(|alpha(a)| >= 1e-9) where p_S(a) = 0, error)."""
-    pa, err = _evaluate_rows(p_s, a)
-    vals, pos = _abs_values(nu, a[: len(pa)]), (pa > 0)[:, None]
-    forward = _row_tails(nu.weights, (vals > gamma * pa[:, None]) & pos)
-    kernel = _row_tails(nu.weights, (vals >= 1e-9) & ~pos)
-    return pa, forward, kernel, err
-
-
 def concentration_check(
-    fam: MeasureFamily,
-    p: GramForm,
-    epsilon: float,
-    delta: float,
-    probe_budget: int = 16,
-    rng=None,
+    fam: MeasureFamily, p: GramForm, epsilon: float, delta: float
 ) -> ConcentrationReport:
     """Exact sufficient certificate per index S:
 
         sup_{p(a) <= delta, a in S} (nu_S-second moment of hat a)
             = delta^2 lambda_max(second-moment matrix whitened by p|_S)
 
-    certified when that sup is at most epsilon for every S (Chebyshev then
-    bounds every tail nu_S(|alpha(a)| >= 1) by epsilon).  Additionally
-    probes random degree-1 elements on the delta-sphere with exact tail
-    weights as falsification attempts.
+    certified when that sup is at most epsilon for every S.  By Chebyshev
+    it bounds every tail nu_S(|alpha(a)| >= 1) at p(a) = delta, so no
+    sampled a could refute a certified pair unless lambda_S were wrong.
     """
-    rng = ProbeRng(0) if rng is None else rng
     spectra = _index_spectra(fam, p)
-    details: dict = {}
-    for s, (p_s, lam) in spectra.items():
-        budget = probe_budget if p_s.rank else 0
-        tails = _sphere_tails(fam.entries[s], p_s, delta, budget, rng)
-        probes = [t for block in tails for t in block.tolist()]
-        details[s] = {
-            "sup": delta**2 * lam,
-            "probe_tails": probes,
-            "max_probe_tail": max(probes, default=0.0),
-        }
+    details: dict = {s: {"sup": delta**2 * lam} for s, (_, lam) in spectra.items()}
     worst = _worst_sup(spectra, delta)
-    certified = _certifies(worst, epsilon) and all(
-        _certifies(t, epsilon) for d in details.values() for t in d["probe_tails"]
-    )
-    pairs = ((epsilon, delta),) if certified else ()
+    pairs = ((epsilon, delta),) if _certifies(worst, epsilon) else ()
     details["worst_sup"] = worst
     return ConcentrationReport(certified_pairs=pairs, details=details)
 
 
-def concentration_equivalence_check(
-    fam: MeasureFamily,
-    p: GramForm,
-    grid,
-    probe_budget: int = 16,
-    rng=None,
-) -> bool:
+def concentration_equivalence_check(fam: MeasureFamily, p: GramForm, grid) -> bool:
     """On each (epsilon, delta) grid point where the eps-delta certificate
     holds, verify the eps-gamma formulation with gamma = 1/delta' for
-    delta' = delta/2 (strictly inside), and the converse at delta'' < 1/gamma.
-    Checks are exact tail sums on random probes, with the p(a) = 0 branch
-    handled through the vanish-on-kernel property.
+    delta' = delta/2 (strictly inside), and the converse at delta'' =
+    0.9/gamma < 1/gamma, in closed form from the index spectra.  By
+    homogeneity the forward tail nu_S(|alpha(a)| > gamma p(a)) is a tail at
+    1 on the 1/gamma-sphere of p|_S, so Chebyshev bounds it by lambda_S /
+    gamma^2, the worst sup at 1/gamma; the converse tails at p(a) = delta''
+    by the worst sup at delta''.  Both must pass the certificate's rule.
+    The p(a) = 0 branch, where nu_S must put all mass at alpha(a) = 0, is
+    the kernel test on which _index_spectra raises KernelIssue.
     """
-    if rng is None:
-        rng = ProbeRng(1)
     grid = list(grid)
     spectra = _index_spectra(fam, p) if grid else {}
     for epsilon, delta in grid:
         if not _certifies(_worst_sup(spectra, delta), epsilon):
             continue
         gamma = 1.0 / (delta / 2.0)
-        for s, (p_s, _) in spectra.items():
-            nu = fam.entries[s]
-            for a in _probe_blocks(rng, probe_budget, len(s)):
-                pa, forward, kernel, err = _forward_tails(nu, p_s, a, gamma)
-                # forward: nu(|alpha(a)| > gamma p(a)) <= epsilon;
-                # kernel branch: all mass at alpha(a) = 0
-                if np.any(np.where(pa > 0, forward > epsilon + 1e-12, kernel > 1e-12)):
-                    return False
-                if err is not None:
-                    raise err
-            # converse: eps-gamma at gamma implies eps-delta at delta'' < 1/gamma
-            tails = _sphere_tails(nu, p_s, 0.9 / gamma, probe_budget, rng)
-            if any(np.any(block > epsilon + 1e-12) for block in tails):
-                return False
+        radii = (1.0 / gamma, 0.9 / gamma)
+        if not all(_certifies(_worst_sup(spectra, r), epsilon) for r in radii):
+            return False
     return True
 
 
@@ -607,7 +482,6 @@ def verify_main_theorem_scenario(
     quad_module: QuadraticModuleSpec,
     degrees: int,
     eps_grid,
-    probe_budget: int = 8,
 ) -> ScenarioReport:
     """End-to-end desk-scale verification: build the moment functional of a
     target measure, its degree-1 seminorm s_L, the marginal family over the
@@ -667,9 +541,7 @@ def verify_main_theorem_scenario(
     def stage_concentration():
         fam, s_form = state["family"], state["s_form"]
         results = {
-            f"{eps}": concentration_check(
-                fam, s_form, eps, float(np.sqrt(eps)), probe_budget
-            ).certified
+            f"{eps}": concentration_check(fam, s_form, eps, float(np.sqrt(eps))).certified
             for eps in eps_grid
         }
         return ("pass" if all(results.values()) else "fail"), {"certified": results}

@@ -21,6 +21,7 @@ LATTICE_CAP = 12  # largest dimension whose full coordinate lattice is swept
 # Most monomials C(n + degrees, degrees) a main_theorem config may ask for:
 # the count of the largest lattice (n = LATTICE_CAP) at degree 4.
 MONOMIAL_CAP = math.comb(LATTICE_CAP + 4, 4)
+CARLEMAN_MIN_MOMENTS = 4  # fewest even moments the growth diagnostic fits
 
 
 def weights_sum_to_one(weights) -> bool:

@@ -252,21 +252,17 @@ class OrthonormalSystem:
 # ---------------------------------------------------------------------------
 
 
-def _clamped(p: GramForm, val: float, v: np.ndarray) -> float:
-    """``evaluate``'s rule for val = v' gram v < 0: round-off down to
-    -psd_tol * max(1, lambda_max v'v) reads 0, anything lower is NotPSD."""
+def evaluate(p: GramForm, v) -> float:
+    """Seminorm value p(v) = sqrt(v' gram v), clamping tiny negative round-off:
+    values down to -psd_tol * max(1, lambda_max v'v) read 0, lower is NotPSD."""
+    v = _as_vector(v, p.dim)
+    val = float(v @ p.gram @ v)
     if val < 0.0:
         scale = max(1.0, p.lambda_max * float(v @ v))
         if val < -p.psd_tol * scale:
             raise NotPSD(f"quadratic form value {val:.3e} below clamping tolerance")
         val = 0.0
-    return val
-
-
-def evaluate(p: GramForm, v) -> float:
-    """Seminorm value p(v) = sqrt(v' gram v), clamping tiny negative round-off."""
-    v = _as_vector(v, p.dim)
-    return float(np.sqrt(_clamped(p, float(v @ p.gram @ v), v)))
+    return float(np.sqrt(val))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -279,25 +275,6 @@ def _quad_rows(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """v @ m @ v for each row v of ``vs``, bit for bit as for a lone v: its
     vector-matrix product, then its dot product."""
     return _row_dots(np.matmul(vs[:, None, :], m)[:, 0, :], vs)
-
-
-def _evaluate_rows(p: GramForm, vs: np.ndarray):
-    """p(v) for the rows v of a (rows, dim) array, each bit for bit as
-    ``evaluate`` gives it: one stacked product runs evaluate's
-    vector-matrix product and dot on every row.  Rows count in order up to
-    the first that breaks evaluate's NotPSD rule; returns the values before
-    it and that error (None when every row passes), so a caller can act on
-    those rows first, as a row-by-row loop would."""
-    vs = np.asarray(vs, dtype=float)
-    if vs.ndim != 2 or vs.shape[1] != p.dim:
-        raise DimensionMismatch(f"expected rows of length {p.dim}, got shape {vs.shape}")
-    vals = _quad_rows(p.gram, vs)
-    for i in (vals < 0.0).nonzero()[0]:
-        try:
-            vals[i] = _clamped(p, float(vals[i]), vs[i])
-        except NotPSD as err:
-            return np.sqrt(vals[:i]), err
-    return np.sqrt(vals), None
 
 
 def kernel_basis(p: GramForm) -> list[np.ndarray]:

@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    CARLEMAN_MIN_MOMENTS,
     WEIGHT_SUM_TOL,
     DegreeOverflow,
     DimensionMismatch,
@@ -383,8 +384,8 @@ def carleman_from_log_moments(
     done from the logs, so the raw moments may exceed float range."""
     logs = np.asarray(log_even_moments, dtype=float)
     n_max = len(logs)
-    if n_max < 4:
-        raise InvalidInput("need at least 4 even moments")
+    if n_max < CARLEMAN_MIN_MOMENTS:
+        raise InvalidInput(f"need at least {CARLEMAN_MIN_MOMENTS} even moments")
     ns = np.arange(1, n_max + 1)
     log_t = -logs / (2.0 * ns)
     terms = np.exp(log_t)

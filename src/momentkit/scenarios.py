@@ -16,7 +16,7 @@ import difflib
 import math
 import sys
 
-from .errors import LATTICE_CAP, MONOMIAL_CAP, ConfigError, weights_sum_to_one
+from .errors import CARLEMAN_MIN_MOMENTS, LATTICE_CAP, MONOMIAL_CAP, weights_sum_to_one
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +35,8 @@ def _is_number(x) -> bool:
 
 
 def _is_squarable(x) -> bool:
-    """A positive number whose square is finite (the checks square delta)."""
-    return _is_number(x) and x > 0 and math.isfinite(float(x) * float(x))
+    """A positive number with a finite, nonzero square (the checks square delta)."""
+    return _is_number(x) and x > 0 and 0.0 < float(x) * float(x) < math.inf
 
 
 def _check_matrix(x, where, errors):
@@ -125,6 +125,7 @@ _CHECKERS = {
     "vector": _check_vector,
     "positive_vector": _vector_checker(lambda v: v > 0, "positive numbers"),
     "nonnegative_vector": _vector_checker(lambda v: v >= 0, "nonnegative numbers"),
+    "squarable_vector": _vector_checker(_is_squarable, "positive numbers with finite, nonzero squares"),
     "measure": _check_measure,
     "element": _check_element,
     "number": lambda x, w, e: None if _is_number(x) else e.append(f"{w}: expected a number"),
@@ -133,7 +134,7 @@ _CHECKERS = {
     else e.append(f"{w}: expected a positive number"),
     "squarable": lambda x, w, e: None
     if _is_squarable(x)
-    else e.append(f"{w}: expected a positive number whose square is finite"),
+    else e.append(f"{w}: expected a positive number whose square is finite and nonzero"),
     "positive_integer": lambda x, w, e: None
     if isinstance(x, int) and not isinstance(x, bool) and x > 0
     else e.append(f"{w}: expected a positive integer"),
@@ -146,7 +147,7 @@ _CHECKERS = {
     "squarable_pair_list": lambda x, w, e: None
     if isinstance(x, list)
     and all(isinstance(p, list) and len(p) == 2 and all(map(_is_squarable, p)) for p in x)
-    else e.append(f"{w}: expected a list of pairs of positive numbers with finite squares"),
+    else e.append(f"{w}: expected a list of pairs of positive numbers with finite, nonzero squares"),
     "vector_list": lambda x, w, e: [_check_vector(v, f"{w}[{i}]", e) for i, v in enumerate(x)]
     if isinstance(x, list) and x
     else e.append(f"{w}: expected a nonempty list of vectors"),
@@ -320,32 +321,17 @@ def _fundamental_lemma_tolerances(params):
 def _run_concentration(params, seed):
     from .concentration import (
         MeasureFamily,
-        ProbeRng,
         concentration_check,
         concentration_equivalence_check,
     )
 
     fam = MeasureFamily.from_global(_parse_measure(params["global_measure"]))
     p = _parse_form(params["p"])
-    budget = params.get("probe_budget", 16)
-    rep = concentration_check(
-        fam,
-        p,
-        params["epsilon"],
-        params["delta"],
-        probe_budget=budget,
-        rng=ProbeRng(seed),
-    )
+    rep = concentration_check(fam, p, params["epsilon"], params["delta"])
     passed = rep.certified
     results = {"concentration": rep.to_jsonable()}
     if "equivalence_grid" in params:
-        ok = concentration_equivalence_check(
-            fam,
-            p,
-            [tuple(g) for g in params["equivalence_grid"]],
-            probe_budget=budget,
-            rng=ProbeRng(seed + 1),
-        )
+        ok = concentration_equivalence_check(fam, p, params["equivalence_grid"])
         results["equivalence"] = bool(ok)
         passed = passed and ok
     return passed, results, {}
@@ -427,19 +413,11 @@ def _run_carleman(params, seed):
     n_max = params["n_max"]
     margin = _carleman_tolerances(params)["decay_margin"]
     family = params.get("family")
-    if family is not None:
-        if family == "gaussian":
-            logs = log_gaussian_even_moments(n_max)
-        elif family == "squared_exponential":
-            logs = log_squared_exponential_moments(n_max)
-        else:
-            raise ConfigError(
-                f"unknown carleman family {family!r}: expected gaussian or "
-                "squared_exponential"
-            )
+    if family == "gaussian":
+        logs = log_gaussian_even_moments(n_max)
+    elif family == "squared_exponential":
+        logs = log_squared_exponential_moments(n_max)
     else:
-        if "measure" not in params or "direction" not in params:
-            raise ConfigError("carleman needs either family or measure+direction")
         logs = log_even_moments_from_measure(
             _parse_measure(params["measure"]),
             np.asarray(params["direction"], dtype=float),
@@ -465,6 +443,19 @@ def _run_carleman(params, seed):
         }
     }
     return passed, diag.to_jsonable(), tables
+
+
+def _carleman_rules(params, errors):
+    family = params.get("family")
+    if family not in (None, "gaussian", "squared_exponential"):
+        errors.append(f"parameters.family: expected gaussian or squared_exponential, got {family!r}")
+    elif family is None and not {"measure", "direction"} <= set(params):
+        errors.append("parameters: carleman needs either family or measure+direction")
+    elif family is None:
+        n = len(params["measure"]["atoms"][0])
+        _check_size(errors, "parameters.direction", len(params["direction"]), n, "atom length")
+    if params["n_max"] < CARLEMAN_MIN_MOMENTS:
+        errors.append(f"parameters.n_max: expected at least {CARLEMAN_MIN_MOMENTS} even moments")
 
 
 def _carleman_tolerances(params):
@@ -585,10 +576,7 @@ SCENARIO_KINDS = {
             "epsilon": "squarable",
             "delta": "squarable",
         },
-        "optional": {
-            "probe_budget": "positive_integer",
-            "equivalence_grid": "squarable_pair_list",
-        },
+        "optional": {"equivalence_grid": "squarable_pair_list"},
     },
     "main_theorem": {
         "description": "nine-stage end-to-end verification for a target "
@@ -609,6 +597,7 @@ SCENARIO_KINDS = {
         "verdict",
         "runner": _run_carleman,
         "tolerances": _carleman_tolerances,
+        "rules": _carleman_rules,
         "required": {"n_max": "positive_integer"},
         "optional": {
             "family": "string",
@@ -630,8 +619,8 @@ SCENARIO_KINDS = {
             "dim": "positive_integer",
             "max_degree": "positive_integer",
             "pairs": "pair_forms_list",
-            "lam": "positive_vector",
-            "eta": "positive_vector",
+            "lam": "squarable_vector",
+            "eta": "squarable_vector",
             "constants": "nonnegative_vector",
         },
         "optional": {"rel_tol": "positive_number"},
@@ -642,7 +631,7 @@ SCENARIO_KINDS = {
         "runner": _run_construct_q,
         "tolerances": _construct_q_tolerances,
         "rules": _construct_q_rules,
-        "required": {"p": "matrix", "lam": "vector"},
+        "required": {"p": "matrix", "lam": "squarable_vector"},
         "optional": {"vectors": "vector_list"},
     },
 }
@@ -666,8 +655,9 @@ def validate_config(config) -> list[str]:
         hint = f"; did you mean {close[0]!r}?" if close else ""
         errors.append(f"unknown kind {kind!r}{hint}")
         return errors
-    if "seed" in config and not isinstance(config["seed"], int):
-        errors.append("'seed' must be an integer")
+    seed = config.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        errors.append("'seed' must be a nonnegative integer")
     if "output_path" in config and not isinstance(config["output_path"], str):
         errors.append("'output_path' must be a string")
     params = config.get("parameters")

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     DegreeOverflow,
     DimensionMismatch,
+    IllConditioned,
     IncompleteSystem,
     InfiniteTrace,
     NotContinuous,
@@ -397,8 +398,12 @@ def _reference_coords(
     re-expressed in the monomials of the reference basis, keeping only the
     monomials of weight 1 (those touching no kernel factor)."""
     u, kernel = _reference_basis(s, system, d)
+    try:
+        inv = np.linalg.inv(u)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"reference basis is singular: {exc}") from None
     # row k of inv(U)^T: coordinates of x_k in the reference basis
-    return (coeffs @ _sym_power(np.linalg.inv(u).T, d))[..., ~kernel]
+    return (coeffs @ _sym_power(inv.T, d))[..., ~kernel]
 
 
 def _orthonormal_monomials(s: GramForm, system: OrthonormalSystem | None, d: int):

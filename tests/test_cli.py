@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import importlib
 import json
@@ -16,10 +17,10 @@ import pytest
 
 import momentkit
 from momentkit.cli import main
-from momentkit.concentration import CERTIFICATE_SLACK, CONSISTENCY_ABS, IDENTITY_ABS, ProbeRng
+from momentkit.concentration import CERTIFICATE_SLACK, CONSISTENCY_ABS, IDENTITY_ABS
 from momentkit.errors import WEIGHT_SUM_TOL
 from momentkit.moments import DiscreteMeasure
-from momentkit.scenarios import _CHECKERS, SCENARIO_KINDS, run_config, validate_config
+from momentkit.scenarios import _CHECKERS, SCENARIO_KINDS, validate_config
 
 
 def fixture_path(name: str) -> str:
@@ -136,8 +137,7 @@ def test_lazy_exports_resolve_to_their_submodule_objects():
 
 def test_only_sampling_kinds_load_numpy_random(tmp_path):
     """numpy.random (and the OpenSSL library it loads through ``secrets``)
-    is imported by the Monte Carlo kind only; the concentration probes draw
-    from the standard library."""
+    is imported by the Monte Carlo kind only."""
     names = sorted(p.name for p in resources.files("momentkit").joinpath("fixtures").iterdir())
     script = (
         "import sys, momentkit.cli\n"
@@ -198,6 +198,20 @@ def test_seed_override_changes_stochastic_report(tmp_path):
         ra["results"]["second_moment"]["estimate"]
         != rb["results"]["second_moment"]["estimate"]
     )
+
+
+def test_concentration_report_does_not_depend_on_the_seed(tmp_path):
+    """The concentration kind is decided in closed form and draws nothing:
+    two seeds give reports that differ only in the echoed seed, also where
+    the tails on the delta-sphere differ from point to point."""
+    cfg = _fixture_with(tmp_path, "concentration", p=_I2, epsilon=3.0, delta=1.0)
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert run_cli("run", cfg, "--out", str(out), "--seed", seed) == 0
+        reports.append(read_report(out, "concentration_changed"))
+    assert [r.pop("seed") for r in reports] == [1, 2]
+    assert reports[0] == reports[1]
 
 
 def test_malformed_json_exit_2(tmp_path):
@@ -364,6 +378,7 @@ def _fixture_with(tmp_path, stem, **parameters):
 
 
 _I2 = [[1.0, 0.0], [0.0, 1.0]]
+_TWO_ATOMS = {"atoms": [[1.0, 0.0], [-1.0, 0.5]], "weights": [0.5, 0.5]}
 
 
 @pytest.mark.parametrize(
@@ -387,6 +402,10 @@ _I2 = [[1.0, 0.0], [0.0, 1.0]]
         ("tilde_trace", {"eta": [1.0, 1.0, 1.0]}),
         ("tilde_trace", {"constants": [1.0, 1.0]}),
         ("construct_q", {"vectors": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}),
+        ("carleman_gaussian", {"family": "cauchy"}),
+        ("carleman_gaussian", {"family": _DROP}),
+        ("carleman_gaussian", {"family": _DROP, "measure": _TWO_ATOMS}),
+        ("carleman_gaussian", {"family": _DROP, "measure": _TWO_ATOMS, "direction": [1.0, 0.0, 0.0]}),
     ],
     ids=[
         "concentration_atoms_vs_p",
@@ -407,6 +426,10 @@ _I2 = [[1.0, 0.0], [0.0, 1.0]]
         "tilde_trace_eta_length",
         "tilde_trace_constants_length",
         "construct_q_vectors_vs_p",
+        "carleman_unknown_family",
+        "carleman_neither_family_nor_measure",
+        "carleman_measure_without_direction",
+        "carleman_direction_vs_atoms",
     ],
 )
 def test_cross_field_mismatch_exit_2(tmp_path, stem, parameters):
@@ -433,6 +456,18 @@ def test_cross_field_mismatch_exit_2(tmp_path, stem, parameters):
         ("tilde_trace", {"lam": [-1.0, 1.0]}),
         ("tilde_trace", {"eta": [1.0, 0.0]}),
         ("tilde_trace", {"constants": [-1.0]}),
+        ("concentration", {"delta": 1e-320}),
+        ("concentration", {"equivalence_grid": [[0.04, 1e-200]]}),
+        ("fundamental_lemma", {"delta": 1e-200}),
+        ("gaussian", {"delta": 1e-320}),
+        ("tilde_trace", {"lam": [1e200, 1.0]}),
+        ("tilde_trace", {"eta": [1.0, 1e308]}),
+        ("tilde_trace", {"lam": [1.0, 1e-200]}),
+        ("tilde_trace", {"eta": [1e-320, 1.0]}),
+        ("construct_q", {"lam": [-1.0, 0.5, 0.25]}),
+        ("construct_q", {"lam": [1.0, 0.0, 0.25]}),
+        ("construct_q", {"lam": [1.0, 1e200, 0.25]}),
+        ("carleman_gaussian", {"n_max": 3}),
     ],
     ids=[
         "concentration_delta_square_overflows",
@@ -447,13 +482,27 @@ def test_cross_field_mismatch_exit_2(tmp_path, stem, parameters):
         "tilde_trace_negative_lam",
         "tilde_trace_zero_eta",
         "tilde_trace_negative_constant",
+        "concentration_delta_square_underflows",
+        "equivalence_grid_delta_square_underflows",
+        "fundamental_lemma_delta_square_underflows",
+        "gaussian_delta_square_underflows",
+        "tilde_trace_lam_square_overflows",
+        "tilde_trace_eta_square_overflows",
+        "tilde_trace_lam_square_underflows",
+        "tilde_trace_eta_square_underflows",
+        "construct_q_negative_lam",
+        "construct_q_zero_lam",
+        "construct_q_lam_square_overflows",
+        "carleman_n_max_below_4",
     ],
 )
 def test_numbers_the_checks_cannot_take_exit_2(tmp_path, stem, parameters):
-    """A delta or epsilon whose square overflows, a grid delta of 0, an eps
-    that is not positive and tower weights of the wrong sign are rejected
-    at the boundary (before, overflow, division by zero or a constructor's
-    error ended in a traceback)."""
+    """A delta or epsilon whose square overflows or underflows to 0, a grid
+    delta of 0, an eps that is not positive, tower or construct_q weights
+    of the wrong sign or whose squares overflow or underflow, and a
+    Carleman n_max below 4 are rejected at the boundary (before, overflow,
+    division by zero or a constructor's error ended in a traceback, a run
+    exited 3, or validate passed what run rejected)."""
     cfg = _fixture_with(tmp_path, stem, **parameters)
     assert run_cli("validate", cfg) == 2
     assert run_cli("run", cfg, "--out", str(tmp_path)) == 2
@@ -485,6 +534,96 @@ def test_work_the_runs_cannot_do_exit_2(tmp_path, capsys, stem, parameters, prob
     assert not list(tmp_path.glob("*.report.json"))
 
 
+def test_negative_seed_exit_2(tmp_path):
+    """A seed must be a nonnegative integer, in the config and on the
+    command line (before, a negative one ended the gaussian run in a
+    SeedSequence traceback)."""
+    config = json.loads(Path(fixture_path("gaussian.json")).read_text())
+    config["seed"] = -1
+    cfg = tmp_path / "gaussian_seed.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("validate", str(cfg)) == 2
+    assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 2
+    assert run_cli("run", fixture_path("gaussian.json"), "--out", str(tmp_path), "--seed", "-1") == 2
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_removed_probe_budget_is_an_unknown_field(tmp_path, capsys):
+    """The concentration kind draws no probes, so a config that still sets
+    probe_budget names an unknown field."""
+    cfg = _fixture_with(tmp_path, "concentration", probe_budget=16)
+    assert run_cli("validate", cfg) == 2
+    assert run_cli("run", cfg, "--out", str(tmp_path)) == 2
+    assert "unknown fields ['probe_budget']" in capsys.readouterr().err
+
+
+def test_singular_reference_basis_exit_3(tmp_path, capsys):
+    """A tilde_trace base form whose reference basis cannot be inverted is
+    a numerical verdict (before, a LinAlgError traceback)."""
+    config = json.loads(Path(fixture_path("tilde_trace.json")).read_text())
+    config["parameters"]["pairs"][0]["q"][0][0] = 1e-320
+    cfg = tmp_path / "tilde_trace_singular.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("validate", str(cfg)) == 0
+    assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 3
+    assert "IllConditioned" in capsys.readouterr().err
+
+
+_SWEEP_VALUES = [None, "x", -1, 0, 1e-320, 1e-200, 1e200, 1e308, [], [[1.0]]]
+
+
+def _mutations(config):
+    """(label, config) for each fixture mutation of the sweep: the seed, each
+    parameter and the first entry of each list parameter, replaced by each
+    of _SWEEP_VALUES and also deleted."""
+    params = config["parameters"]
+    paths = [("seed",)] + [("parameters", name) for name in params]
+    paths += [("parameters", name, 0) for name, v in params.items() if isinstance(v, list) and v]
+    for *where, key in paths:
+        for value in [*_SWEEP_VALUES, _DROP]:
+            mutated = copy.deepcopy(config)
+            holder = mutated
+            for step in where:
+                holder = holder[step]
+            if value is not _DROP:
+                holder[key] = value
+            elif isinstance(holder, list) or key in holder:
+                del holder[key]
+            label = "deleted" if value is _DROP else repr(value)
+            yield f"{'.'.join(map(str, [*where, key]))} = {label}", mutated
+
+
+_FIXTURE_STEMS = sorted(
+    p.name[: -len(".json")] for p in resources.files("momentkit").joinpath("fixtures").iterdir()
+)
+
+
+@pytest.mark.parametrize("stem", _FIXTURE_STEMS)
+def test_mutated_fixtures_end_in_typed_exit_codes(tmp_path, capsys, stem):
+    """A deterministic sweep of bad values over every bundled fixture: no
+    exception escapes and no traceback prints, validate exits 0 or 2, run
+    exits 0-3, and run exits 2 exactly when validate does."""
+    config = json.loads(Path(fixture_path(f"{stem}.json")).read_text())
+    cfg, flagged = tmp_path / "mutated.json", []
+    for label, mutated in _mutations(config):
+        cfg.write_text(json.dumps(mutated))
+        try:
+            checked = run_cli("validate", str(cfg))
+            ran = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+        except Exception as exc:
+            flagged.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        printed = capsys.readouterr()
+        if (
+            "Traceback" in printed.out + printed.err
+            or checked not in (0, 2)
+            or ran not in (0, 1, 2, 3)
+            or (ran == 2) != (checked == 2)
+        ):
+            flagged.append(f"{label}: validate {checked}, run {ran}")
+    assert flagged == []
+
+
 def test_monomial_cap_admits_every_degree_4_lattice():
     """MONOMIAL_CAP admits degree 4 up to the lattice cap, as every bundled
     and benchmark main_theorem config asks for, and nothing above it."""
@@ -514,25 +653,6 @@ def test_lattice_tolerances_echo_the_constants_that_ran(tmp_path):
     for stem, tolerances in expected.items():
         assert run_cli("run", fixture_path(f"{stem}.json"), "--out", str(tmp_path)) == 0
         assert read_report(tmp_path, stem)["tolerances"] == tolerances
-
-
-def test_probe_budget_reaches_the_equivalence_check(monkeypatch):
-    """A concentration config's probe_budget sets the probes per index of
-    the equivalence check as well as those of the certificate."""
-    config = json.loads(Path(fixture_path("concentration.json")).read_text())
-    config["parameters"]["probe_budget"] = 1
-    rows = []
-    draw = ProbeRng.standard_normal
-
-    def counted(self, size):
-        out = draw(self, size)
-        rows.append(out.shape[0])
-        return out
-
-    monkeypatch.setattr(ProbeRng, "standard_normal", counted)
-    passed, results, _, _ = run_config(config)
-    assert passed and results["equivalence"]
-    assert rows and set(rows) == {1}
 
 
 def test_tolerance_echo_follows_overrides(tmp_path):

@@ -3,8 +3,6 @@ and the end-to-end scenario pipeline."""
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 
@@ -30,9 +28,6 @@ from momentkit import (
 )
 from momentkit.concentration import (
     CONSISTENCY_ABS,
-    ProbeRng,
-    _abs_values,
-    _forward_tails,
     _index_spectra,
     _power_rows,
     exact_tail,
@@ -47,8 +42,8 @@ from momentkit.errors import (
 )
 from momentkit.forms import (
     DualFunctional,
-    _evaluate_rows,
     _in_unit_dual_ball,
+    evaluate,
     principal_restrictions,
 )
 from momentkit.moments import monomials_up_to
@@ -159,10 +154,8 @@ def test_concentration_equivalence_modes():
     fam = MeasureFamily.from_global(two_atom())
     p = GramForm(dim=2, gram=np.array([[1.0, 1.0], [1.0, 2.0]]))
     grid = [(0.04, 0.2), (0.25, 0.5)]
-    assert concentration_equivalence_check(
-        fam, p, grid, rng=np.random.default_rng(0)
-    )
-    assert concentration_equivalence_check(fam, p, [], rng=None)  # vacuous
+    assert concentration_equivalence_check(fam, p, grid)
+    assert concentration_equivalence_check(fam, p, [])  # vacuous
 
 
 def test_equivalence_kernel_branch():
@@ -176,9 +169,9 @@ def test_equivalence_kernel_branch():
     fam = MeasureFamily.from_global(nu)
     p = GramForm(dim=2, gram=np.diag([4.0, 1.0]))
     # atoms vanish on coordinate 2; p has no kernel so nothing leaks
-    assert concentration_equivalence_check(
-        fam, p, [(0.5, 0.3)], rng=np.random.default_rng(1)
-    )
+    assert concentration_equivalence_check(fam, p, [(0.5, 0.3)])
+    # p vanishes on coordinate 2 (p|_{1} = 0), where the atoms do too
+    assert concentration_equivalence_check(fam, GramForm(dim=2, gram=np.diag([4.0, 0.0])), [(0.5, 0.3)])
 
 
 def test_prokhorov_mass_and_nesting():
@@ -529,8 +522,8 @@ def test_one_decomposition_pass_per_index(monkeypatch):
 
     assert count(concentration_check, fam, p, 0.05, 0.5) <= 2 * n_idx
     grid = [(0.05, 0.5), (0.1, 0.5), (0.05, 0.25)]
-    assert all(concentration_check(fam, p, e, d, probe_budget=0).certified for e, d in grid)
-    assert count(concentration_equivalence_check, fam, p, grid, probe_budget=4) <= 2 * n_idx
+    assert all(concentration_check(fam, p, e, d).certified for e, d in grid)
+    assert count(concentration_equivalence_check, fam, p, grid) <= 2 * n_idx
     assert count(concentration_equivalence_check, fam, p, []) == 0
     assert count(prokhorov_mass_check, fam, p, q, 0.05, 0.5) <= 3 * n_idx + 4
 
@@ -538,7 +531,7 @@ def test_one_decomposition_pass_per_index(monkeypatch):
     fam, p = _five_dim_family(21)
     calls["n"] = 0
     concentration_check(fam, p, 0.05, 0.5)
-    concentration_equivalence_check(fam, p, grid, probe_budget=4)
+    concentration_equivalence_check(fam, p, grid)
     assert calls["n"] <= 2 * n_idx
     fam, p = _five_dim_family(21)
     concentration_check(fam, p, 0.05, 0.5)
@@ -551,32 +544,26 @@ def test_one_decomposition_pass_per_index(monkeypatch):
         fam.entries[SubalgebraIndex(coords=(0,))] = fam.entries[SubalgebraIndex(coords=(1,))]
 
 
-def test_certificate_decisions_agree_at_a_planted_boundary():
+def test_certificate_decisions_agree_at_a_planted_boundary(monkeypatch):
     """At the smallest epsilon the certificate accepts, and at the floats
-    next to it, the equivalence check (which probes only certified grid
-    points) and Prokhorov's HypothesisNotCertified decide as
-    concentration_check does.  The worst sup they share, delta^2 max_S
-    lambda_S, is the largest per-index sup bit for bit."""
-    from momentkit.concentration import CERTIFICATE_SLACK, _index_spectra, _worst_sup
-
-    class CountingRng:
-        def __init__(self):
-            self.draws, self._rng = 0, np.random.default_rng(0)
-
-        def standard_normal(self, size):
-            self.draws += 1
-            return self._rng.standard_normal(size)
+    next to it, the equivalence check (which goes on to its two closed-form
+    sups only at certified grid points) and Prokhorov's
+    HypothesisNotCertified decide as concentration_check does.  The worst
+    sup they share, delta^2 max_S lambda_S, is the largest per-index sup
+    bit for bit."""
+    from momentkit import concentration
+    from momentkit.concentration import CERTIFICATE_SLACK, _worst_sup
 
     fam, p = _five_dim_family(22)
     q = GramForm(dim=5, gram=np.eye(5))
     delta = 0.7
-    details = concentration_check(fam, p, 1.0, delta, probe_budget=0).details
+    details = concentration_check(fam, p, 1.0, delta).details
     worst = details.pop("worst_sup")
     assert _worst_sup(_index_spectra(fam, p), delta) == max(d["sup"] for d in details.values())
     assert worst == _worst_sup(_index_spectra(fam, p), delta)
 
     def certified(eps):
-        return concentration_check(fam, p, eps, delta, probe_budget=0).certified
+        return concentration_check(fam, p, eps, delta).certified
 
     eps = (worst - 1e-15) / (1.0 + CERTIFICATE_SLACK)
     while certified(eps):
@@ -587,11 +574,15 @@ def test_certificate_decisions_agree_at_a_planted_boundary():
     candidates = [np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)]
     candidates += [np.nextafter(top, 0.0), top, np.nextafter(top, 1.0)]
     assert [certified(e) for e in candidates[:2]] == [False, True]
+    sups = []
+    monkeypatch.setattr(
+        concentration, "_worst_sup", lambda spectra, d: sups.append(d) or _worst_sup(spectra, d)
+    )
     for e in map(float, candidates):
         want = certified(e)
-        rng = CountingRng()
-        concentration_equivalence_check(fam, p, [(e, delta)], probe_budget=1, rng=rng)
-        assert (rng.draws > 0) == want, e
+        sups.clear()
+        assert concentration_equivalence_check(fam, p, [(e, delta)])
+        assert (len(sups) == 3) == want, e
         try:
             prokhorov_mass_check(fam, p, q, e, delta)
             raised = False
@@ -601,7 +592,7 @@ def test_certificate_decisions_agree_at_a_planted_boundary():
 
 
 # ---------------------------------------------------------------------------
-# Stacked lattice numerics against the per-index and per-probe routes
+# Stacked lattice numerics against per-index and independent references
 # ---------------------------------------------------------------------------
 
 
@@ -635,77 +626,6 @@ def _ref_spectra(fam, p):
     return out
 
 
-def _ref_evaluate(gram, psd_tol, v):
-    """One probe's p_S(v), clamping as forms.evaluate."""
-    val = float(v @ gram @ v)
-    if val < 0.0:
-        lam_max = max(float(np.linalg.eigh(gram)[0][-1]), 0.0)
-        if val < -psd_tol * max(1.0, lam_max * float(v @ v)):
-            raise NotPSD(f"quadratic form value {val:.3e} below clamping tolerance")
-        val = 0.0
-    return float(np.sqrt(val))
-
-
-def _ref_tail(nu, a, threshold=1.0):
-    return float(nu.weights[np.abs(nu.atoms @ a) >= threshold].sum())
-
-
-def _ref_details(fam, p, delta, budget, rng):
-    """concentration_check's details, one probe at a time."""
-    details = {}
-    spectra = _ref_spectra(fam, p)
-    for s, (gram, _, rank, lam) in spectra.items():
-        probes = []
-        for _ in range(budget if rank else 0):
-            u = rng.standard_normal(len(s))
-            nrm = _ref_evaluate(gram, p.psd_tol, u)
-            if nrm > 0:
-                probes.append(_ref_tail(fam.entries[s], (delta / nrm) * u))
-        details[s] = {"sup": delta**2 * lam, "probe_tails": probes,
-                      "max_probe_tail": max(probes, default=0.0)}
-    details["worst_sup"] = delta**2 * max([0.0] + [sp[3] for sp in spectra.values()])
-    return details
-
-
-def _ref_equivalence(fam, p, grid, budget, rng):
-    """concentration_equivalence_check, one probe at a time."""
-    spectra = _ref_spectra(fam, p)
-    for epsilon, delta in grid:
-        if not delta**2 * max([0.0] + [sp[3] for sp in spectra.values()]) <= (
-            epsilon * (1.0 + 1e-9) + 1e-15
-        ):
-            continue
-        gamma = 1.0 / (delta / 2.0)
-        for s, (gram, _, _, _) in spectra.items():
-            nu = fam.entries[s]
-            for _ in range(budget):
-                a = rng.standard_normal(len(s))
-                pa = _ref_evaluate(gram, p.psd_tol, a)
-                if pa > 0:
-                    if nu.weights[np.abs(nu.atoms @ a) > gamma * pa].sum() > epsilon + 1e-12:
-                        return False
-                elif _ref_tail(nu, a, threshold=1e-9) > 1e-12:
-                    return False
-            for _ in range(budget):
-                u = rng.standard_normal(len(s))
-                nrm = _ref_evaluate(gram, p.psd_tol, u)
-                if nrm > 0 and _ref_tail(nu, (0.9 / gamma / nrm) * u) > epsilon + 1e-12:
-                    return False
-    return True
-
-
-class _RecordingRng:
-    """A ProbeRng that keeps every value it hands out, in order."""
-
-    def __init__(self, seed):
-        self._rng, self.drawn = ProbeRng(seed), []
-
-    def standard_normal(self, size):
-        out = self._rng.standard_normal(size)
-        self.drawn.extend(out.ravel().tolist())
-        return out
-
-
 def _seeded_family(rng, n, rank, partial):
     k = int(rng.integers(2, 9))
     atoms = rng.uniform(-1.5, 1.5, (k, n))
@@ -722,25 +642,6 @@ def _seeded_family(rng, n, rank, partial):
 def _same_bits(x, y):
     """Equal, every float bit for bit: repr round-trips and tells -0.0 from 0.0."""
     return repr(x) == repr(y)
-
-
-def test_probe_rng_shaped_draw_is_consecutive_vector_draws():
-    """A (rows, dim) draw holds the values of rows consecutive length-dim
-    draws, row by row, and the stream goes on where they would."""
-    shaped, flat = ProbeRng(5), ProbeRng(5)
-    block = shaped.standard_normal((7, 3))
-    assert block.shape == (7, 3)
-    rows = [flat.standard_normal(3) for _ in range(7)]
-    assert np.array_equal(block, np.vstack(rows))
-    assert np.array_equal(shaped.standard_normal(4), flat.standard_normal(4))
-    assert ProbeRng(5).standard_normal((0, 3)).shape == (0, 3)
-    # the stream is random.gauss's, also across odd sizes (a pair's second
-    # value waits for the next draw) and an empty draw
-    probe, gauss = ProbeRng(5), random.Random(5).gauss
-    for size in [3, (2, 3), 1, 0, (4, 5), 7, (1, 1), 2]:
-        drawn = probe.standard_normal(size)
-        want = [gauss(0.0, 1.0) for _ in range(drawn.size)]
-        assert [x.hex() for x in drawn.ravel().tolist()] == [x.hex() for x in want]
 
 
 def test_stacked_restrictions_equal_lone_restrictions():
@@ -767,12 +668,10 @@ def test_stacked_restrictions_equal_lone_restrictions():
         restrict_form(p, SubalgebraIndex(coords=(0,)))
 
 
-def test_stacked_spectra_and_probes_match_per_index_references():
+def test_stacked_spectra_match_per_index_references():
     """On seeded full and partial families with full-rank and
-    rank-deficient p, the stacked spectral pass, the probe details of
-    concentration_check and the equivalence verdict (with the values it
-    draws) equal the per-index and per-probe references bit for bit, also
-    when the probe budget spans several blocks."""
+    rank-deficient p, the stacked spectral pass equals the per-index
+    reference bit for bit."""
     rng = np.random.default_rng(32)
     for trial in range(12):
         n = int(rng.integers(2, 6))
@@ -786,130 +685,36 @@ def test_stacked_spectra_and_probes_match_per_index_references():
             assert _same_bits(lam, ref_lam) and p_s.rank == r
             assert np.array_equal(p_s.gram, gram)
             assert all(np.array_equal(x, y) for x, y in zip(p_s._eig, eig))
-            u, atoms = rng.standard_normal((7, len(s))), fam.entries[s].atoms
-            norms, err = _evaluate_rows(p_s, u)
-            assert err is None
-            assert np.array_equal(norms, [_ref_evaluate(gram, p.psd_tol, x) for x in u])
-            assert np.array_equal(_abs_values(fam.entries[s], u), np.abs([atoms @ x for x in u]))
-        delta, seed = float(rng.uniform(0.2, 1.0)), int(rng.integers(100))
-        for budget in (16, 3):
-            rep = concentration_check(fam, p, 0.1, delta, probe_budget=budget, rng=ProbeRng(seed))
-            assert _same_bits(rep.details, _ref_details(fam, p, delta, budget, ProbeRng(seed)))
-        worst = rep.details["worst_sup"]
-        grid = [(max(worst, 1e-3), delta), (worst / 2.0, delta)]
-        new, ref = _RecordingRng(seed), _RecordingRng(seed)
-        assert concentration_equivalence_check(fam, p, grid, probe_budget=5, rng=new) is (
-            _ref_equivalence(fam, p, grid, 5, ref)
-        )
-        assert new.drawn == ref.drawn
 
 
-def test_probe_blocks_smaller_than_the_budget_change_nothing(monkeypatch):
-    """Budgets spanning many blocks (the block size shrunk to 3 rows, and
-    a budget past the real block size) give the reference results."""
-    from momentkit import concentration
+def test_reported_sups_match_an_independent_eigensolver_and_bound_every_tail():
+    """The certificate's sup against routes that share none of its
+    whitening: on full-rank indices of seeded full and partial families it
+    is delta^2 times the top generalized eigenvalue of (M_S, p|_S) from
+    scipy's Cholesky-based eigh, and on every index no exact tail at 32
+    random points of the delta-sphere of p|_S exceeds it (Chebyshev)."""
+    from scipy.linalg import eigh
 
-    fam, p = _seeded_family(np.random.default_rng(33), 3, 3, partial=False)
-    budget = concentration._PROBE_BLOCK + 5
-    rep = concentration_check(fam, p, 0.1, 0.5, probe_budget=budget, rng=ProbeRng(4))
-    assert _same_bits(rep.details, _ref_details(fam, p, 0.5, budget, ProbeRng(4)))
-    assert len(rep.details[SubalgebraIndex(coords=(0,))]["probe_tails"]) == budget
-    monkeypatch.setattr(concentration, "_PROBE_BLOCK", 3)
-    rep = concentration_check(fam, p, 0.1, 0.5, probe_budget=16, rng=ProbeRng(4))
-    assert _same_bits(rep.details, _ref_details(fam, p, 0.5, 16, ProbeRng(4)))
-    new, ref = _RecordingRng(6), _RecordingRng(6)
-    grid = [(rep.details["worst_sup"], 0.5)]
-    assert concentration_equivalence_check(fam, p, grid, probe_budget=16, rng=new)
-    assert _ref_equivalence(fam, p, grid, 16, ref)
-    assert new.drawn == ref.drawn
-
-
-def _planted_atom(target, a):
-    """An atom alpha on one coordinate axis with |alpha . a| == target
-    exactly (the product of its one nonzero entry with a's)."""
-    for i, x in enumerate(a):
-        t = target / x
-        for t in (t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
-            if abs(t * x) == target:
-                atom = np.zeros(len(a))
-                atom[i] = t
-                return atom
-    raise AssertionError("no exact multiplier")
-
-
-def test_planted_boundary_atoms_match_per_probe_references():
-    """Atoms planted on the thresholds of the first probe: |alpha(a)| = 1
-    exactly counts in the sphere tail (>=), |alpha(a)| = gamma p(a)
-    exactly stays out of the forward tail (>), and the kernel-branch tail
-    counts |alpha(a)| >= 1e-9; each as the per-probe reference counts it."""
-    p = GramForm(dim=3, gram=np.diag([2.0, 3.0, 5.0]))
-    s = SubalgebraIndex(coords=(0, 1, 2))
-    u = ProbeRng(9).standard_normal(3)
-    delta = 0.5
-    a = (delta / _ref_evaluate(p.gram, p.psd_tol, u)) * u
-    edge = _planted_atom(1.0, a)
-    for atom, inside in [(edge, True), (np.nextafter(edge, 0.0), False)]:
-        nu = DiscreteMeasure(dim=3, atoms=np.array([atom, [0.1, 0.2, 0.3]]),
-                             weights=np.array([0.25, 0.75]))
-        fam = MeasureFamily(entries={s: nu})
-        rep = concentration_check(fam, p, 1.0, delta, probe_budget=4, rng=ProbeRng(9))
-        assert _same_bits(rep.details, _ref_details(fam, p, delta, 4, ProbeRng(9)))
-        assert (rep.details[s]["probe_tails"][0] == 0.25) is inside
-
-    gamma, pa = 4.0, _ref_evaluate(p.gram, p.psd_tol, u)
-    edge, tiny = _planted_atom(gamma * pa, u), _planted_atom(1e-9, u)
-    zero = GramForm(dim=3, gram=np.zeros((3, 3)))  # every probe takes the kernel branch
-    for atom, counted in [(edge, False), (edge * (1.0 + 1e-15), True)]:
-        nu = DiscreteMeasure(dim=3, atoms=np.array([atom, tiny, np.zeros(3)]),
-                             weights=np.array([0.5, 0.25, 0.25]))
-        _, forward, kernel, _ = _forward_tails(nu, p, u[None], gamma)
-        want = float(nu.weights[np.abs(nu.atoms @ u) > gamma * pa].sum())
-        assert _same_bits(float(forward[0]), want) and kernel[0] == 0.0
-        assert bool(forward[0] == 0.5) is counted
-        pa_zero, forward, kernel, _ = _forward_tails(nu, zero, u[None], gamma)
-        assert pa_zero[0] == 0.0 and forward[0] == 0.0
-        assert _same_bits(float(kernel[0]), _ref_tail(nu, u, threshold=1e-9))
-        assert kernel[0] == 0.75
-        assert _same_bits(exact_tail(nu, u, 1e-9), float(kernel[0]))
-
-
-def test_kernel_branch_and_not_psd_clamp_follow_the_per_probe_route():
-    """A p|_S that vanishes (every probe takes the kernel branch), one whose
-    slightly negative values clamp to 0 (those draws are skipped) and one
-    whose values break evaluate's NotPSD rule: the stacked route decides,
-    skips and raises as the per-probe reference does."""
-    s1, s01 = SubalgebraIndex(coords=(1,)), SubalgebraIndex(coords=(0, 1))
-    nu = DiscreteMeasure(dim=2, atoms=np.array([[0.5, 0.0], [-0.5, 0.0]]),
-                         weights=np.array([0.5, 0.5]))
-    kernel_p = GramForm(dim=2, gram=np.diag([1.0, 0.0]))  # p|_{1} = 0
-    fam = MeasureFamily(entries={s1: pushforward(nu, s1, s01), s01: nu})
-    new, ref = _RecordingRng(2), _RecordingRng(2)
-    assert concentration_equivalence_check(fam, kernel_p, [(0.5, 0.5)], probe_budget=6, rng=new)
-    assert _ref_equivalence(fam, kernel_p, [(0.5, 0.5)], 6, ref)
-    assert new.drawn == ref.drawn
-
-    clamped = GramForm(dim=2, gram=np.diag([1e-14, -9e-12]))
-    fam = MeasureFamily(entries={s01: nu})
-    rep = concentration_check(fam, clamped, 1.0, 0.5, probe_budget=16, rng=ProbeRng(3))
-    want = _ref_details(fam, clamped, 0.5, 16, ProbeRng(3))
-    assert _same_bits(rep.details, want)
-    assert 0 < len(want[s01]["probe_tails"]) < 16  # some draws clamp to 0
-
-    breaking = GramForm(dim=2, gram=np.diag([1e-14, -9.9e-11]))
-    with pytest.raises(NotPSD) as ref_err:
-        _ref_details(fam, breaking, 0.5, 16, ProbeRng(3))
-    with pytest.raises(NotPSD) as new_err:
-        concentration_check(fam, breaking, 1.0, 0.5, probe_budget=16, rng=ProbeRng(3))
-    assert str(new_err.value) == str(ref_err.value)
-    origin = MeasureFamily(entries={s01: DiscreteMeasure(dim=2, atoms=np.zeros((1, 2)),
-                                                          weights=np.array([1.0]))})
-    with pytest.raises(NotPSD) as ref_err:
-        _ref_equivalence(origin, breaking, [(1.0, 0.5)], 16, ProbeRng(3))
-    with pytest.raises(NotPSD) as new_err:
-        concentration_equivalence_check(
-            origin, breaking, [(1.0, 0.5)], probe_budget=16, rng=ProbeRng(3)
-        )
-    assert str(new_err.value) == str(ref_err.value)
+    rng = np.random.default_rng(34)
+    full_rank = 0
+    for trial in range(12):
+        n = int(rng.integers(2, 6))
+        rank = n if trial % 3 else int(rng.integers(1, n))
+        fam, p = _seeded_family(rng, n, rank, partial=trial % 2 == 1)
+        delta = float(rng.uniform(0.2, 1.0))
+        details = concentration_check(fam, p, 0.1, delta).details
+        for s, (p_s, _) in _index_spectra(fam, p).items():
+            nu, sup = fam.entries[s], details[s]["sup"]
+            if p_s.rank == len(s):
+                m = np.einsum("j,ji,jk->ik", nu.weights, nu.atoms, nu.atoms)
+                top = eigh(m, p_s.gram, eigvals_only=True)[-1]
+                assert sup == pytest.approx(delta**2 * top, rel=1e-9, abs=0.0), (trial, s)
+                full_rank += 1
+            for u in rng.standard_normal((32, len(s))):
+                nrm = evaluate(p_s, u)
+                if nrm > 0:
+                    assert exact_tail(nu, (delta / nrm) * u) <= sup * (1.0 + 1e-9) + 1e-15
+    assert full_rank > 50
 
 
 def test_spectral_pass_makes_one_eigh_per_index_size(monkeypatch):

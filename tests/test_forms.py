@@ -40,6 +40,19 @@ def test_evaluate_diag():
     assert evaluate(p, [1.0, 1.0]) == pytest.approx(np.sqrt(5.0), abs=1e-12)
 
 
+def test_evaluate_clamps_round_off_and_raises_below_the_tolerance():
+    """Forms that pass GramForm's PSD rule yet go slightly negative: values
+    down to -psd_tol * max(1, lambda_max v'v) read 0, lower ones raise."""
+    clamped = GramForm(dim=2, gram=np.diag([1e-14, -9e-12]))
+    assert evaluate(clamped, [0.0, 1.0]) == 0.0
+    assert evaluate(clamped, [1.0, 1.0]) == 0.0
+    assert evaluate(clamped, [1.0, 0.0]) == pytest.approx(1e-7, rel=1e-12)
+    breaking = GramForm(dim=2, gram=np.diag([1e-14, -9.9e-11]))
+    assert evaluate(breaking, [0.0, 1.0]) == 0.0
+    with pytest.raises(NotPSD, match="below clamping tolerance"):
+        evaluate(breaking, [0.0, 2.0])
+
+
 def test_not_psd_rejected():
     with pytest.raises(NotPSD):
         GramForm(dim=2, gram=np.diag([1.0, -1.0]))

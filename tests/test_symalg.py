@@ -3,8 +3,6 @@ character/polarization bounds."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -358,9 +356,3 @@ def test_character_norm_bound_random_trace_ge_one():
         a = AlgebraElement(n, d, coeffs)
         out = character_norm_bound(l, r, s, d, a)
         assert out["ok"]
-
-
-def test_polarization_constants():
-    assert 1**1 / math.factorial(1) == 1.0
-    assert 2**2 / math.factorial(2) == 2.0
-    assert 3**3 / math.factorial(3) == 4.5
