@@ -1,7 +1,7 @@
 """Command-line front end: run / validate / list for scenario configs.
 
-Reports are byte-stable for a fixed config and seed: JSON with sorted keys,
-two-space indent, and no timestamps.  Run metadata (wall-clock time, paths)
+Reports are byte-stable for a fixed config and seed: strict JSON with sorted
+keys, two-space indent, and no timestamps.  Run metadata (wall-clock time, paths)
 goes to a sibling ``.meta.json`` so report diffs stay clean.
 """
 
@@ -85,8 +85,13 @@ def cmd_run(args) -> int:
         "passed": passed,
         "results": results,
     }
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinite float has no JSON encoding
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     report_path, meta_path = _report_paths(config, config_path, out_dir)
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    report_path.write_text(text + "\n")
     csv_paths = []
     base = report_path.name
     if base.endswith(".json"):

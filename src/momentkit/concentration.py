@@ -11,8 +11,8 @@ bounds every tail the certificate speaks of by that sup.  The spectral
 pass restricts all indices of one size with one stacked decomposition and
 whitens them in stacks per (size, rank).  A family keeps the pass of the
 last form p it met (its entries are read-only, so the pass cannot go
-stale), so all checks on one (family, p) share it; the nested checks sweep
-each index once against all of its supersets.  The module ends in a
+stale), so all checks on one (family, p) share it; the nested checks pick
+each index's supersets by bitmask.  The module ends in a
 nine-stage verification pipeline combining moment functionals,
 concentration certificates and Prokhorov-type mass bounds.
 """
@@ -62,6 +62,7 @@ from .traces import trace_value
 CERTIFICATE_SLACK = 1e-9  # relative slack on epsilon in the concentration certificate
 CONSISTENCY_ABS = 1e-10  # moment difference allowed between nested marginals
 IDENTITY_ABS = 1e-12  # representation identity error allowed per monomial
+_SWEEP_BLOCK = 256  # monomial columns per superset sweep of consistency_check
 
 
 @dataclass(frozen=True, order=True)
@@ -147,14 +148,14 @@ class MeasureFamily:
         return cls(entries=entries)
 
 
-def _supersets(idxs):
-    """Each S of ``idxs`` lying strictly within some T of ``idxs``, with
-    [(T, S's positions in T)] over all such T, built one S at a time."""
-    sets = [(t, set(t.coords)) for t in idxs]
-    for s, cs in sets:
-        sups = [(t, s.positions_in(t)) for t, ct in sets if cs < ct]
-        if sups:
-            yield s, sups
+def _lattice_bits(idxs):
+    """The family's distinct coordinates in sorted order, the k-th standing
+    for bit k: each index's bit positions and bitmask."""
+    bit = {c: k for k, c in enumerate(sorted({i for s in idxs for i in s.coords}))}
+    if len(bit) > LATTICE_CAP:
+        raise NotInScope(f"lattice sweeps capped at {LATTICE_CAP} coordinates, got {len(bit)}")
+    cols = [[bit[i] for i in s.coords] for s in idxs]
+    return len(bit), cols, [sum(1 << k for k in c) for c in cols]
 
 
 def _power_rows(atoms: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -166,22 +167,28 @@ def consistency_check(fam: MeasureFamily, degree: int = 4) -> bool:
     """For every nested pair S within T (not only |T| = |S| + 1: the
     tolerance CONSISTENCY_ABS is absolute, so differences add up along a
     chain), nu_T pushed to S must match nu_S in all moments up to
-    ``degree``.  Those are the moments at nu_T's atoms projected onto S
-    (merging coincident atoms only changes rounding).  Per S, one column-major power table (the layout of a
-    lone projection atoms[:, pos], so each product sums as for it alone)
-    covers the projected atoms of all its supersets."""
-    for s, sups in _supersets(fam.indices()):
-        nu_s, exps = fam.entries[s], np.array(monomials_up_to(len(s), degree))
-        own = nu_s.weights @ _power_rows(nu_s.atoms, exps)
-        nus = [fam.entries[t] for t, _ in sups]
-        blocks = [nu.atoms[:, pos] for nu, (_, pos) in zip(nus, sups)]
-        powers = _power_rows(np.asfortranarray(np.vstack(blocks)), exps)
-        tables = np.split(powers, np.cumsum([len(b) for b in blocks[:-1]]))
-        if any(
-            np.any(np.abs(nu.weights @ rows - own) > CONSISTENCY_ABS)
-            for nu, rows in zip(nus, tables)
-        ):
-            return False
+    ``degree``.  Row mask(S) of one (2^n x monomials) table holds nu_S's
+    moments of the monomials supported in S, NaN elsewhere; n fmax and n
+    fmin passes over the bits (Yates' zeta transform), per column block,
+    give each row the max and min over its supersets.  Rounded subtraction
+    is monotone, so comparing those with the row is the all-pairs verdict
+    (on nu_T's own moments, which pushing forward only rounds anew)."""
+    idxs = fam.indices()
+    n, cols, masks = _lattice_bits(idxs)
+    exps = np.array(monomials_up_to(n, degree))
+    supp = (exps > 0) @ (1 << np.arange(n))
+    table = np.full((1 << n, len(exps)), np.nan)
+    for s, pos, mask in zip(idxs, cols, masks):
+        nu, within = fam.entries[s], np.flatnonzero((supp & ~mask) == 0)
+        table[mask, within] = nu.weights @ _power_rows(nu.atoms, exps[within][:, pos])
+    for own in np.split(table, range(_SWEEP_BLOCK, len(exps), _SWEEP_BLOCK), axis=1):
+        for fold, sign in ((np.fmax, 1.0), (np.fmin, -1.0)):
+            sweep = own.copy()
+            for i in range(n):
+                pairs = sweep.reshape(-1, 2, 1 << i, sweep.shape[1])
+                fold(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+            if np.any(sign * (sweep - own) > CONSISTENCY_ABS):
+                return False
     return True
 
 
@@ -214,11 +221,6 @@ def _jsonable_details(d):
         key = ",".join(str(i) for i in k.coords) if isinstance(k, SubalgebraIndex) else str(k)
         out[key] = v
     return out
-
-
-def restrict_form(p: GramForm, s: SubalgebraIndex) -> GramForm:
-    """Principal submatrix of the Gram on the S coordinates."""
-    return principal_restrictions(p, [s.coords])[0]
 
 
 def _second_moment(nu: DiscreteMeasure) -> np.ndarray:
@@ -374,8 +376,9 @@ def prokhorov_mass_check(
 
     the closed unit r_eps|_S-dual ball, tested atom by atom (one restriction
     and one test per index).  Nesting: for every nested pair S within T,
-    nu_T's atoms in K^(T), projected onto S, lie in K^(S), tested once per S
-    on the stacked atoms of all its supersets.  Also checks the identity
+    nu_T's atoms in K^(T), projected onto S, lie in K^(S): per S, one test
+    on the kept atoms of its strict supersets (picked by bitmask) projected
+    onto S, each row the per-pair projection exactly.  Also checks the identity
     tr(p / (delta r_eps)) = eps (exact when tr(p/q) > 0)."""
     tr = trace_value(p, q)
     if is_infinite(tr):
@@ -397,10 +400,15 @@ def prokhorov_mass_check(
         for s in idxs
     }
     mass_ok = not any(mass < bound - 1e-12 for mass in masses.values())
-    kept = {s: fam.entries[s].atoms[inside[s]] for s in idxs}
+    n, cols, masks = _lattice_bits(idxs)
+    blocks = [np.zeros((int(inside[s].sum()), n)) for s in idxs]
+    for s, pos, block in zip(idxs, cols, blocks):
+        block[:, pos] = fam.entries[s].atoms[inside[s]]
+    owner = np.repeat(np.array(masks, dtype=np.int64), [len(b) for b in blocks])
+    kept = np.vstack([np.zeros((0, n))] + blocks)
     nesting_ok = all(
-        _in_unit_dual_ball(r_s[s], np.vstack([kept[t][:, pos] for t, pos in sups])).all()
-        for s, sups in _supersets(idxs)
+        _in_unit_dual_ball(r_s[s], kept[((owner & mask) == mask) & (owner != mask)][:, pos]).all()
+        for s, pos, mask in zip(idxs, cols, masks)
     )
 
     if tr > 0:

@@ -303,14 +303,20 @@ def dual_norm(q: GramForm, l: DualFunctional):
     """Operator seminorm q'(ell) = sup_{q(v)<=1} |ell(v)|.
 
     Returns INFINITE when ell has a kernel component beyond tolerance,
-    otherwise sqrt(coeffs' gram^+ coeffs).
+    otherwise sqrt(coeffs' gram^+ coeffs), taken on coeffs / max|coeffs|
+    and scaled back where the quadratic form overflows.
     """
     if l.dim != q.dim:
         raise DimensionMismatch(f"functional dim {l.dim} != form dim {q.dim}")
     if not is_continuous(q, l):
         return INFINITE
-    val = float(l.coeffs @ q.pseudo_inverse @ l.coeffs)
-    return float(np.sqrt(max(val, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = float(l.coeffs @ q.pseudo_inverse @ l.coeffs)
+    if np.isfinite(val):
+        return float(np.sqrt(max(val, 0.0)))
+    scale = float(np.abs(l.coeffs).max())
+    unit = l.coeffs / scale
+    return scale * float(np.sqrt(max(float(unit @ q.pseudo_inverse @ unit), 0.0)))
 
 
 def _in_unit_dual_ball(q: GramForm, points: np.ndarray) -> np.ndarray:

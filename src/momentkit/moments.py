@@ -123,9 +123,6 @@ class QuadraticModuleSpec:
         ch = Character(point=np.asarray(point, dtype=float))
         return all(evaluate_character(ch, g) >= -tol for g in self.generators)
 
-    def atoms_inside(self, nu: DiscreteMeasure, tol: float = 1e-12) -> bool:
-        return all(self.contains(atom, tol) for atom in nu.support)
-
 
 # ---------------------------------------------------------------------------
 # Moment functionals

@@ -21,8 +21,8 @@ cannot provide when the two forms do not commute.
 Slice arithmetic is dense.  A slice index, cached per (dim, d), ranks the
 degree-d monomials; a change of degree-1 basis x_k -> sum_i S[k, i] y_i
 acts on a degree-d coefficient vector c as c @ Sym^d(S), the d-th
-symmetric power of S on that basis.  Substitution, the graded inner
-products, the tilde-trace direct path and the slice constants of
+symmetric power of S on that basis.  The graded inner products, the
+tilde-trace direct path and the slice constants of
 :mod:`momentkit.moments` all use Sym^d.
 """
 
@@ -342,23 +342,6 @@ def evaluate_character(alpha: Character, a: AlgebraElement) -> float:
                 val *= k**e
         total += val
     return float(total)
-
-
-def compose_linear(a: AlgebraElement, coeff_rows: np.ndarray) -> AlgebraElement:
-    """Substitute x_k -> sum_i coeff_rows[k, i] * y_i and expand.
-
-    Used to re-express an element in a different degree-1 basis.
-    """
-    coeff_rows = np.asarray(coeff_rows, dtype=float)
-    if coeff_rows.shape != (a.dim, a.dim):
-        raise DimensionMismatch(
-            f"substitution matrix {coeff_rows.shape} != ({a.dim}, {a.dim})"
-        )
-    terms = {}
-    for d in range(a.degree() + 1):
-        image = _slice_vector(a, d) @ _sym_power(coeff_rows, d)
-        terms.update(zip(_slice_index(a.dim, d).monomials, image))
-    return AlgebraElement(a.dim, a.max_degree, terms)
 
 
 # ---------------------------------------------------------------------------

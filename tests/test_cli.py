@@ -602,14 +602,18 @@ _FIXTURE_STEMS = sorted(
 def test_mutated_fixtures_end_in_typed_exit_codes(tmp_path, capsys, stem):
     """A deterministic sweep of bad values over every bundled fixture: no
     exception escapes and no traceback prints, validate exits 0 or 2, run
-    exits 0-3, and run exits 2 exactly when validate does."""
+    exits 0-3, run exits 2 exactly when validate does, and every report a
+    run writes is strict JSON."""
     config = json.loads(Path(fixture_path(f"{stem}.json")).read_text())
     cfg, flagged = tmp_path / "mutated.json", []
-    for label, mutated in _mutations(config):
+    for i, (label, mutated) in enumerate(_mutations(config)):
         cfg.write_text(json.dumps(mutated))
+        out = tmp_path / f"out{i}"
         try:
             checked = run_cli("validate", str(cfg))
-            ran = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+            ran = run_cli("run", str(cfg), "--out", str(out))
+            for report in out.glob("*.report.json"):
+                json.loads(report.read_text(), parse_constant=_raise_on_constant)
         except Exception as exc:
             flagged.append(f"{label}: {type(exc).__name__}: {exc}")
             continue

@@ -31,7 +31,6 @@ from momentkit.concentration import (
     _index_spectra,
     _power_rows,
     exact_tail,
-    restrict_form,
 )
 from momentkit.errors import (
     HypothesisNotCertified,
@@ -71,6 +70,24 @@ def test_full_lattice_size_and_cap():
     assert len(full_lattice(3)) == 7
     with pytest.raises(NotInScope):
         full_lattice(13)
+
+
+def test_nested_checks_cap_the_distinct_coordinates():
+    """The nested checks sweep the lattice of the family's distinct
+    coordinates, which need not be 0..n-1, up to the lattice cap; an empty
+    family is consistent and nested."""
+    point = DiscreteMeasure(dim=1, atoms=np.zeros((1, 1)), weights=np.ones(1))
+    for top, want in (([0.0, 7.0], True), ([1e-6, 7.0], False)):
+        assert consistency_check(_point_family(top, (3, 40), 0.0)) == want
+    one = GramForm(dim=1, gram=np.eye(1))
+    assert consistency_check(MeasureFamily(entries={}))
+    assert prokhorov_mass_check(MeasureFamily(entries={}), one, one, 0.05, 0.5).nesting_ok
+    wide = MeasureFamily(entries={SubalgebraIndex(coords=(i,)): point for i in range(13)})
+    with pytest.raises(NotInScope):
+        consistency_check(wide)
+    eye = GramForm(dim=13, gram=np.eye(13))
+    with pytest.raises(NotInScope):
+        prokhorov_mass_check(wide, eye, eye, 0.05, 0.5, require_certificate=False)
 
 
 def test_pushforward_projection_and_merge():
@@ -229,10 +246,15 @@ def test_reverse_seminorm_trace_bound():
     assert trace_value(p, q) < 2.0
 
 
+def _restrict(p, s):
+    """p restricted to the coordinates of the index s."""
+    return principal_restrictions(p, [s.coords])[0]
+
+
 def test_restrict_form_matches_submatrix():
     p = GramForm(dim=3, gram=np.diag([1.0, 2.0, 3.0]))
     s = SubalgebraIndex(coords=(0, 2))
-    r = restrict_form(p, s)
+    r = _restrict(p, s)
     assert np.allclose(r.gram, np.diag([1.0, 3.0]))
 
 
@@ -398,6 +420,67 @@ def test_consistency_sweep_matches_all_pairs_reference():
     assert seen == {True, False}
 
 
+def _point_family(top, coords, first=1.0):
+    """coords[0] alone holding one atom at ``first``, ``coords`` one atom at
+    ``top``."""
+    return MeasureFamily(entries={
+        SubalgebraIndex(coords=coords[:1]): DiscreteMeasure(
+            dim=1, atoms=np.array([[first]]), weights=np.ones(1)),
+        SubalgebraIndex(coords=coords): DiscreteMeasure(
+            dim=len(coords), atoms=np.array([top]), weights=np.ones(1)),
+    })
+
+
+def test_consistency_decides_at_the_tolerance_boundary():
+    """nu_{0} at 1 against nu_T at x in its first coordinate, degree 1: x
+    at the last double with |x - 1| <= CONSISTENCY_ABS is consistent, the
+    next one is not, above 1 (the superset max) and below (the min), for a
+    covering T and for a T two coordinates larger."""
+    for toward in (2.0, 0.0):
+        x = 1.0 + np.copysign(CONSISTENCY_ABS, toward - 1.0)
+        while abs(x - 1.0) > CONSISTENCY_ABS:
+            x = np.nextafter(x, 1.0)
+        while abs(np.nextafter(x, toward) - 1.0) <= CONSISTENCY_ABS:
+            x = np.nextafter(x, toward)
+        for last, want in ((x, True), (np.nextafter(x, toward), False)):
+            for coords in ((0, 1), (0, 1, 2)):
+                top = [last] + [0.5] * (len(coords) - 1)
+                fam = _point_family(top, coords)
+                assert consistency_check(fam, degree=1) == want, (last, coords)
+                assert _all_pairs_consistency(fam, degree=1) == want
+
+
+def test_nesting_decides_at_a_relative_kernel_cutoff():
+    """q = diag(1, 1e-30): r_eps's cutoff is relative, so the second
+    coordinate is kernel of r_eps|_(0,1) but not of r_eps|_(1).  An atom
+    (0.5, 5e-9) is inside K^(0,1) while its projection 5e-9 is outside
+    K^(1), so nesting fails; with 0 there it holds.  An index that only
+    overlaps S is not a superset of S: with (0,1) and (1,2) alone nothing
+    is nested, although (0,1)'s atoms projected onto (1,2) leave K^(1,2)."""
+    eps = 0.05
+    q2 = GramForm(dim=2, gram=np.diag([1.0, 1e-30]))
+    q3 = GramForm(dim=3, gram=np.diag([1.0, 1e-30, 1e-30]))
+    nus = {
+        second: DiscreteMeasure(
+            dim=2, atoms=np.array([[0.5, second], [-0.5, -second]]), weights=np.full(2, 0.5))
+        for second in (5e-9, 0.0)
+    }
+    overlap = MeasureFamily(entries={
+        SubalgebraIndex(coords=(0, 1)): nus[5e-9],
+        SubalgebraIndex(coords=(1, 2)): DiscreteMeasure(dim=2, atoms=np.zeros((1, 2)), weights=np.ones(1)),
+    })
+    cases = [
+        (MeasureFamily.from_global(nus[5e-9]), q2, False),
+        (MeasureFamily.from_global(nus[0.0]), q2, True),
+        (overlap, q3, True),
+    ]
+    for fam, q, want in cases:
+        p = GramForm(dim=q.dim, gram=np.diag([1.0] + [0.0] * (q.dim - 1)))
+        rep = prokhorov_mass_check(fam, p, q, eps, np.sqrt(eps), require_certificate=False)
+        r_eps = GramForm(dim=q.dim, gram=rep.scale**2 * q.gram, psd_tol=q.psd_tol)
+        assert rep.nesting_ok == _all_pairs_nesting(fam, r_eps) == want
+
+
 def _in_k(form, atom):
     nd = dual_norm(form, DualFunctional(dim=form.dim, coeffs=atom))
     return not is_infinite(nd) and nd <= 1.0 + 1e-9
@@ -408,8 +491,8 @@ def _all_pairs_nesting(fam, r_eps):
     own, nu_T's atoms in K^(T) projected onto S and tested in K^(S)."""
     return all(
         _in_unit_dual_ball(
-            restrict_form(r_eps, s),
-            nu_t.atoms[_in_unit_dual_ball(restrict_form(r_eps, t), nu_t.atoms)][:, s.positions_in(t)],
+            _restrict(r_eps, s),
+            nu_t.atoms[_in_unit_dual_ball(_restrict(r_eps, t), nu_t.atoms)][:, s.positions_in(t)],
         ).all()
         for s in fam.entries
         for t, nu_t in fam.entries.items()
@@ -445,16 +528,16 @@ def test_prokhorov_and_fundamental_lemma_masses_match_per_atom_dual_norms():
         rep = prokhorov_mass_check(fam, p, q, eps, delta, require_certificate=False)
         assert rep.scale == c
         for s, nu_s in fam.entries.items():
-            r_s = restrict_form(r_eps, s)
+            r_s = _restrict(r_eps, s)
             want = float(sum(w for a, w in zip(nu_s.atoms, nu_s.weights) if _in_k(r_s, a)))
             assert rep.masses[s] == want
         nesting = all(
-            _in_k(restrict_form(r_eps, s), a[s.positions_in(t)])
+            _in_k(_restrict(r_eps, s), a[s.positions_in(t)])
             for s in fam.entries
             for t in fam.entries
             if s != t and s.is_subset(t)
             for a in fam.entries[t].atoms
-            if _in_k(restrict_form(r_eps, t), a)
+            if _in_k(_restrict(r_eps, t), a)
         )
         assert rep.nesting_ok == nesting == _all_pairs_nesting(fam, r_eps)
         fl = fundamental_lemma_check(nu, p, q, eps, delta)
@@ -665,7 +748,7 @@ def test_stacked_restrictions_equal_lone_restrictions():
     with pytest.raises(NotPSD):
         GramForm(dim=1, gram=np.array([[-5e-9]]))
     with pytest.raises(NotPSD):
-        restrict_form(p, SubalgebraIndex(coords=(0,)))
+        _restrict(p, SubalgebraIndex(coords=(0,)))
 
 
 def test_stacked_spectra_match_per_index_references():

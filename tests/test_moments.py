@@ -193,7 +193,6 @@ def test_quadratic_module_membership():
     spec = QuadraticModuleSpec(generators=(g,))
     assert spec.contains([1.0, 2.0])
     assert not spec.contains([3.0, 1.0])
-    assert spec.atoms_inside(two_atom_measure())
 
 
 def test_cbs_inequality():

@@ -23,7 +23,6 @@ from momentkit.forms import gram_schmidt, kernel_basis, whitening_system
 from momentkit.symalg import (
     Character,
     _sym_power,
-    compose_linear,
     graded_inner,
     multinomial,
     power,
@@ -64,15 +63,6 @@ def test_evaluate_character_is_point_evaluation():
     a = multiply(x(0), x(0)) + 2.0 * x(1)
     alpha = Character(point=np.array([3.0, -1.0]))
     assert evaluate_character(alpha, a) == pytest.approx(9.0 - 2.0)
-
-
-def test_compose_linear_substitution():
-    # x0 -> y0 + y1, x1 -> 2 y1: (x0 x1) -> 2 y0 y1 + 2 y1^2
-    a = multiply(x(0), x(1))
-    rows = np.array([[1.0, 1.0], [0.0, 2.0]])
-    b = compose_linear(a, rows)
-    assert b.coefficient((1, 1)) == pytest.approx(2.0)
-    assert b.coefficient((0, 2)) == pytest.approx(2.0)
 
 
 def test_sym_power_is_a_representation():
@@ -137,15 +127,6 @@ def random_slice_element(rng, n, d):
 def test_dense_slice_matches_sparse_expansion():
     rng = np.random.default_rng(6)
     for n, d in ((2, 4), (3, 3), (4, 2)):
-        rows = rng.standard_normal((n, n))
-        a = random_slice_element(rng, n, d) + AlgebraElement.from_vector(
-            rng.standard_normal(n), d
-        )
-        got, want = compose_linear(a, rows), sparse_compose(a, rows)
-        scale = max(abs(c) for c in want.terms.values())
-        assert set(got.terms) <= set(want.terms)
-        for alpha, c in want.terms.items():
-            assert abs(got.coefficient(alpha) - c) <= 1e-12 * scale
         for s, system in seeded_forms(rng, n):
             a_d, b_d = random_slice_element(rng, n, d), random_slice_element(rng, n, d)
             for u, v in ((a_d, b_d), (a_d, a_d)):
