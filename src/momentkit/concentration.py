@@ -44,13 +44,8 @@ from .forms import (
     jsonable,
     principal_restrictions,
 )
-from .moments import (
-    DiscreteMeasure,
-    QuadraticModuleSpec,
-    from_measure,
-    monomials_up_to,
-)
-from .symalg import AlgebraElement
+from .moments import DiscreteMeasure, QuadraticModuleSpec, from_measure
+from .symalg import AlgebraElement, _monomial_values, monomials_up_to
 from .traces import trace_value
 
 
@@ -61,6 +56,7 @@ from .traces import trace_value
 # Tolerances of the lattice checks; the CLI echoes these into reports.
 CERTIFICATE_SLACK = 1e-9  # relative slack on epsilon in the concentration certificate
 CONSISTENCY_ABS = 1e-10  # moment difference allowed between nested marginals
+MASS_SLACK = 1e-12  # shortfall of a mass below its bound still accepted
 IDENTITY_ABS = 1e-12  # representation identity error allowed per monomial
 _SWEEP_BLOCK = 256  # monomial columns per superset sweep of consistency_check
 
@@ -158,30 +154,25 @@ def _lattice_bits(idxs):
     return len(bit), cols, [sum(1 << k for k in c) for c in cols]
 
 
-def _power_rows(atoms: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """prod_i atoms[j, i]^alpha_i for every atom j and row alpha of ``exps``."""
-    return np.prod(atoms[:, None, :] ** exps, axis=2)
-
-
 def consistency_check(fam: MeasureFamily, degree: int = 4) -> bool:
     """For every nested pair S within T (not only |T| = |S| + 1: the
     tolerance CONSISTENCY_ABS is absolute, so differences add up along a
     chain), nu_T pushed to S must match nu_S in all moments up to
     ``degree``.  Row mask(S) of one (2^n x monomials) table holds nu_S's
-    moments of the monomials supported in S, NaN elsewhere; n fmax and n
-    fmin passes over the bits (Yates' zeta transform), per column block,
-    give each row the max and min over its supersets.  Rounded subtraction
-    is monotone, so comparing those with the row is the all-pairs verdict
-    (on nu_T's own moments, which pushing forward only rounds anew)."""
+    moments of the monomials supported in S (in order, S's own
+    monomials_up_to), NaN elsewhere; n fmax and n fmin passes over the bits
+    (Yates' zeta transform), per column block, give each row the max and
+    min over its supersets.  Rounded subtraction is monotone, so comparing
+    those with the row is the all-pairs verdict (on nu_T's own moments,
+    which pushing forward only rounds anew)."""
     idxs = fam.indices()
-    n, cols, masks = _lattice_bits(idxs)
-    exps = np.array(monomials_up_to(n, degree))
-    supp = (exps > 0) @ (1 << np.arange(n))
-    table = np.full((1 << n, len(exps)), np.nan)
-    for s, pos, mask in zip(idxs, cols, masks):
+    n, _, masks = _lattice_bits(idxs)
+    supp = (np.array(monomials_up_to(n, degree)) > 0) @ (1 << np.arange(n))
+    table = np.full((1 << n, len(supp)), np.nan)
+    for s, mask in zip(idxs, masks):
         nu, within = fam.entries[s], np.flatnonzero((supp & ~mask) == 0)
-        table[mask, within] = nu.weights @ _power_rows(nu.atoms, exps[within][:, pos])
-    for own in np.split(table, range(_SWEEP_BLOCK, len(exps), _SWEEP_BLOCK), axis=1):
+        table[mask, within] = nu.weights @ _monomial_values(nu.atoms, degree)
+    for own in np.split(table, range(_SWEEP_BLOCK, len(supp), _SWEEP_BLOCK), axis=1):
         for fold, sign in ((np.fmax, 1.0), (np.fmin, -1.0)):
             sweep = own.copy()
             for i in range(n):
@@ -369,17 +360,17 @@ def prokhorov_mass_check(
     delta: float,
     require_certificate: bool = True,
 ) -> ProkhorovReport:
-    """With r_eps(v) = q(v) sqrt(tr(p/q)) / (delta sqrt(eps)), each nu_S
-    must put mass at least 1 - 14 eps on
+    """With r_eps(v) = c q(v), c = sqrt(tr(p/q)) / (delta sqrt(eps)), each
+    nu_S must put mass at least 1 - 14 eps on
 
         K^(S) = {alpha : |alpha(v)| <= r_eps(v) for all degree-1 v in S},
 
-    the closed unit r_eps|_S-dual ball, tested atom by atom (one restriction
-    and one test per index).  Nesting: for every nested pair S within T,
-    nu_T's atoms in K^(T), projected onto S, lie in K^(S): per S, one test
-    on the kept atoms of its strict supersets (picked by bitmask) projected
-    onto S, each row the per-pair projection exactly.  Also checks the identity
-    tr(p / (delta r_eps)) = eps (exact when tr(p/q) > 0)."""
+    c times q|_S's closed unit dual ball, tested on alpha / c so that c^2
+    is never formed ({0} when c = 0).  Nesting: for every nested pair S
+    within T, nu_T's atoms in K^(T), projected onto S, lie in K^(S): per S,
+    one test on the kept atoms of its strict supersets (picked by bitmask)
+    projected onto S, each row the per-pair projection exactly.  Also checks
+    the identity tr(p / (delta r_eps)) = eps (exact when tr(p/q) > 0)."""
     tr = trace_value(p, q)
     if is_infinite(tr):
         raise HypothesisNotCertified("tr(p/q) is infinite")
@@ -389,17 +380,19 @@ def prokhorov_mass_check(
                 f"concentration not certified at ({epsilon}, {delta})"
             )
     c = np.sqrt(tr) / (delta * np.sqrt(epsilon))
-    r_eps = GramForm(dim=q.dim, gram=c**2 * q.gram, psd_tol=q.psd_tol)
-
     bound = 1.0 - 14.0 * epsilon
     idxs = fam.indices()
-    r_s = dict(zip(idxs, principal_restrictions(r_eps, [s.coords for s in idxs])))
-    inside = {s: _in_unit_dual_ball(r_s[s], fam.entries[s].atoms) for s in idxs}
+    q_s = dict(zip(idxs, principal_restrictions(q, [s.coords for s in idxs])))
+
+    def in_k(s, points):
+        return _in_unit_dual_ball(q_s[s], points / c) if c > 0 else ~points.any(axis=1)
+
+    inside = {s: in_k(s, fam.entries[s].atoms) for s in idxs}
     masses = {
         s: float(sum(w for w, ok in zip(fam.entries[s].weights, inside[s]) if ok))
         for s in idxs
     }
-    mass_ok = not any(mass < bound - 1e-12 for mass in masses.values())
+    mass_ok = not any(mass < bound - MASS_SLACK for mass in masses.values())
     n, cols, masks = _lattice_bits(idxs)
     blocks = [np.zeros((int(inside[s].sum()), n)) for s in idxs]
     for s, pos, block in zip(idxs, cols, blocks):
@@ -407,7 +400,7 @@ def prokhorov_mass_check(
     owner = np.repeat(np.array(masks, dtype=np.int64), [len(b) for b in blocks])
     kept = np.vstack([np.zeros((0, n))] + blocks)
     nesting_ok = all(
-        _in_unit_dual_ball(r_s[s], kept[((owner & mask) == mask) & (owner != mask)][:, pos]).all()
+        in_k(s, kept[((owner & mask) == mask) & (owner != mask)][:, pos]).all()
         for s, pos, mask in zip(idxs, cols, masks)
     )
 

@@ -290,47 +290,52 @@ def kernel_component(q: GramForm, vec) -> float:
     return float(np.linalg.norm(vk.T @ vec))
 
 
+def _unit_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(points / s, s), s per row the largest power of two <= max(1, max|row|):
+    an exact division, after which norms cannot overflow."""
+    top = np.abs(points).max(axis=-1, initial=0.0)
+    s = np.ldexp(1.0, np.maximum(np.frexp(top)[1] - 1, 0))
+    return points / s[..., None], s
+
+
 def is_continuous(q: GramForm, l: DualFunctional) -> bool:
     """Whether ell is q-continuous: coeffs orthogonal to ker(q) within
-    _KER_REL_TOL * max(1, |coeffs|)."""
+    _KER_REL_TOL * max(1, |coeffs|), both sides divided by _unit_rows' s."""
     if l.dim != q.dim:
         raise DimensionMismatch(f"functional dim {l.dim} != form dim {q.dim}")
-    ker_tol = _KER_REL_TOL * max(1.0, float(np.linalg.norm(l.coeffs)))
-    return kernel_component(q, l.coeffs) <= ker_tol
+    unit, s = _unit_rows(l.coeffs)
+    ker_tol = _KER_REL_TOL * max(1.0 / s, float(np.linalg.norm(unit)))
+    return kernel_component(q, unit) <= ker_tol
 
 
 def dual_norm(q: GramForm, l: DualFunctional):
     """Operator seminorm q'(ell) = sup_{q(v)<=1} |ell(v)|.
 
     Returns INFINITE when ell has a kernel component beyond tolerance,
-    otherwise sqrt(coeffs' gram^+ coeffs), taken on coeffs / max|coeffs|
-    and scaled back where the quadratic form overflows.
+    otherwise sqrt(coeffs' gram^+ coeffs), taken on _unit_rows' scaled coeffs.
     """
     if l.dim != q.dim:
         raise DimensionMismatch(f"functional dim {l.dim} != form dim {q.dim}")
     if not is_continuous(q, l):
         return INFINITE
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = float(l.coeffs @ q.pseudo_inverse @ l.coeffs)
-    if np.isfinite(val):
-        return float(np.sqrt(max(val, 0.0)))
-    scale = float(np.abs(l.coeffs).max())
-    unit = l.coeffs / scale
-    return scale * float(np.sqrt(max(float(unit @ q.pseudo_inverse @ unit), 0.0)))
+    unit, s = _unit_rows(l.coeffs)
+    return float(s) * float(np.sqrt(max(float(unit @ q.pseudo_inverse @ unit), 0.0)))
 
 
 def _in_unit_dual_ball(q: GramForm, points: np.ndarray) -> np.ndarray:
     """Row by row, whether those coefficients lie in the closed unit q-dual
     ball: dual_norm <= 1 + _DUAL_BALL_SLACK, where a row failing
-    ``is_continuous``'s kernel test is outside.  Each row's kernel test and
-    quadratic form run the products that row gets alone (stacked matmuls),
-    so its verdict does not depend on the rows stacked with it."""
+    ``is_continuous``'s kernel test is outside (both on _unit_rows).  Each
+    row's kernel test and quadratic form run the products that row gets
+    alone (stacked matmuls), so its verdict does not depend on the rows
+    stacked with it."""
     _, _, _, vk = q._split
-    leak = np.matmul(vk.T, points[:, :, None])[:, :, 0]
-    ker_tol = _KER_REL_TOL * np.maximum(1.0, np.sqrt(_row_dots(points, points)))
+    unit, s = _unit_rows(points)
+    leak = np.matmul(vk.T, unit[:, :, None])[:, :, 0]
+    ker_tol = _KER_REL_TOL * np.maximum(1.0 / s, np.sqrt(_row_dots(unit, unit)))
     continuous = np.sqrt(_row_dots(leak, leak)) <= ker_tol
-    quad = _quad_rows(q.pseudo_inverse, points)
-    return continuous & (np.sqrt(np.maximum(quad, 0.0)) <= 1.0 + _DUAL_BALL_SLACK)
+    quad = _quad_rows(q.pseudo_inverse, unit)
+    return continuous & (np.sqrt(np.maximum(quad, 0.0)) <= (1.0 + _DUAL_BALL_SLACK) / s)
 
 
 def gram_schmidt(q: GramForm, vectors) -> OrthonormalSystem:
@@ -412,6 +417,8 @@ def principal_restrictions(p: GramForm, index_sets) -> list:
     out: list = [None] * len(sets)
     for size, pos in by_size.items():
         cols = np.array([sets[i] for i in pos], dtype=int).reshape(len(pos), size)
+        if cols.size and (cols.min() < 0 or cols.max() >= p.dim):
+            raise DimensionMismatch(f"an index set leaves coordinates 0..{p.dim - 1}")
         grams = p.gram[cols[:, :, None], cols[:, None, :]]
         grams.setflags(write=False)
         w, v = np.linalg.eigh(grams)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentration import _certifies, _second_moment
+from .concentration import MASS_SLACK, _certifies, _second_moment
 from .errors import (
     InvalidInput,
     KernelNotContained,
@@ -291,7 +291,7 @@ def fundamental_lemma_check(
 
     trace_term = tr / delta**2
     bound = 1.0 - 7.0 * (epsilon + trace_term)
-    conclusion = bool(mass >= bound - 1e-12) if certified else None
+    conclusion = bool(mass >= bound - MASS_SLACK) if certified else None
     return FundamentalLemmaReport(
         sup_quadratic=sup,
         epsilon=epsilon,

@@ -30,20 +30,14 @@ from .forms import GramForm, INFINITE, OrthonormalSystem, jsonable
 from .symalg import (
     AlgebraElement,
     Character,
+    _monomial_values,
     _orthonormal_monomials,
     evaluate_character,
     gradlex_key,
+    monomials_up_to,
     multiply,
     slice_monomials,
 )
-
-
-def monomials_up_to(dim: int, degree: int) -> list[tuple]:
-    """All multi-indices of total degree <= degree, graded-lex order."""
-    out = []
-    for d in range(degree + 1):
-        out.extend(slice_monomials(dim, d))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +188,9 @@ class MomentFunctional:
 
 
 def from_measure(nu: DiscreteMeasure, max_degree: int) -> MomentFunctional:
-    """moments[alpha] = sum_j w_j atom_j^alpha, exactly as floating sums."""
-    moments = {}
-    for alpha in monomials_up_to(nu.dim, max_degree):
-        moments[alpha] = nu.moment(alpha)
+    """moments[alpha] = sum_j w_j atom_j^alpha over the atoms' monomial values."""
+    values = nu.weights @ _monomial_values(nu.atoms, max_degree)
+    moments = dict(zip(monomials_up_to(nu.dim, max_degree), values))
     return MomentFunctional(
         dim=nu.dim, max_degree=max_degree, moments=moments, source=nu
     )

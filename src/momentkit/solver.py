@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, InvalidInput, NotPSD, RankNotFlat
-from .moments import DiscreteMeasure, MomentFunctional, moment_matrix, monomials_up_to
+from .moments import DiscreteMeasure, MomentFunctional, moment_matrix
+from .symalg import _monomial_values, _slice_index, monomials_up_to
 
 _RANK_TOL = 1e-9  # singular values below tol * sigma_max count as rank deficiency
 
@@ -115,7 +116,7 @@ def solve_univariate(moments) -> SolverResult:
     vals, vecs = np.linalg.eigh(jacobi)
     weights = moments[0] * vecs[0, :] ** 2
     measure = _sorted_measure(vals.reshape(-1, 1), weights)
-    recon = np.array([measure.moment((k,)) for k in range(len(moments))])
+    recon = measure.weights @ _monomial_values(measure.atoms, len(moments) - 1)
     residual = float(np.abs(recon - moments).max())
     return SolverResult(
         measure=measure, residual=residual, rank_profile=(rank_dm1, rank_d)
@@ -135,28 +136,19 @@ def solve_multivariate(L: MomentFunctional, d: int, seed: int = 0) -> SolverResu
         raise RankNotFlat(f"rank M_{d} = {r_d} != rank M_{d - 1} = {r_dm1}")
     r = r_d
 
-    basis = monomials_up_to(L.dim, d)
-    low = [i for i, b in enumerate(basis) if sum(b) <= d - 1]
+    # M_d's rows: monomials_up_to(dim, d), slice k from row start[k]; row b
+    # of shift holds the rows of monomial b (degree < d) times each x_i
+    start = np.cumsum([0] + [len(_slice_index(L.dim, k).monomials) for k in range(d + 1)])
+    shift = np.vstack([start[k + 1] + _slice_index(L.dim, k + 1).times for k in range(d)])
     w, v = np.linalg.eigh(m_d)
     keep = w > _RANK_TOL * max(w[-1], 1e-300)
     feat = v[:, keep] * np.sqrt(w[keep])  # row per monomial, <row_a, row_b> = M[a,b]
 
-    a = feat[low, :]
+    a = feat[: start[d], :]
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= 0 or s[0] / s[-1] > 1e10:
         raise IllConditioned(f"basis extraction condition {s[0] / max(s[-1], 1e-300)}")
-
-    index_of = {b: i for i, b in enumerate(basis)}
-    mult = []
-    for i in range(L.dim):
-        rows = []
-        for bi in low:
-            beta = basis[bi]
-            shifted = tuple(x + (1 if k == i else 0) for k, x in enumerate(beta))
-            rows.append(feat[index_of[shifted], :])
-        b_mat = np.vstack(rows)
-        x_i, *_ = np.linalg.lstsq(a, b_mat, rcond=None)
-        mult.append(x_i)
+    mult = [np.linalg.lstsq(a, feat[shift[:, i]], rcond=None)[0] for i in range(L.dim)]
 
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(L.dim)
@@ -168,22 +160,14 @@ def solve_multivariate(L: MomentFunctional, d: int, seed: int = 0) -> SolverResu
     for i in range(L.dim):
         atoms[:, i] = np.diag(q_schur.T @ mult[i] @ q_schur)
 
-    vand = np.empty((len(monomials_up_to(L.dim, 2 * d)), r))
-    targets = []
-    for row, alpha in enumerate(monomials_up_to(L.dim, 2 * d)):
-        vals = np.ones(r)
-        for k, e in enumerate(alpha):
-            if e:
-                vals *= atoms[:, k] ** e
-        vand[row] = vals
-        targets.append(L.moments.get(alpha, 0.0))
-    targets = np.asarray(targets)
+    vand = _monomial_values(atoms, 2 * d).T
+    targets = np.array([L.moments.get(alpha, 0.0) for alpha in monomials_up_to(L.dim, 2 * d)])
     weights, *_ = np.linalg.lstsq(vand, targets, rcond=None)
     if np.any(weights < -1e-8):
         from scipy.optimize import nnls
 
         weights, _ = nnls(vand, targets)
     measure = _sorted_measure(atoms, weights)
-    recon = np.array([measure.moment(alpha) for alpha in monomials_up_to(L.dim, 2 * d)])
+    recon = measure.weights @ _monomial_values(measure.atoms, 2 * d)
     residual = float(np.abs(recon - targets).max())
     return SolverResult(measure=measure, residual=residual, rank_profile=(r_dm1, r_d))

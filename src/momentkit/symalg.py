@@ -23,7 +23,10 @@ degree-d monomials; a change of degree-1 basis x_k -> sum_i S[k, i] y_i
 acts on a degree-d coefficient vector c as c @ Sym^d(S), the d-th
 symmetric power of S on that basis.  The graded inner products, the
 tilde-trace direct path and the slice constants of
-:mod:`momentkit.moments` all use Sym^d.
+:mod:`momentkit.moments` all use Sym^d.  The same tables evaluate all
+monomials of degree <= D at a set of points (``_monomial_values``) for the
+moment tables, the consistency sweep and the solver; ``evaluate_character``
+and ``DiscreteMeasure.moment`` take powers instead, the reference route.
 """
 
 from __future__ import annotations
@@ -167,6 +170,22 @@ def _sym_power(s: np.ndarray, d: int) -> np.ndarray:
         for i in range(n_cols):
             out[:, cols.times[:, i]] += prev * image[:, i : i + 1]
     return out
+
+
+def monomials_up_to(dim: int, degree: int) -> list[tuple]:
+    """All multi-indices of total degree <= degree, graded-lex order."""
+    return [alpha for d in range(degree + 1) for alpha in _slice_index(dim, d).monomials]
+
+
+def _monomial_values(points: np.ndarray, degree: int) -> np.ndarray:
+    """Column r holds x^alpha_r for every row x of ``points``, the columns in
+    monomials_up_to order.  Column alpha of slice d is column parent(alpha)
+    of slice d - 1 times x_var(alpha): one product per entry, no powers."""
+    out = [np.ones((len(points), 1))]
+    for d in range(1, degree + 1):
+        index = _slice_index(points.shape[1], d)
+        out.append(out[-1][:, index.parent] * points[:, index.var])
+    return np.hstack(out)
 
 
 # ---------------------------------------------------------------------------

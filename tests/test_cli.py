@@ -35,6 +35,7 @@ def read_report(out: Path, stem: str) -> dict:
     return json.loads((out / f"{stem}.report.json").read_text())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_all_bundled_fixtures(tmp_path):
     expected = {
         "trace.json": 0,
@@ -51,6 +52,22 @@ def test_all_bundled_fixtures(tmp_path):
     for name, want in expected.items():
         code = run_cli("run", fixture_path(name), "--out", str(tmp_path))
         assert code == want, name
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_main_theorem_tiny_epsilon_passes_prokhorov_mass(tmp_path):
+    """eps = 1e-200 puts r_eps = c^2 q out of float range (c is about
+    sqrt(tr) * 1e200); K^(S) is decided on atoms / c, so the prokhorov_mass
+    stage passes, as concentration_sqrt_eps does, without a numeric
+    warning."""
+    config = json.loads(Path(fixture_path("main_theorem.json")).read_text())
+    config["parameters"]["eps_grid"] = [1e-200]
+    cfg = tmp_path / "tiny_eps.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 0
+    stages = read_report(tmp_path, "tiny_eps")["results"]["stages"]
+    status = {stage["name"]: stage["status"] for stage in stages}
+    assert status["prokhorov_mass"] == status["concentration_sqrt_eps"] == "pass"
 
 
 def test_run_loads_no_scipy(tmp_path):

@@ -29,10 +29,10 @@ from momentkit import (
 from momentkit.concentration import (
     CONSISTENCY_ABS,
     _index_spectra,
-    _power_rows,
     exact_tail,
 )
 from momentkit.errors import (
+    DimensionMismatch,
     HypothesisNotCertified,
     KernelIssue,
     NotInScope,
@@ -210,6 +210,32 @@ def test_prokhorov_requires_certificate():
         prokhorov_mass_check(fam, p, q, epsilon=0.001, delta=0.2)
 
 
+def test_prokhorov_zero_trace_keeps_only_the_origin():
+    """tr(p/q) = 0 makes c = 0 and K^(S) = {0}: only atoms at the origin
+    count, however small the others are."""
+    nu = DiscreteMeasure(
+        dim=2, atoms=np.array([[0.0, 0.0], [1e-12, 0.0]]), weights=np.array([0.75, 0.25])
+    )
+    zero, q = GramForm(dim=2, gram=np.zeros((2, 2))), GramForm(dim=2, gram=np.eye(2))
+    rep = prokhorov_mass_check(MeasureFamily.from_global(nu), zero, q, 0.05, 0.5)
+    assert rep.scale == 0.0
+    assert rep.masses[SubalgebraIndex(coords=(0,))] == 0.75
+    assert rep.masses[SubalgebraIndex(coords=(1,))] == 1.0
+    assert rep.nesting_ok and rep.trace_identity_ok
+
+
+def test_lattice_checks_reject_coordinates_past_the_form():
+    """An index naming a coordinate the form does not have is a
+    DimensionMismatch, not an IndexError from the principal gather."""
+    one = GramForm(dim=1, gram=np.eye(1))
+    point = DiscreteMeasure(dim=1, atoms=np.zeros((1, 1)), weights=np.ones(1))
+    fam = MeasureFamily(entries={SubalgebraIndex(coords=(i,)): point for i in range(3)})
+    with pytest.raises(DimensionMismatch):
+        concentration_check(fam, one, 0.05, 0.5)
+    with pytest.raises(DimensionMismatch):
+        prokhorov_mass_check(fam, one, one, 0.05, 0.5, require_certificate=False)
+
+
 def test_prokhorov_trace_identity_exact():
     """tr(p / delta r_eps) = eps exactly when tr(p/q) > 0."""
     rng = np.random.default_rng(7)
@@ -367,22 +393,22 @@ def test_consistency_with_coincident_projected_atoms():
     fam = MeasureFamily.from_global(nu)
     assert len(fam.entries[SubalgebraIndex(coords=(0, 1))].atoms) == 3
     assert consistency_check(fam)
-    # the vectorized table against the one-moment-at-a-time reference
-    alphas = monomials_up_to(3, 4)
-    table = nu.weights @ _power_rows(nu.atoms, np.array(alphas))
-    assert table == pytest.approx([nu.moment(a) for a in alphas], rel=1e-14, abs=1e-15)
+    assert _all_pairs_consistency(fam)
 
 
 def _all_pairs_consistency(fam, degree=4, tol=CONSISTENCY_ABS):
     """Reference for consistency_check: every nested pair S within T on its
-    own, nu_T's atoms projected onto S, one moment table per pair."""
+    own, nu_T's atoms projected onto S, one moment at a time by
+    DiscreteMeasure.moment (powers, not the monomial kernel)."""
     for s in fam.entries:
-        exps = np.array(monomials_up_to(len(s), degree))
-        own = fam.entries[s].weights @ _power_rows(fam.entries[s].atoms, exps)
+        alphas = monomials_up_to(len(s), degree)
+        own = np.array([fam.entries[s].moment(a) for a in alphas])
         for t, nu_t in fam.entries.items():
             if s != t and s.is_subset(t):
-                pushed = nu_t.weights @ _power_rows(nu_t.atoms[:, s.positions_in(t)], exps)
-                if np.any(np.abs(pushed - own) > tol):
+                pushed = DiscreteMeasure(
+                    dim=len(s), atoms=nu_t.atoms[:, s.positions_in(t)], weights=nu_t.weights
+                )
+                if np.any(np.abs([pushed.moment(a) for a in alphas] - own) > tol):
                     return False
     return True
 

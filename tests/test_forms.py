@@ -21,7 +21,7 @@ from momentkit import (
 )
 from momentkit import forms
 from momentkit.errors import NotPSD, ZeroNormDirection
-from momentkit.forms import is_continuous, kernel_contained, restrict_gram
+from momentkit.forms import _in_unit_dual_ball, is_continuous, kernel_contained, restrict_gram
 
 
 def random_psd(rng, n, rank=None):
@@ -85,6 +85,22 @@ def test_dual_norm_infinite_off_kernel():
     # vanishing on the kernel -> finite again
     l2 = DualFunctional(dim=2, coeffs=np.array([2.0, 0.0]))
     assert dual_norm(q, l2) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_kernel_test_does_not_overflow():
+    """The kernel tolerance scales with |coeffs|; taken on coeffs scaled by
+    a power of two it cannot overflow to inf, so a huge functional off
+    ker(q)^perp stays discontinuous and outside the unit dual ball."""
+    q = GramForm(dim=2, gram=np.diag([1.0, 0.0]))
+    for big in (1e150, 1e200, 1e308):
+        coeffs = np.array([big, big])
+        l = DualFunctional(dim=2, coeffs=coeffs)
+        assert not is_continuous(q, l)
+        assert is_infinite(dual_norm(q, l))
+        assert not _in_unit_dual_ball(q, coeffs[None, :])[0]
+    huge = DualFunctional(dim=2, coeffs=np.array([1e200, 0.0]))
+    assert dual_norm(q, huge) == 1e200
+    assert not _in_unit_dual_ball(q, huge.coeffs[None, :])[0]
 
 
 def test_dual_norm_is_supremum():

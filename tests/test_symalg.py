@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentkit import (
     AlgebraElement,
@@ -20,10 +22,13 @@ from momentkit import (
 )
 from momentkit.errors import DegreeOverflow, NotHomogeneous, NotInScope
 from momentkit.forms import gram_schmidt, kernel_basis, whitening_system
+from momentkit.moments import DiscreteMeasure
 from momentkit.symalg import (
     Character,
+    _monomial_values,
     _sym_power,
     graded_inner,
+    monomials_up_to,
     multinomial,
     power,
     slice_monomials,
@@ -63,6 +68,38 @@ def test_evaluate_character_is_point_evaluation():
     a = multiply(x(0), x(0)) + 2.0 * x(1)
     alpha = Character(point=np.array([3.0, -1.0]))
     assert evaluate_character(alpha, a) == pytest.approx(9.0 - 2.0)
+
+
+@st.composite
+def points_and_degree(draw):
+    """Up to three points in 1-5 coordinates, each coordinate 0, +-1 or of
+    magnitude 1e-3..10 (no underflow at degree 8), and a degree 0-8."""
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 3))
+    magnitude = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 10.0))
+    coord = st.builds(lambda m, neg: -m if neg else m, magnitude, st.booleans())
+    values = draw(st.lists(coord, min_size=rows * dim, max_size=rows * dim))
+    return np.reshape(values, (rows, dim)), draw(st.integers(0, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points_and_degree())
+def test_monomial_values_match_the_power_routes(case):
+    """Column r of _monomial_values is x^alpha_r for alpha_r the r-th entry
+    of monomials_up_to: against the pow-based DiscreteMeasure.moment of the
+    one-atom measure at x and evaluate_character at x, within 1e-13."""
+    points, degree = case
+    dim = points.shape[1]
+    values = _monomial_values(points, degree)
+    alphas = monomials_up_to(dim, degree)
+    assert values.shape == (len(points), len(alphas))
+    for x, row in zip(points, values):
+        atom = DiscreteMeasure(dim=dim, atoms=x[None, :], weights=np.ones(1))
+        point = Character(point=x)
+        for alpha, got in zip(alphas, row):
+            monomial = AlgebraElement(dim, degree, {alpha: 1.0})
+            assert got == pytest.approx(atom.moment(alpha), rel=1e-13, abs=0.0)
+            assert got == pytest.approx(evaluate_character(point, monomial), rel=1e-13, abs=0.0)
 
 
 def test_sym_power_is_a_representation():
