@@ -29,6 +29,7 @@ from .errors import (
     LATTICE_CAP,
     DimensionMismatch,
     HypothesisNotCertified,
+    InvalidInput,
     KernelIssue,
     MomentkitError,
     NotInScope,
@@ -370,7 +371,9 @@ def prokhorov_mass_check(
     within T, nu_T's atoms in K^(T), projected onto S, lie in K^(S): per S,
     one test on the kept atoms of its strict supersets (picked by bitmask)
     projected onto S, each row the per-pair projection exactly.  Also checks
-    the identity tr(p / (delta r_eps)) = eps (exact when tr(p/q) > 0)."""
+    the identity tr(p / (delta r_eps)) = eps (exact when tr(p/q) > 0), on the
+    form (delta c)^2 q; InvalidInput when that form leaves float range (an
+    eps or delta so small that c overflows)."""
     tr = trace_value(p, q)
     if is_infinite(tr):
         raise HypothesisNotCertified("tr(p/q) is infinite")
@@ -379,7 +382,14 @@ def prokhorov_mass_check(
             raise HypothesisNotCertified(
                 f"concentration not certified at ({epsilon}, {delta})"
             )
-    c = np.sqrt(tr) / (delta * np.sqrt(epsilon))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = np.sqrt(tr) / (delta * np.sqrt(epsilon))
+        r_gram = (delta * c) ** 2 * q.gram  # delta r_eps
+        finite = np.isfinite(r_gram + r_gram.T).all()  # GramForm symmetrizes by this sum
+    if not finite:
+        raise InvalidInput(
+            f"(delta c)^2 q is not finite at eps = {epsilon}, delta = {delta}"
+        )
     bound = 1.0 - 14.0 * epsilon
     idxs = fam.indices()
     q_s = dict(zip(idxs, principal_restrictions(q, [s.coords for s in idxs])))
@@ -406,7 +416,7 @@ def prokhorov_mass_check(
 
     if tr > 0:
         # tr(p / (delta r_eps)) = tr(p/q) / (delta c)^2 = eps exactly
-        ident = trace_value(p, GramForm(dim=q.dim, gram=(delta * c) ** 2 * q.gram))
+        ident = trace_value(p, GramForm(dim=q.dim, gram=r_gram))
         ident_ok = abs(ident - epsilon) <= 1e-10 * max(epsilon, 1.0)
     else:
         ident = 0.0

@@ -4,14 +4,17 @@ The measure is realized through a whitening matrix W whose columns form a
 complete q-orthonormal system; samples are v = W z with z standard normal,
 so the q-coordinates of a sample are i.i.d. N(0,1).  Monte-Carlo estimators
 partition the sample index space into contiguous blocks, one counter-based
-Philox substream per block, and merge block results in fixed order — the
-result is bit-identical for a given (seed, samples, streams) regardless of
-scheduling.
+Philox substream per block.  One streaming pass draws each block once, in
+chunks, and feeds every estimator of a check; the blocks run on a thread
+pool sized to the CPU affinity and their results merge in fixed block
+order — the result is bit-identical for a given (seed, samples, streams)
+regardless of scheduling or worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,7 @@ from .moments import DiscreteMeasure
 from .traces import trace_value
 
 CERTIFY_SIGMAS = 4.0  # a Monte Carlo estimate certifies within this many standard errors
+_CHUNK = 65_536  # rows of standard normals drawn per call into a block's buffer
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,22 +101,60 @@ def sample(gamma: GaussianMeasure, cfg: McConfig) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _mc_mean(gamma: GaussianMeasure, cfg: McConfig, per_sample) -> tuple:
-    """Streaming mean/stderr of per_sample(z_block) merged in block order."""
-    total = 0.0
-    total_sq = 0.0
-    n = 0
-    for b, count in enumerate(cfg.block_counts()):
-        if count == 0:
-            continue
-        z = _block_rng(cfg.seed, b).standard_normal((count, gamma.rank))
-        vals = np.asarray(per_sample(z), dtype=float)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        n += count
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
-    return mean, float(np.sqrt(var / n))
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _block_sums(gamma: GaussianMeasure, seed: int, block: int, count: int, fns) -> list:
+    """(sum, sum of squares) of each fn's per-sample values on one block.
+    The block's stream is drawn _CHUNK rows at a time into one buffer; each
+    fn fills an array as long as the block, which is summed whole, so every
+    sum has the bits of a single whole-block draw."""
+    rng = _block_rng(seed, block)
+    buf = np.empty((min(count, _CHUNK), gamma.rank))
+    vals = [np.empty(count) for _ in fns]
+    for start in range(0, count, _CHUNK):
+        z = buf[: min(_CHUNK, count - start)]
+        rng.standard_normal(out=z)
+        for fn, out in zip(fns, vals):
+            out[start : start + len(z)] = fn(z)
+    return [(float(v.sum()), float((v * v).sum())) for v in vals]
+
+
+def _mc_means(gamma: GaussianMeasure, cfg: McConfig, per_sample_fns) -> list:
+    """Streaming (mean, stderr) of each per_sample(z_chunk) over all samples,
+    in one pass: the non-empty blocks run on a thread pool (numpy releases
+    the GIL while it draws and reduces) and merge in block order, so the
+    result does not depend on the number of workers.  per_sample functions
+    run on worker threads and must call numpy only."""
+    blocks = [(b, count) for b, count in enumerate(cfg.block_counts()) if count]
+
+    def run(block):
+        return _block_sums(gamma, cfg.seed, *block, per_sample_fns)
+
+    workers = min(len(blocks), _cpu_count())
+    if workers == 1:
+        sums = list(map(run, blocks))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            sums = list(pool.map(run, blocks))
+    n = cfg.samples
+    means = []
+    for per_block in zip(*sums):  # one estimator's sums, in block order
+        total = 0.0
+        total_sq = 0.0
+        for block_sum, block_sum_sq in per_block:
+            total += block_sum
+            total_sq += block_sum_sq
+        mean = total / n
+        var = max(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
+        means.append((mean, float(np.sqrt(var / n))))
+    return means
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,23 +175,38 @@ class McReport:
         }
 
 
-def second_moment_check(gamma: GaussianMeasure, w, cfg: McConfig) -> McReport:
-    """MC estimate of the integral of <v, w>_q^2, which equals 1 exactly for
-    q(w) = 1 (w is normalized internally)."""
+def _second_moment_estimator(gamma: GaussianMeasure, w, cfg: McConfig):
+    """(per-sample values, report builder) of second_moment_check."""
     w = np.asarray(w, dtype=float)
     nrm = gamma.q(w)
     if nrm <= 0.0:
         raise ZeroNormDirection("q(w) = 0: direction lies in the kernel")
     w = w / nrm
     u = gamma.whitening.T @ (gamma.q.gram @ w)  # <Wz, w>_q = z . u
-    est, stderr = _mc_mean(gamma, cfg, lambda z: (z @ u) ** 2)
-    return McReport(
-        estimate=est,
-        stderr=stderr,
-        bound=1.0,
-        certified=bool(abs(est - 1.0) <= CERTIFY_SIGMAS * stderr),
-        seed=cfg.seed,
-    )
+
+    def report(est, stderr):
+        return McReport(
+            estimate=est,
+            stderr=stderr,
+            bound=1.0,
+            certified=bool(abs(est - 1.0) <= CERTIFY_SIGMAS * stderr),
+            seed=cfg.seed,
+        )
+
+    return (lambda z: (z @ u) ** 2), report
+
+
+def _estimate(gamma: GaussianMeasure, cfg: McConfig, estimators) -> list:
+    """Reports of (per-sample values, report builder) pairs, all estimated
+    in one pass over the samples."""
+    means = _mc_means(gamma, cfg, [values for values, _ in estimators])
+    return [report(*m) for (_, report), m in zip(estimators, means)]
+
+
+def second_moment_check(gamma: GaussianMeasure, w, cfg: McConfig) -> McReport:
+    """MC estimate of the integral of <v, w>_q^2, which equals 1 exactly for
+    q(w) = 1 (w is normalized internally)."""
+    return _estimate(gamma, cfg, [_second_moment_estimator(gamma, w, cfg)])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,28 +258,48 @@ class ChebyshevReport:
         }
 
 
+def _chebyshev_estimator(gamma: GaussianMeasure, p: GramForm, delta: float, cfg: McConfig):
+    """(per-sample values, report builder) of chebyshev_outside_ball."""
+    tr = trace_value(p, gamma.q)
+    if is_infinite(tr):
+        raise KernelNotContained("tr(p/q) is infinite")
+    a = gamma.whitening.T @ p.gram @ gamma.whitening
+
+    def report(est, _):
+        stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / cfg.samples))
+        bound = tr / delta**2
+        return ChebyshevReport(
+            mc=est,
+            stderr=stderr,
+            bound=bound,
+            certified=bool(est <= bound + CERTIFY_SIGMAS * stderr),
+            seed=cfg.seed,
+        )
+
+    return (lambda z: (np.einsum("ij,jk,ik->i", z, a, z) > delta**2).astype(float)), report
+
+
 def chebyshev_outside_ball(
     gamma: GaussianMeasure, p: GramForm, delta: float, cfg: McConfig
 ) -> ChebyshevReport:
     """MC estimate of gamma(p(v) > delta) against the Chebyshev-type bound
     delta^{-2} tr(p/q)."""
-    tr = trace_value(p, gamma.q)
-    if is_infinite(tr):
-        raise KernelNotContained("tr(p/q) is infinite")
-    a = gamma.whitening.T @ p.gram @ gamma.whitening
-    est, _ = _mc_mean(
-        gamma, cfg, lambda z: (np.einsum("ij,jk,ik->i", z, a, z) > delta**2).astype(float)
+    return _estimate(gamma, cfg, [_chebyshev_estimator(gamma, p, delta, cfg)])[0]
+
+
+def _mc_checks(
+    gamma: GaussianMeasure, w, cfg: McConfig, p: GramForm | None = None, delta=None
+) -> tuple:
+    """(second_moment_check, chebyshev_outside_ball or None) from one pass
+    over the samples; the Chebyshev check runs when p (and delta) is given."""
+    if p is None:
+        return second_moment_check(gamma, w, cfg), None
+    second, cheb = _estimate(
+        gamma,
+        cfg,
+        [_second_moment_estimator(gamma, w, cfg), _chebyshev_estimator(gamma, p, delta, cfg)],
     )
-    n = cfg.samples
-    stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / n))
-    bound = tr / delta**2
-    return ChebyshevReport(
-        mc=est,
-        stderr=stderr,
-        bound=bound,
-        certified=bool(est <= bound + CERTIFY_SIGMAS * stderr),
-        seed=cfg.seed,
-    )
+    return second, cheb
 
 
 @dataclass(frozen=True, eq=False)

@@ -123,7 +123,10 @@ def _check_lattice(errors, where, n):
 _CHECKERS = {
     "matrix": _check_matrix,
     "vector": _check_vector,
-    "positive_vector": _vector_checker(lambda v: v > 0, "positive numbers"),
+    # eps_grid: delta = sqrt(eps) and c = sqrt(tr) / (delta sqrt(eps)) overflow below it
+    "normal_vector": _vector_checker(
+        lambda v: v >= sys.float_info.min, f"numbers no smaller than {sys.float_info.min}"
+    ),
     "nonnegative_vector": _vector_checker(lambda v: v >= 0, "nonnegative numbers"),
     "squarable_vector": _vector_checker(_is_squarable, "positive numbers with finite, nonzero squares"),
     "measure": _check_measure,
@@ -240,13 +243,7 @@ def _run_gaussian(params, seed):
     import numpy as np
 
     from .forms import DualFunctional
-    from .gaussian import (
-        GaussianMeasure,
-        McConfig,
-        chebyshev_outside_ball,
-        second_moment_check,
-        tail_lower_bound_check,
-    )
+    from .gaussian import GaussianMeasure, McConfig, _mc_checks, tail_lower_bound_check
 
     q = _parse_form(params["q"])
     cfg = McConfig(
@@ -258,18 +255,18 @@ def _run_gaussian(params, seed):
     else:
         w = gamma.whitening[:, 0]
     results = {}
-    second = second_moment_check(gamma, w, cfg)
-    results["second_moment"] = second.to_jsonable()
-    passed = second.certified
-    if "functional" in params:
+    passed = True
+    if "functional" in params:  # exact, so it runs (and may fail) before the sampling
         l = DualFunctional(dim=q.dim, coeffs=np.asarray(params["functional"]))
         tail = tail_lower_bound_check(gamma, l)
         results["tail_lower_bound"] = tail.to_jsonable()
-        passed = passed and tail.ok
-    if "p" in params:
-        cheb = chebyshev_outside_ball(
-            gamma, _parse_form(params["p"]), params["delta"], cfg
-        )
+        passed = tail.ok
+    # one pass over the samples feeds both Monte Carlo checks
+    p = _parse_form(params["p"]) if "p" in params else None
+    second, cheb = _mc_checks(gamma, w, cfg, p, params.get("delta"))
+    results["second_moment"] = second.to_jsonable()
+    passed = passed and second.certified
+    if cheb is not None:
         results["chebyshev_outside_ball"] = cheb.to_jsonable()
         passed = passed and cheb.certified
     return passed, results, {}
@@ -588,7 +585,7 @@ SCENARIO_KINDS = {
             "measure": "measure",
             "q": "matrix",
             "degrees": "positive_integer",
-            "eps_grid": "positive_vector",
+            "eps_grid": "normal_vector",
         },
         "optional": {"generators": "element_list"},
     },

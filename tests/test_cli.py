@@ -59,15 +59,18 @@ def test_main_theorem_tiny_epsilon_passes_prokhorov_mass(tmp_path):
     """eps = 1e-200 puts r_eps = c^2 q out of float range (c is about
     sqrt(tr) * 1e200); K^(S) is decided on atoms / c, so the prokhorov_mass
     stage passes, as concentration_sqrt_eps does, without a numeric
-    warning."""
+    warning.  So does 1e-300, close above the smallest normal float (the
+    validator's floor for eps_grid)."""
     config = json.loads(Path(fixture_path("main_theorem.json")).read_text())
-    config["parameters"]["eps_grid"] = [1e-200]
-    cfg = tmp_path / "tiny_eps.json"
-    cfg.write_text(json.dumps(config))
-    assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 0
-    stages = read_report(tmp_path, "tiny_eps")["results"]["stages"]
-    status = {stage["name"]: stage["status"] for stage in stages}
-    assert status["prokhorov_mass"] == status["concentration_sqrt_eps"] == "pass"
+    for eps in (1e-200, 1e-300):
+        config["parameters"]["eps_grid"] = [eps]
+        cfg = tmp_path / "tiny_eps.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("validate", str(cfg)) == 0
+        assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 0
+        stages = read_report(tmp_path, "tiny_eps")["results"]["stages"]
+        status = {stage["name"]: stage["status"] for stage in stages}
+        assert status["prokhorov_mass"] == status["concentration_sqrt_eps"] == "pass"
 
 
 def test_run_loads_no_scipy(tmp_path):
@@ -470,6 +473,7 @@ def test_cross_field_mismatch_exit_2(tmp_path, stem, parameters):
         ("gaussian", {"delta": 1e300}),
         ("main_theorem", {"eps_grid": [0.0]}),
         ("main_theorem", {"eps_grid": [0.04, -0.04]}),
+        ("main_theorem", {"eps_grid": [1e-320]}),
         ("tilde_trace", {"lam": [-1.0, 1.0]}),
         ("tilde_trace", {"eta": [1.0, 0.0]}),
         ("tilde_trace", {"constants": [-1.0]}),
@@ -496,6 +500,7 @@ def test_cross_field_mismatch_exit_2(tmp_path, stem, parameters):
         "gaussian_delta_square_overflows",
         "main_theorem_eps_zero",
         "main_theorem_eps_negative",
+        "main_theorem_eps_subnormal",
         "tilde_trace_negative_lam",
         "tilde_trace_zero_eta",
         "tilde_trace_negative_constant",

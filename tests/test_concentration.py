@@ -34,6 +34,7 @@ from momentkit.concentration import (
 from momentkit.errors import (
     DimensionMismatch,
     HypothesisNotCertified,
+    InvalidInput,
     KernelIssue,
     NotInScope,
     NotPSD,
@@ -208,6 +209,22 @@ def test_prokhorov_requires_certificate():
     q = GramForm(dim=2, gram=np.eye(2))
     with pytest.raises(HypothesisNotCertified):
         prokhorov_mass_check(fam, p, q, epsilon=0.001, delta=0.2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps", [3e-308, 2.2250738585072014e-308, 1e-320])
+def test_prokhorov_rejects_a_scale_out_of_float_range(eps):
+    """At delta = sqrt(eps), the identity's form (delta c)^2 q = (tr(p/q) / eps) q,
+    or the sum GramForm symmetrizes it by, leaves float range for eps this
+    small: a typed error without overflow warnings, not a NaN gram ("NotPSD:
+    gram matrix is not symmetric") or a TypeError; 5e-308 still fits."""
+    fam = MeasureFamily.from_global(two_atom())
+    p = GramForm(dim=2, gram=np.array([[1.0, 1.0], [1.0, 2.0]]))
+    q = GramForm(dim=2, gram=np.eye(2))
+    with pytest.raises(InvalidInput):
+        prokhorov_mass_check(fam, p, q, eps, float(np.sqrt(eps)), require_certificate=False)
+    rep = prokhorov_mass_check(fam, p, q, 5e-308, float(np.sqrt(5e-308)), require_certificate=False)
+    assert rep.trace_identity_ok
 
 
 def test_prokhorov_zero_trace_keeps_only_the_origin():

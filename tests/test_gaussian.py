@@ -4,7 +4,10 @@ dual-ball lemma."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -27,7 +30,8 @@ from momentkit.errors import (
     NotInScope,
     SingularForm,
 )
-from momentkit.gaussian import sample
+from momentkit.gaussian import _CHUNK, _block_rng, _mc_checks, _mc_means, sample
+from momentkit.scenarios import run_config
 
 
 def test_sampling_reproducible_and_stream_invariant():
@@ -137,6 +141,89 @@ def test_chebyshev_outside_ball():
     # true mass P(chi2_2 > 9) = exp(-4.5)
     assert rep.mc == pytest.approx(np.exp(-4.5), abs=5e-3)
     assert rep.certified
+
+
+def _whole_block_means(gamma, cfg, per_sample_fns):
+    """Reference: each estimator on its own pass, each block drawn whole."""
+    means = []
+    for fn in per_sample_fns:
+        total = 0.0
+        total_sq = 0.0
+        n = 0
+        for b, count in enumerate(cfg.block_counts()):
+            if count == 0:
+                continue
+            z = _block_rng(cfg.seed, b).standard_normal((count, gamma.rank))
+            vals = np.asarray(fn(z), dtype=float)
+            total += float(vals.sum())
+            total_sq += float((vals * vals).sum())
+            n += count
+        mean = total / n
+        var = max(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
+        means.append((mean, float(np.sqrt(var / n))))
+    return means
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("streams", [1, 3, 4, 7])
+def test_chunked_pooled_pass_keeps_whole_block_bits(monkeypatch, streams, workers):
+    """The streaming kernel (chunked draws, one pass for several estimators,
+    blocks on a thread pool) gives the bits of whole-block draws, one pass
+    per estimator, on one thread, for every block layout: partial chunks,
+    several chunks, and empty blocks (samples < streams)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    pools = []
+
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self._max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((3, 3))
+    gamma = GaussianMeasure.from_form(GramForm(dim=3, gram=m @ m.T + np.eye(3)))
+    u = rng.standard_normal(3)
+    a = m.T @ m
+    fns = [
+        lambda z: (z @ u) ** 2,
+        lambda z: (np.einsum("ij,jk,ik->i", z, a, z) > 2.0).astype(float),
+    ]
+    for samples in (1, 10, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5):
+        cfg = McConfig(seed=5, samples=samples, streams=streams)
+        pools.clear()
+        assert _mc_means(gamma, cfg, fns) == _whole_block_means(gamma, cfg, fns), samples
+        busy = min(samples, streams)  # non-empty blocks
+        assert pools == ([2] if workers == 2 and busy >= 2 else []), samples
+
+
+def test_one_pass_equals_separate_checks():
+    """The gaussian kind's one pass over the samples reports what separate
+    second_moment_check and chebyshev_outside_ball calls report with the
+    same McConfig: on the bundled fixture (one stream, no pool) and with
+    four streams (a pool of up to four workers)."""
+    config = json.loads(
+        resources.files("momentkit").joinpath("fixtures", "gaussian.json").read_text()
+    )
+    params = config["parameters"]
+    _, results, _, seed = run_config(config)
+    q = GramForm(dim=2, gram=np.array(params["q"], dtype=float))
+    p = GramForm(dim=2, gram=np.array(params["p"], dtype=float))
+    gamma = GaussianMeasure.from_form(q)
+    w = gamma.whitening[:, 0]
+    for cfg in (
+        McConfig(seed=seed, samples=params["samples"]),
+        McConfig(seed=3, samples=50_001, streams=4),
+    ):
+        second = second_moment_check(gamma, w, cfg).to_jsonable()
+        cheb = chebyshev_outside_ball(gamma, p, params["delta"], cfg).to_jsonable()
+        fused = _mc_checks(gamma, w, cfg, p, params["delta"])
+        assert [r.to_jsonable() for r in fused] == [second, cheb]
+        alone, none = _mc_checks(gamma, w, cfg)
+        assert alone.to_jsonable() == second and none is None
+        if cfg.streams == 1:
+            assert results["second_moment"] == second
+            assert results["chebyshev_outside_ball"] == cheb
 
 
 def test_chebyshev_requires_kernel_containment():
