@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import importlib
 
+__version__ = "0.1.0"  # the project version in pyproject.toml; reports carry it
+
 _EXPORTS = {
     "errors": (
         "ConfigError", "DegreeOverflow", "DimensionMismatch", "HypothesisNotCertified",
@@ -61,18 +63,9 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _MODULE_OF:
-        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-    elif name == "__version__":
-        # importlib.metadata is costly to import, so only a report pays for it
-        try:
-            from importlib.metadata import version
-
-            value = version("artifact")
-        except Exception:  # pragma: no cover
-            value = "0.0.0"
-    else:
+    if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
     globals()[name] = value
     return value
 

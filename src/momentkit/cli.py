@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import __version__
 from .errors import ConfigError, MomentkitError
 from .scenarios import SCENARIO_KINDS, run_config, validate_config
 
@@ -73,8 +74,6 @@ def cmd_run(args) -> int:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     finished = datetime.datetime.now(datetime.timezone.utc)
-
-    from . import __version__  # resolved only for a report; costs importlib.metadata
 
     report = {
         "kind": config["kind"],

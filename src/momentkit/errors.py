@@ -9,9 +9,9 @@ Two broad families:
 
 It also holds the rules that the config validator shares with the
 library (the weight-sum rule of ``DiscreteMeasure``, the lattice cap of
-``full_lattice``) and the work-size cap of ``main_theorem`` configs: this
-module needs only the standard library, so validating a config does not
-import numpy.
+``full_lattice``, the Monte Carlo caps of ``McConfig``) and the work-size
+cap of ``main_theorem`` configs: this module needs only the standard
+library, so validating a config does not import numpy.
 """
 
 import math
@@ -21,6 +21,12 @@ LATTICE_CAP = 12  # largest dimension whose full coordinate lattice is swept
 # Most monomials C(n + degrees, degrees) a main_theorem config may ask for:
 # the count of the largest lattice (n = LATTICE_CAP) at degree 4.
 MONOMIAL_CAP = math.comb(LATTICE_CAP + 4, 4)
+# Most Monte Carlo streams (blocks) one pass may split into: each block costs
+# a Philox set-up and a pool task (0.15 s in all at the cap on a 2-core host).
+STREAMS_CAP = 2**12
+# Most samples one stream's block may hold: a block keeps one float64 array
+# of its values per estimator, 128 MiB each at the cap.
+BLOCK_SAMPLES_CAP = 2**24
 CARLEMAN_MIN_MOMENTS = 4  # fewest even moments the growth diagnostic fits
 
 
@@ -31,6 +37,18 @@ def weights_sum_to_one(weights) -> bool:
         return abs(math.fsum(weights) - 1.0) <= WEIGHT_SUM_TOL
     except OverflowError:  # finite weights whose total leaves the float range
         return False
+
+
+def mc_cap_fault(samples: int, streams: int):
+    """Which Monte Carlo cap splitting samples over streams breaks, or None."""
+    if streams > STREAMS_CAP:
+        return f"streams = {streams} exceeds the stream cap {STREAMS_CAP}"
+    if -(-samples // streams) > BLOCK_SAMPLES_CAP:
+        return (
+            f"samples = {samples} over streams = {streams} puts more than the block cap "
+            f"{BLOCK_SAMPLES_CAP} in one block"
+        )
+    return None
 
 
 class MomentkitError(Exception):

@@ -9,6 +9,12 @@ chunks, and feeds every estimator of a check; the blocks run on a thread
 pool sized to the CPU affinity and their results merge in fixed block
 order — the result is bit-identical for a given (seed, samples, streams)
 regardless of scheduling or worker count.
+
+The parallelism lives in the block pool, so a chunk is small (_CHUNK rows):
+its BLAS calls stay in cache and single-threaded, where larger ones would
+start BLAS threads inside the pool's workers.  A worker holds one float64
+array of values per estimator for its block, squared in place for the sum
+of squares, plus chunk-sized buffers.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import (
     NotInScope,
     SingularForm,
     ZeroNormDirection,
+    mc_cap_fault,
 )
 from .forms import (
     DualFunctional,
@@ -42,7 +49,7 @@ from .moments import DiscreteMeasure
 from .traces import trace_value
 
 CERTIFY_SIGMAS = 4.0  # a Monte Carlo estimate certifies within this many standard errors
-_CHUNK = 65_536  # rows of standard normals drawn per call into a block's buffer
+_CHUNK = 8_192  # rows per chunk: small enough that a chunk and its BLAS products stay in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +63,9 @@ class McConfig:
     def __post_init__(self):
         if self.samples <= 0 or self.streams <= 0:
             raise InvalidInput("samples and streams must be positive")
+        fault = mc_cap_fault(self.samples, self.streams)
+        if fault:
+            raise InvalidInput(fault)
 
     def block_counts(self) -> list[int]:
         base, rem = divmod(self.samples, self.streams)
@@ -121,7 +131,12 @@ def _block_sums(gamma: GaussianMeasure, seed: int, block: int, count: int, fns) 
         rng.standard_normal(out=z)
         for fn, out in zip(fns, vals):
             out[start : start + len(z)] = fn(z)
-    return [(float(v.sum()), float((v * v).sum())) for v in vals]
+    sums = []
+    for v in vals:
+        total = float(v.sum())
+        np.square(v, out=v)  # the bits of (v * v).sum(), without a second block array
+        sums.append((total, float(v.sum())))
+    return sums
 
 
 def _mc_means(gamma: GaussianMeasure, cfg: McConfig, per_sample_fns) -> list:
@@ -276,7 +291,7 @@ def _chebyshev_estimator(gamma: GaussianMeasure, p: GramForm, delta: float, cfg:
             seed=cfg.seed,
         )
 
-    return (lambda z: (np.einsum("ij,jk,ik->i", z, a, z) > delta**2).astype(float)), report
+    return (lambda z: (np.einsum("ij,ij->i", z @ a, z) > delta**2).astype(float)), report
 
 
 def chebyshev_outside_ball(

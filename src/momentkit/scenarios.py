@@ -16,7 +16,13 @@ import difflib
 import math
 import sys
 
-from .errors import CARLEMAN_MIN_MOMENTS, LATTICE_CAP, MONOMIAL_CAP, weights_sum_to_one
+from .errors import (
+    CARLEMAN_MIN_MOMENTS,
+    LATTICE_CAP,
+    MONOMIAL_CAP,
+    mc_cap_fault,
+    weights_sum_to_one,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +279,9 @@ def _run_gaussian(params, seed):
 
 
 def _gaussian_rules(params, errors):
+    fault = mc_cap_fault(params["samples"], params.get("streams", 1))
+    if fault:
+        errors.append(f"parameters: {fault}")
     for name in ("w", "functional", "p"):
         if name in params:
             _check_size(errors, f"parameters.{name}", len(params[name]), len(params["q"]), "q")

@@ -18,7 +18,7 @@ import pytest
 import momentkit
 from momentkit.cli import main
 from momentkit.concentration import CERTIFICATE_SLACK, CONSISTENCY_ABS, IDENTITY_ABS
-from momentkit.errors import WEIGHT_SUM_TOL
+from momentkit.errors import BLOCK_SAMPLES_CAP, STREAMS_CAP, WEIGHT_SUM_TOL
 from momentkit.moments import DiscreteMeasure
 from momentkit.scenarios import _CHECKERS, SCENARIO_KINDS, validate_config
 
@@ -97,7 +97,7 @@ def test_run_loads_no_scipy(tmp_path):
 
 def test_validate_and_rejected_runs_load_only_the_standard_library(tmp_path):
     """import momentkit, list, validate and every run that fails validation
-    load neither numpy nor importlib.metadata (the version lookup)."""
+    load neither numpy nor importlib.metadata."""
     bad = {
         "misspelled_kind.json": '{"kind": "concentraton", "parameters": {}}',
         "unknown_field.json": '{"kind": "trace", "parameters": {"p": [[1.0]], "q": [[1.0]], "bogus": 1}}',
@@ -187,7 +187,21 @@ def test_trace_fixture_report_value(tmp_path):
     rep = read_report(tmp_path, "trace")
     assert rep["results"]["value"] == 5.0
     assert rep["passed"] is True
-    assert "version" in rep and "tolerances" in rep
+    assert rep["version"] == momentkit.__version__ and "tolerances" in rep
+
+
+def test_version_is_the_pyproject_version():
+    """Reports carry momentkit.__version__, a literal, so their bytes do not
+    depend on how the package was installed; it is the project version in
+    pyproject.toml (read without tomllib, which Python 3.10 lacks)."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    versions = [
+        line.split("=", 1)[1].strip().strip('"')
+        for line in project.splitlines()
+        if line.split("=", 1)[0].strip() == "version"
+    ]
+    assert versions == [momentkit.__version__]
 
 
 def test_report_byte_identical_and_meta_separate(tmp_path):
@@ -540,20 +554,39 @@ _ATOMS13 = {"atoms": [[0.5] * 13, [-0.5] * 13], "weights": [0.5, 0.5]}
         ("concentration", {"global_measure": _ATOMS13, "p": _I13}, "lattice cap 12"),
         ("main_theorem", {"measure": _ATOMS13, "q": _I13, "generators": []}, "lattice cap 12"),
         ("main_theorem", {"degrees": 10**6}, "monomials"),
+        ("gaussian", {"samples": 10**12}, "block cap"),
+        ("gaussian", {"samples": 4 * BLOCK_SAMPLES_CAP + 1, "streams": 4}, "block cap"),
+        ("gaussian", {"streams": 10**9}, "stream cap"),
+        ("gaussian", {"samples": 10**12, "streams": STREAMS_CAP + 1}, "stream cap"),
     ],
-    ids=["concentration_n13", "main_theorem_n13", "main_theorem_degrees_1e6"],
+    ids=[
+        "concentration_n13", "main_theorem_n13", "main_theorem_degrees_1e6",
+        "gaussian_samples_1e12", "gaussian_block_past_cap", "gaussian_streams_1e9",
+        "gaussian_streams_past_cap",
+    ],
 )
 def test_work_the_runs_cannot_do_exit_2(tmp_path, capsys, stem, parameters, problem):
     """A lattice past the cap (before, a concentration run exited 3 with
-    NotInScope and a main_theorem run ended in a KeyError traceback) and a
+    NotInScope and a main_theorem run ended in a KeyError traceback), a
     degree whose monomial count passes MONOMIAL_CAP (before, a run without
-    end) are config problems for validate and run alike."""
+    end), and a gaussian block past BLOCK_SAMPLES_CAP or streams past
+    STREAMS_CAP (before, validate passed them and the run ended in a
+    memory-error traceback, or built a list of one entry per stream) are
+    config problems for validate and run alike."""
     cfg = _fixture_with(tmp_path, stem, **parameters)
     assert run_cli("validate", cfg) == 2
     assert problem in capsys.readouterr().err
     assert run_cli("run", cfg, "--out", str(tmp_path)) == 2
     assert problem in capsys.readouterr().err
     assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_monte_carlo_caps_admit_their_bounds(tmp_path):
+    """Streams at STREAMS_CAP and blocks of exactly BLOCK_SAMPLES_CAP samples
+    validate; only validated, since a run of the second draws 2**26 samples."""
+    for samples, streams in ((STREAMS_CAP, STREAMS_CAP), (4 * BLOCK_SAMPLES_CAP, 4)):
+        cfg = _fixture_with(tmp_path, "gaussian", samples=samples, streams=streams)
+        assert run_cli("validate", cfg) == 0, (samples, streams)
 
 
 def test_negative_seed_exit_2(tmp_path):

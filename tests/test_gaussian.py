@@ -7,12 +7,17 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import momentkit
 from momentkit import (
     DiscreteMeasure,
     DualFunctional,
@@ -25,12 +30,24 @@ from momentkit import (
     second_moment_check,
     tail_lower_bound_check,
 )
+from momentkit.cli import main
 from momentkit.errors import (
+    BLOCK_SAMPLES_CAP,
+    STREAMS_CAP,
+    InvalidInput,
     KernelNotContained,
     NotInScope,
     SingularForm,
 )
-from momentkit.gaussian import _CHUNK, _block_rng, _mc_checks, _mc_means, sample
+from momentkit.gaussian import (
+    _CHUNK,
+    _block_rng,
+    _block_sums,
+    _chebyshev_estimator,
+    _mc_checks,
+    _mc_means,
+    sample,
+)
 from momentkit.scenarios import run_config
 
 
@@ -224,6 +241,102 @@ def test_one_pass_equals_separate_checks():
         if cfg.streams == 1:
             assert results["second_moment"] == second
             assert results["chebyshev_outside_ball"] == cheb
+
+
+def test_block_sums_hold_one_block_array_per_estimator():
+    """A block keeps one float64 array of values per estimator, squared in
+    place for the sum of squares, plus chunk-sized buffers: (v * v).sum()
+    would hold a third whole-block array here."""
+    gamma = GaussianMeasure.from_form(GramForm(dim=1, gram=np.array([[2.0]])))
+    fns = [lambda z: z[:, 0], lambda z: z[:, 0]]  # views: no per-chunk arrays
+    count = 3 * _CHUNK + 5
+    chunk_buffer = _CHUNK * gamma.rank * 8
+    _block_sums(gamma, 0, 0, 1, fns)  # one-time set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sums = _block_sums(gamma, 0, 0, count, fns)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sums[0] == sums[1]
+    block_arrays = len(fns) * count * 8
+    assert block_arrays <= peak <= block_arrays + 2 * chunk_buffer, peak
+
+
+def _six_dim_pair(seed):
+    rng = np.random.default_rng(seed)
+    m, k = rng.standard_normal((6, 6)), rng.standard_normal((6, 6))
+    q = GramForm(dim=6, gram=m @ m.T + np.eye(6))
+    p = GramForm(dim=6, gram=k @ k.T + 0.1 * np.eye(6))
+    return q, p
+
+
+def test_chebyshev_indicator_counts_the_three_operand_form():
+    """The Chebyshev indicator (the row dot of z @ a with z) counts the same
+    samples as the three-operand einsum z_i a z_i, on seeded 6-d draws with
+    several blocks of several chunks, and its estimate is that count over
+    the samples."""
+    q, p = _six_dim_pair(21)
+    gamma = GaussianMeasure.from_form(q)
+    a = gamma.whitening.T @ p.gram @ gamma.whitening
+    delta = float(np.sqrt(np.trace(a)))  # p(v)^2 > E p(v)^2: a mass well inside (0, 1)
+    cfg = McConfig(seed=7, samples=7 * _CHUNK + 3, streams=3)
+    indicator, _ = _chebyshev_estimator(gamma, p, delta, cfg)
+    outside = 0
+    for b, count in enumerate(cfg.block_counts()):
+        z = _block_rng(cfg.seed, b).standard_normal((count, gamma.rank))
+        reference = np.einsum("ij,jk,ik->i", z, a, z) > delta**2
+        assert 0 < reference.sum() < count
+        assert np.array_equal(indicator(z), reference.astype(float)), b
+        outside += int(reference.sum())
+    assert chebyshev_outside_ball(gamma, p, delta, cfg).mc == outside / cfg.samples
+
+
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    """A 4-stream gaussian report (both Monte Carlo checks) has the same
+    bytes in this process and in one whose BLAS runs on one thread."""
+    q, p = _six_dim_pair(5)
+    config = {
+        "kind": "gaussian",
+        "seed": 9,
+        "parameters": {
+            "q": q.gram.tolist(),
+            "p": p.gram.tolist(),
+            "delta": float(np.sqrt(np.trace(p.gram))),
+            "samples": 4 * 3 * _CHUNK + 7,
+            "streams": 4,
+        },
+    }
+    cfg = tmp_path / "gaussian6.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "here")]) == 0
+    src = str(Path(momentkit.__file__).resolve().parents[1])
+    one_thread = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "momentkit.cli", "run", str(cfg), "--out", str(tmp_path / "one")],
+        capture_output=True,
+        text=True,
+        env=dict(
+            os.environ,
+            **one_thread,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        ),
+    )
+    assert proc.returncode == 0, proc.stderr
+    name = "gaussian6.report.json"
+    assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_mc_config_caps():
+    """McConfig refuses more than STREAMS_CAP streams and blocks of more than
+    BLOCK_SAMPLES_CAP samples, before any array is allocated."""
+    McConfig(seed=0, samples=4 * BLOCK_SAMPLES_CAP, streams=4)
+    McConfig(seed=0, samples=1, streams=STREAMS_CAP)
+    for samples, streams in ((4 * BLOCK_SAMPLES_CAP + 1, 4), (10**12, 1), (1, STREAMS_CAP + 1)):
+        with pytest.raises(InvalidInput):
+            McConfig(seed=0, samples=samples, streams=streams)
 
 
 def test_chebyshev_requires_kernel_containment():
