@@ -48,7 +48,7 @@ print(f"tail exact {tail.exact:.9f} >= 1/7: {tail.ok}")
 # tr(p/q)/delta^2.
 p = GramForm(dim=2, gram=np.eye(2))
 cheb = chebyshev_outside_ball(gamma, p, 3.0, McConfig(seed=1, samples=100_000))
-print(f"outside-ball estimate {cheb.mc:.5f} <= bound {cheb.bound:.5f}:"
+print(f"outside-ball estimate {cheb.estimate:.5f} <= bound {cheb.bound:.5f}:"
       f" certified {cheb.certified}")
 
 # Fundamental mass bound: for a measure whose q'-dual second moments are

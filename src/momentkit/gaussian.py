@@ -255,24 +255,6 @@ def tail_lower_bound_check(gamma: GaussianMeasure, l: DualFunctional) -> TailRep
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ChebyshevReport:
-    mc: float
-    stderr: float
-    bound: float
-    certified: bool
-    seed: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "estimate": float(self.mc),
-            "stderr": float(self.stderr),
-            "bound": float(self.bound),
-            "certified": bool(self.certified),
-            "seed": int(self.seed),
-        }
-
-
 def _chebyshev_estimator(gamma: GaussianMeasure, p: GramForm, delta: float, cfg: McConfig):
     """(per-sample values, report builder) of chebyshev_outside_ball."""
     tr = trace_value(p, gamma.q)
@@ -283,8 +265,8 @@ def _chebyshev_estimator(gamma: GaussianMeasure, p: GramForm, delta: float, cfg:
     def report(est, _):
         stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / cfg.samples))
         bound = tr / delta**2
-        return ChebyshevReport(
-            mc=est,
+        return McReport(
+            estimate=est,
             stderr=stderr,
             bound=bound,
             certified=bool(est <= bound + CERTIFY_SIGMAS * stderr),
@@ -296,7 +278,7 @@ def _chebyshev_estimator(gamma: GaussianMeasure, p: GramForm, delta: float, cfg:
 
 def chebyshev_outside_ball(
     gamma: GaussianMeasure, p: GramForm, delta: float, cfg: McConfig
-) -> ChebyshevReport:
+) -> McReport:
     """MC estimate of gamma(p(v) > delta) against the Chebyshev-type bound
     delta^{-2} tr(p/q)."""
     return _estimate(gamma, cfg, [_chebyshev_estimator(gamma, p, delta, cfg)])[0]
@@ -307,14 +289,11 @@ def _mc_checks(
 ) -> tuple:
     """(second_moment_check, chebyshev_outside_ball or None) from one pass
     over the samples; the Chebyshev check runs when p (and delta) is given."""
-    if p is None:
-        return second_moment_check(gamma, w, cfg), None
-    second, cheb = _estimate(
-        gamma,
-        cfg,
-        [_second_moment_estimator(gamma, w, cfg), _chebyshev_estimator(gamma, p, delta, cfg)],
-    )
-    return second, cheb
+    estimators = [_second_moment_estimator(gamma, w, cfg)]
+    if p is not None:
+        estimators.append(_chebyshev_estimator(gamma, p, delta, cfg))
+    second, *cheb = _estimate(gamma, cfg, estimators)
+    return second, (cheb[0] if cheb else None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,17 +1,19 @@
 """Moment functionals on the truncated symmetric algebra.
 
-A MomentFunctional stores moments by multi-index up to a hard degree and
-acts linearly on AlgebraElements.  Construction from a discrete measure is
-exact.  Positivity is certified through moment and localizing matrices;
-continuity of the restriction to a graded slice is measured against the
-graded seminorms of :mod:`momentkit.symalg`.  Carleman-type diagnostics run
-in log space so that double-factorial growth at cutoff 200 stays finite.
+A MomentFunctional stores its moments as one dense read-only vector in
+monomials_up_to order, so each degree is one contiguous slice.  A Hankel
+index (ranks of alpha + beta) gathers moment and localizing matrices from
+it; s_L and the Cauchy-Schwarz check are quadratic forms on the moment
+matrix.  Continuity of the restriction to a graded slice is measured against
+the graded seminorms of :mod:`momentkit.symalg`.  Carleman-type diagnostics
+run in log space so that double-factorial growth at cutoff 200 stays finite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -30,14 +32,21 @@ from .forms import GramForm, INFINITE, OrthonormalSystem, jsonable
 from .symalg import (
     AlgebraElement,
     Character,
+    _canon_alpha,
+    _graded_rank,
     _monomial_values,
     _orthonormal_monomials,
+    _slice_vector,
+    _sym_power,
     evaluate_character,
-    gradlex_key,
     monomials_up_to,
-    multiply,
-    slice_monomials,
 )
+
+SQUARE_TOL = 1e-9  # a negative L(a^2) within this share of its scale is rounding
+CBS_SLACK = 1e-9  # relative slack on L(ab)^2 <= L(a^2) L(b^2)
+PSD_TOL = 1e-10  # least eigenvalue down to -PSD_TOL * max(1, |largest|) counts as PSD
+EVEN_MOMENT_TOL = 1e-12  # a negative L(v^2n) within this share of its scale is rounding
+MEMBERSHIP_TOL = 1e-12  # g(c) down to -MEMBERSHIP_TOL counts as g(c) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -77,22 +86,12 @@ class DiscreteMeasure:
         return self.atoms[self.weights > 0]
 
     def moment(self, alpha) -> float:
-        alpha = tuple(int(k) for k in alpha)
+        alpha = _canon_alpha(alpha, self.dim)
         vals = np.ones(len(self.weights))
         for i, e in enumerate(alpha):
             if e:
                 vals *= self.atoms[:, i] ** e
         return float(self.weights @ vals)
-
-    def integrate(self, a: AlgebraElement) -> float:
-        if a.dim != self.dim:
-            raise DimensionMismatch(f"element dim {a.dim} != measure dim {self.dim}")
-        return float(
-            sum(
-                w * evaluate_character(Character(point=atom), a)
-                for atom, w in zip(self.atoms, self.weights)
-            )
-        )
 
     def to_jsonable(self) -> dict:
         return {
@@ -113,9 +112,9 @@ class QuadraticModuleSpec:
 
     generators: tuple
 
-    def contains(self, point, tol: float = 1e-12) -> bool:
+    def contains(self, point) -> bool:
         ch = Character(point=np.asarray(point, dtype=float))
-        return all(evaluate_character(ch, g) >= -tol for g in self.generators)
+        return all(evaluate_character(ch, g) >= -MEMBERSHIP_TOL for g in self.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -125,153 +124,150 @@ class QuadraticModuleSpec:
 
 @dataclass(frozen=True, eq=False)
 class MomentFunctional:
-    """Linear functional on the degree-truncated algebra, stored as a sparse
-    multi-index -> moment map (absent entries are zero)."""
+    """Linear functional on the degree-truncated algebra: ``values[r]`` is
+    L of monomial r of monomials_up_to(dim, max_degree)."""
 
     dim: int
     max_degree: int
-    moments: dict = field(default_factory=dict)
+    values: np.ndarray
     source: DiscreteMeasure | None = None
 
     def __post_init__(self):
-        clean = {}
-        for alpha, v in self.moments.items():
-            a = tuple(int(k) for k in alpha)
-            if len(a) != self.dim or any(k < 0 for k in a):
-                raise DimensionMismatch(f"bad multi-index {alpha}")
-            if sum(a) > self.max_degree:
-                raise DegreeOverflow(f"moment index {a} beyond degree {self.max_degree}")
-            if v != 0.0:
-                clean[a] = float(v)
-        zero = (0,) * self.dim
-        if abs(clean.get(zero, 0.0) - 1.0) > 1e-9:
-            raise InvalidInput(f"L(1) = {clean.get(zero, 0.0)}, expected 1")
-        object.__setattr__(self, "moments", clean)
+        values = np.asarray(self.values, dtype=float)
+        if values.flags.writeable:  # a caller's array: keep a private copy
+            values = values.copy()
+            values.setflags(write=False)
+        if values.shape != (math.comb(self.dim + self.max_degree, self.dim),):
+            raise DimensionMismatch(f"{values.shape} moments for {self.dim} variables")
+        if abs(values[0] - 1.0) > 1e-9:
+            raise InvalidInput(f"L(1) = {values[0]}, expected 1")
+        object.__setattr__(self, "values", values)
 
     def moment(self, alpha) -> float:
-        a = tuple(int(k) for k in alpha)
+        a = _canon_alpha(alpha, self.dim)
         if sum(a) > self.max_degree:
             raise DegreeOverflow(f"moment of degree {sum(a)} not stored")
-        return self.moments.get(a, 0.0)
+        return float(self.values[_graded_rank(a)])
 
     def __call__(self, a: AlgebraElement) -> float:
-        if a.dim != self.dim:
-            raise DimensionMismatch(f"element dim {a.dim} != functional dim {self.dim}")
         if a.degree() > self.max_degree:
             raise DegreeOverflow(
                 f"element degree {a.degree()} exceeds stored degree {self.max_degree}"
             )
-        return float(sum(c * self.moments.get(alpha, 0.0) for alpha, c in a.terms.items()))
+        u = _coefficients(a, self.dim, a.degree())
+        return float(u @ self.values[: len(u)])
 
     def extend(self, new_max_degree: int) -> "MomentFunctional":
         """Recompute to a higher degree from the source measure."""
         if new_max_degree <= self.max_degree:
             return self
         if self.source is None:
-            raise DegreeOverflow(
-                "cannot extend a functional without a source measure"
-            )
+            raise DegreeOverflow("cannot extend a functional without a source measure")
         return from_measure(self.source, new_max_degree)
 
     def to_jsonable(self) -> dict:
-        ordered = sorted(self.moments.items(), key=lambda kv: gradlex_key(kv[0]))
-        return {
-            "dim": self.dim,
-            "max_degree": self.max_degree,
-            "moments": [{"alpha": list(a), "value": float(v)} for a, v in ordered],
-        }
+        """The nonzero moments in graded-lex order."""
+        table = zip(monomials_up_to(self.dim, self.max_degree), self.values)
+        moments = [{"alpha": list(a), "value": float(v)} for a, v in table if v != 0.0]
+        return {"dim": self.dim, "max_degree": self.max_degree, "moments": moments}
 
     @classmethod
     def from_jsonable(cls, data: dict) -> "MomentFunctional":
+        """Moments by multi-index, absent ones zero; the element with these
+        coefficients validates the multi-indices."""
+        dim, max_degree = data["dim"], data["max_degree"]
         moments = {tuple(e["alpha"]): e["value"] for e in data["moments"]}
-        return cls(dim=data["dim"], max_degree=data["max_degree"], moments=moments)
+        values = _coefficients(AlgebraElement(dim, max_degree, moments), dim, max_degree)
+        return cls(dim=dim, max_degree=max_degree, values=values)
 
 
 def from_measure(nu: DiscreteMeasure, max_degree: int) -> MomentFunctional:
-    """moments[alpha] = sum_j w_j atom_j^alpha over the atoms' monomial values."""
+    """values[alpha] = sum_j w_j atom_j^alpha over the atoms' monomial values."""
     values = nu.weights @ _monomial_values(nu.atoms, max_degree)
-    moments = dict(zip(monomials_up_to(nu.dim, max_degree), values))
-    return MomentFunctional(
-        dim=nu.dim, max_degree=max_degree, moments=moments, source=nu
-    )
+    values.setflags(write=False)
+    return MomentFunctional(dim=nu.dim, max_degree=max_degree, values=values, source=nu)
 
 
-def _abs_scale(L: MomentFunctional, a: AlgebraElement) -> float:
-    """Magnitude scale of L(a^2) used for clamping tolerances."""
-    total = 1.0
-    for alpha, ca in a.terms.items():
-        for beta, cb in a.terms.items():
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            total += abs(ca * cb * L.moments.get(gamma, 0.0))
-    return total
+def _coefficients(a: AlgebraElement, dim: int, degree: int) -> np.ndarray:
+    """a's coefficients in monomials_up_to(dim, degree) order."""
+    if a.dim != dim:
+        raise DimensionMismatch(f"element dim {a.dim} != functional dim {dim}")
+    return np.concatenate([_slice_vector(a, k) for k in range(degree + 1)])
 
 
-def s_L(L: MomentFunctional, a: AlgebraElement, tol: float = 1e-9) -> float:
+def _slice_values(L: MomentFunctional, k: int) -> np.ndarray:
+    """L on the degree-k slice, in slice_monomials order."""
+    return L.values[math.comb(L.dim + k - 1, L.dim) : math.comb(L.dim + k, L.dim)]
+
+
+@functools.lru_cache(maxsize=None)
+def _hankel_index(dim: int, d: int) -> np.ndarray:
+    """H[a, b] = rank of monomial a + monomial b in monomials_up_to(dim, 2d),
+    for a, b over monomials_up_to(dim, d)."""
+    e = np.array(monomials_up_to(dim, d))
+    index = _graded_rank(e[:, None, :] + e[None, :, :])
+    index.setflags(write=False)  # shared by every caller through the cache
+    return index
+
+
+def s_L(L: MomentFunctional, a: AlgebraElement) -> float:
     """The seminorm s_L(a) = sqrt(L(a^2)); clamps tiny negatives, raises
-    NotSquarePositive when L(a^2) is negative beyond tolerance."""
-    val = L(multiply(a, a))
+    NotSquarePositive when L(a^2) = u M u is negative beyond SQUARE_TOL of
+    the scale 1 + |u| |M| |u|."""
+    m, u = moment_matrix(L, a.degree()), _coefficients(a, L.dim, a.degree())
+    val = float(u @ m @ u)
     if val < 0.0:
-        if val < -tol * _abs_scale(L, a):
+        if val < -SQUARE_TOL * (1.0 + np.abs(u) @ np.abs(m) @ np.abs(u)):
             raise NotSquarePositive(f"L(a^2) = {val} < 0")
         val = 0.0
     return float(np.sqrt(val))
 
 
 def moment_matrix(L: MomentFunctional, d: int) -> np.ndarray:
-    """M[alpha, beta] = moments[alpha + beta] over monomials of degree <= d
+    """M[alpha, beta] = L(x^(alpha+beta)) over monomials of degree <= d
     (graded-lex order; see :func:`monomials_up_to`)."""
     if 2 * d > L.max_degree:
         raise DegreeOverflow(f"moment matrix needs degree {2 * d} > {L.max_degree}")
-    basis = monomials_up_to(L.dim, d)
-    m = np.empty((len(basis), len(basis)))
-    for i, alpha in enumerate(basis):
-        for j in range(i, len(basis)):
-            beta = basis[j]
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            m[i, j] = m[j, i] = L.moments.get(gamma, 0.0)
-    return m
+    return L.values[_hankel_index(L.dim, d)]
 
 
 def localizing_matrix(L: MomentFunctional, g: AlgebraElement, d: int) -> np.ndarray:
-    """M_g[alpha, beta] = L(g * x^(alpha+beta)) over monomials of degree <= d."""
+    """M_g[alpha, beta] = L(g * x^(alpha+beta)) over monomials of degree <= d:
+    the moment matrix's gather of the shifted table
+    gamma -> sum of c L(x^(gamma+idx)) over g's terms, summed in term order."""
     if 2 * d + g.degree() > L.max_degree:
         raise DegreeOverflow(
             f"localizing matrix needs degree {2 * d + g.degree()} > {L.max_degree}"
         )
-    basis = monomials_up_to(L.dim, d)
-    m = np.empty((len(basis), len(basis)))
-    for i, alpha in enumerate(basis):
-        for j in range(i, len(basis)):
-            beta = basis[j]
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            val = 0.0
-            for idx, c in g.terms.items():
-                shifted = tuple(x + y for x, y in zip(idx, gamma))
-                val += c * L.moments.get(shifted, 0.0)
-            m[i, j] = m[j, i] = val
-    return m
+    if g.dim != L.dim:
+        raise DimensionMismatch(f"element dim {g.dim} != functional dim {L.dim}")
+    exponents = np.array(monomials_up_to(L.dim, 2 * d))
+    shifted = np.zeros(len(exponents))
+    for idx, c in g.terms.items():
+        shifted += c * L.values[_graded_rank(exponents + idx)]
+    return shifted[_hankel_index(L.dim, d)]
 
 
-def psd_within(matrix: np.ndarray, tol: float = 1e-10) -> bool:
+def psd_within(matrix: np.ndarray) -> bool:
     w = np.linalg.eigvalsh(matrix)
     scale = max(1.0, abs(w[-1]))
-    return bool(w[0] >= -tol * scale)
+    return bool(w[0] >= -PSD_TOL * scale)
 
 
-def square_positive_check(L: MomentFunctional, tol: float = 1e-10) -> bool:
+def square_positive_check(L: MomentFunctional) -> bool:
     """L is PSD on squares of the truncation iff the half-degree moment
     matrix is PSD."""
-    return psd_within(moment_matrix(L, L.max_degree // 2), tol)
+    return psd_within(moment_matrix(L, L.max_degree // 2))
 
 
-def cbs_check(
-    L: MomentFunctional, a: AlgebraElement, b: AlgebraElement, slack: float = 1e-9
-) -> bool:
-    """Cauchy-Bunyakovsky-Schwarz: L(ab)^2 <= L(a^2) L(b^2)."""
-    lhs = L(multiply(a, b)) ** 2
-    rhs = L(multiply(a, a)) * L(multiply(b, b))
+def cbs_check(L: MomentFunctional, a: AlgebraElement, b: AlgebraElement) -> bool:
+    """Cauchy-Bunyakovsky-Schwarz: L(ab)^2 <= L(a^2) L(b^2), with L(ab) = u M v."""
+    k = max(a.degree(), b.degree())
+    m, u, v = moment_matrix(L, k), _coefficients(a, L.dim, k), _coefficients(b, L.dim, k)
+    lhs = float(u @ m @ v) ** 2
+    rhs = float(u @ m @ u) * float(v @ m @ v)
     scale = max(abs(lhs), abs(rhs), 1.0)
-    return bool(lhs <= rhs + slack * scale)
+    return bool(lhs <= rhs + CBS_SLACK * scale)
 
 
 def _kernel_tol(values: np.ndarray) -> float:
@@ -296,8 +292,7 @@ def continuity_constant(
     if 2 * d > L.max_degree:
         raise DegreeOverflow(f"slice degree {2 * d} not stored, max {L.max_degree}")
     g, kernel = _orthonormal_monomials(p_2d, system, 2 * d)
-    moments = np.array([L.moments.get(a, 0.0) for a in slice_monomials(L.dim, 2 * d)])
-    vals = g @ moments  # L on the orthonormalized monomials
+    vals = g @ _slice_values(L, 2 * d)  # L on the orthonormalized monomials
     if np.any(np.abs(vals[kernel]) > _kernel_tol(vals)):
         return INFINITE
     return float(np.linalg.norm(vals[~kernel]))
@@ -428,31 +423,32 @@ def log_even_moments_from_measure(nu: DiscreteMeasure, v, n_max: int) -> np.ndar
 
 
 def carleman_diagnostic(
-    L: MomentFunctional, v: AlgebraElement, n_max: int, margin: float = CARLEMAN_MARGIN
+    L: MomentFunctional, v: AlgebraElement, n_max: int
 ) -> CarlemanDiagnostic:
     """Diagnostic for the direction v (degree-1 element).  Even moments come
     from the source measure when present (log space, any N) and otherwise
-    from the stored moments (requires degree 2N)."""
+    from the stored moments (requires degree 2N): L(v^2n) is Sym^2n(v) times
+    the degree-2n slice, negative beyond EVEN_MOMENT_TOL of its terms' scale."""
     if not v.is_homogeneous(1):
         raise DimensionMismatch("direction must be a degree-1 element")
+    if v.dim != L.dim:
+        raise DimensionMismatch(f"direction dim {v.dim} != functional dim {L.dim}")
     if L.source is not None:
         logs = log_even_moments_from_measure(L.source, v.linear_coeffs(), n_max)
-        return carleman_from_log_moments(logs, margin=margin)
+        return carleman_from_log_moments(logs)
     if 2 * n_max > L.max_degree:
         raise DegreeOverflow(
             f"need even moments to degree {2 * n_max}, stored {L.max_degree}"
         )
     logs = np.empty(n_max)
-    vec = v.linear_coeffs()
-    elem = AlgebraElement.from_vector(vec, 2 * n_max)
-    current = AlgebraElement.one(L.dim, 2 * n_max)
+    vec = v.linear_coeffs()[None, :]
     for n in range(1, n_max + 1):
-        current = multiply(multiply(current, elem), elem)
-        val = L(current)
-        if val < -1e-12 * _abs_scale(L, current):
+        terms = _sym_power(vec, 2 * n)[0] * _slice_values(L, 2 * n)
+        val = float(terms.sum())
+        if val < -EVEN_MOMENT_TOL * float(np.abs(terms).sum()):
             raise NegativeEvenMoment(f"L(v^{2 * n}) = {val} < 0")
         logs[n - 1] = np.log(max(val, 1e-300))
-    return carleman_from_log_moments(logs, margin=margin)
+    return carleman_from_log_moments(logs)
 
 
 def log_gaussian_even_moments(n_max: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IllConditioned, InvalidInput, NotPSD, RankNotFlat
 from .moments import DiscreteMeasure, MomentFunctional, moment_matrix
-from .symalg import _monomial_values, _slice_index, monomials_up_to
+from .symalg import _monomial_values, _slice_index
 
 _RANK_TOL = 1e-9  # singular values below tol * sigma_max count as rank deficiency
 
@@ -161,7 +161,7 @@ def solve_multivariate(L: MomentFunctional, d: int, seed: int = 0) -> SolverResu
         atoms[:, i] = np.diag(q_schur.T @ mult[i] @ q_schur)
 
     vand = _monomial_values(atoms, 2 * d).T
-    targets = np.array([L.moments.get(alpha, 0.0) for alpha in monomials_up_to(L.dim, 2 * d)])
+    targets = L.values[: len(vand)]
     weights, *_ = np.linalg.lstsq(vand, targets, rcond=None)
     if np.any(weights < -1e-8):
         from scipy.optimize import nnls

@@ -27,6 +27,8 @@ tilde-trace direct path and the slice constants of
 monomials of degree <= D at a set of points (``_monomial_values``) for the
 moment tables, the consistency sweep and the solver; ``evaluate_character``
 and ``DiscreteMeasure.moment`` take powers instead, the reference route.
+``_graded_rank`` ranks exponent rows in ``monomials_up_to``, the order of a
+moment table; the Hankel index of :mod:`momentkit.moments` is built on it.
 """
 
 from __future__ import annotations
@@ -143,6 +145,29 @@ def _slice_index(dim: int, d: int) -> _SliceIndex:
     for t in tables:
         t.setflags(write=False)  # shared by every caller through the cache
     return _SliceIndex(monos, rank, *tables)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_counts(dim: int, degree: int) -> np.ndarray:
+    """counts[m, k] = C(m + k - 1, m) monomials of degree m in k variables, k >= 1."""
+    counts = np.array([[math.comb(m + k - 1, m) if k else 0 for k in range(dim + 2)]
+                       for m in range(degree + 1)], dtype=np.intp)
+    counts.setflags(write=False)  # shared by every caller through the cache
+    return counts
+
+
+def _graded_rank(exponents) -> np.ndarray:
+    """Rank of each exponent row (last axis) in monomials_up_to(dim, D), any D
+    >= its degree: the monomials of lower degree, plus, per variable, those of
+    its slice that agree with it before that variable and are smaller in it."""
+    exponents = np.asarray(exponents, dtype=np.intp)
+    dim = exponents.shape[-1]
+    rest = np.cumsum(exponents[..., ::-1], axis=-1)[..., ::-1]  # degree from variable i on
+    deg = rest[..., 0]
+    counts = _monomial_counts(dim, int(deg.max(initial=0)))
+    k = np.arange(dim, 0, -1)  # variables from i on
+    lex = (counts[rest, k] - counts[rest - exponents, k]).sum(axis=-1)
+    return counts[deg, dim + 1] - counts[deg, dim] + lex
 
 
 def _slice_vector(a: AlgebraElement, d: int) -> np.ndarray:

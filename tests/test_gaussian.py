@@ -156,7 +156,7 @@ def test_chebyshev_outside_ball():
     rep = chebyshev_outside_ball(gamma, p, delta=3.0, cfg=McConfig(seed=2, samples=100_000))
     assert rep.bound == pytest.approx(2.0 / 9.0)
     # true mass P(chi2_2 > 9) = exp(-4.5)
-    assert rep.mc == pytest.approx(np.exp(-4.5), abs=5e-3)
+    assert rep.estimate == pytest.approx(np.exp(-4.5), abs=5e-3)
     assert rep.certified
 
 
@@ -291,7 +291,7 @@ def test_chebyshev_indicator_counts_the_three_operand_form():
         assert 0 < reference.sum() < count
         assert np.array_equal(indicator(z), reference.astype(float)), b
         outside += int(reference.sum())
-    assert chebyshev_outside_ball(gamma, p, delta, cfg).mc == outside / cfg.samples
+    assert chebyshev_outside_ball(gamma, p, delta, cfg).estimate == outside / cfg.samples
 
 
 def test_reports_do_not_depend_on_blas_threads(tmp_path):

@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 
 from momentkit import (
@@ -30,6 +32,7 @@ from momentkit import (
 )
 from momentkit.errors import (
     DegreeOverflow,
+    DimensionMismatch,
     InvalidInput,
     MomentkitError,
     NegativeEvenMoment,
@@ -47,7 +50,7 @@ from momentkit.moments import (
     monomials_up_to,
 )
 from momentkit.solver import solve_univariate
-from momentkit.symalg import power, slice_monomials
+from momentkit.symalg import gradlex_key, power, slice_monomials
 from momentkit.traces import nuclear_tower, trace_scaling_check
 
 
@@ -61,6 +64,16 @@ def two_atom_measure():
 
 def x(i, dim=2, deg=4):
     return AlgebraElement.variable(i, dim, deg)
+
+
+def table(dim, max_degree, moments):
+    """The functional with the given {multi-index: moment} map, through
+    from_jsonable (absent moments are zero)."""
+    return MomentFunctional.from_jsonable({
+        "dim": dim,
+        "max_degree": max_degree,
+        "moments": [{"alpha": list(a), "value": v} for a, v in moments.items()],
+    })
 
 
 @pytest.mark.parametrize(
@@ -88,7 +101,7 @@ def test_discrete_measure_rejects_non_finite(atoms, weights):
         lambda: DiscreteMeasure(dim=1, atoms=np.array([[1.0], [2.0]]), weights=np.array([0.5, 0.4])),
         lambda: McConfig(seed=0, samples=0),
         lambda: McConfig(seed=0, samples=10, streams=0),
-        lambda: MomentFunctional(dim=1, max_degree=2, moments={(0,): 0.5}),
+        lambda: table(1, 2, {(0,): 0.5}),
     ],
     ids=["non_finite", "negative_weight", "weight_sum", "samples", "streams", "L_of_1"],
 )
@@ -151,11 +164,44 @@ def test_extend_keeps_existing_values():
 
 
 def test_serialization_round_trip():
+    """to_jsonable lists the nonzero moments in graded-lex order, and
+    from_jsonable rebuilds the same table bit for bit."""
     L = from_measure(two_atom_measure(), 3)
     data = L.to_jsonable()
+    alphas = [tuple(e["alpha"]) for e in data["moments"]]
+    assert alphas == sorted(alphas, key=gradlex_key)
+    assert (1, 0) not in alphas and all(e["value"] != 0.0 for e in data["moments"])
     back = MomentFunctional.from_jsonable(data)
+    assert np.array_equal(back.values, L.values)
+    assert back.to_jsonable() == data
     for alpha in monomials_up_to(2, 3):
-        assert back.moment(alpha) == pytest.approx(L.moment(alpha))
+        assert back.moment(alpha) == L.moment(alpha)
+
+
+@pytest.mark.parametrize(
+    "moments, error",
+    [
+        ({(0, 0): 1.0, (1,): 2.0}, DimensionMismatch),
+        ({(0, 0): 1.0, (2, -1): 2.0}, DimensionMismatch),
+        ({(0, 0): 1.0, (1, 0, 0): 2.0}, DimensionMismatch),
+        ({(0, 0): 1.0, (3, 2): 2.0}, DegreeOverflow),
+        ({(0, 0): 0.5}, InvalidInput),
+        ({(1, 1): 1.0}, InvalidInput),
+    ],
+    ids=["short_index", "negative_index", "long_index", "degree", "L_of_1", "no_L_of_1"],
+)
+def test_from_jsonable_typed_errors(moments, error):
+    with pytest.raises(error):
+        table(2, 4, moments)
+
+
+@pytest.mark.parametrize("alpha", [(1,), (3, -1), (1, 0, 5)])
+def test_moment_rejects_malformed_multi_index(alpha):
+    """Both moment methods validate the multi-index against the dimension."""
+    nu = two_atom_measure()
+    for target in (nu, from_measure(nu, 4)):
+        with pytest.raises(DimensionMismatch):
+            target.moment(alpha)
 
 
 def test_s_L_values_and_clamp():
@@ -164,9 +210,7 @@ def test_s_L_values_and_clamp():
     # L((x0+x1)^2) = m20 + 2 m11 + m02 = 1 + 2 + 2 = 5
     assert s_L(L, v) == pytest.approx(np.sqrt(5.0), abs=1e-12)
     with pytest.raises(NotSquarePositive):
-        bad = MomentFunctional(
-            dim=1, max_degree=2, moments={(0,): 1.0, (2,): -0.5}
-        )
+        bad = table(1, 2, {(0,): 1.0, (2,): -0.5})
         s_L(bad, x(0, 1, 2))
 
 
@@ -186,6 +230,91 @@ def test_localizing_matrix_nonnegative_on_support():
     )  # 9 - |c|^2 >= 0 on both atoms
     loc = localizing_matrix(L, g, 1)
     assert np.linalg.eigvalsh(loc)[0] > -1e-10
+
+
+def _moment_matrix_loop(L, d):
+    """Reference moment matrix: one table lookup per entry, the table keyed
+    by the multi-indices of monomials_up_to."""
+    by_alpha = dict(zip(monomials_up_to(L.dim, L.max_degree), L.values))
+    basis = monomials_up_to(L.dim, d)
+    m = np.empty((len(basis), len(basis)))
+    for i, alpha in enumerate(basis):
+        for j in range(i, len(basis)):
+            gamma = tuple(x + y for x, y in zip(alpha, basis[j]))
+            m[i, j] = m[j, i] = by_alpha[gamma]
+    return m
+
+
+def _localizing_matrix_loop(L, g, d):
+    """Reference localizing matrix: per entry, the sum over g's terms in
+    term order of c * L(x^(idx + alpha + beta))."""
+    by_alpha = dict(zip(monomials_up_to(L.dim, L.max_degree), L.values))
+    basis = monomials_up_to(L.dim, d)
+    m = np.empty((len(basis), len(basis)))
+    for i, alpha in enumerate(basis):
+        for j in range(i, len(basis)):
+            gamma = tuple(x + y for x, y in zip(alpha, basis[j]))
+            val = 0.0
+            for idx, c in g.terms.items():
+                val += c * by_alpha[tuple(x + y for x, y in zip(idx, gamma))]
+            m[i, j] = m[j, i] = val
+    return m
+
+
+@st.composite
+def functional_and_generator(draw):
+    """(L, g, d): a random moment table with zero and negative entries, and
+    a generator of degree <= 2 drawn with zero and negative coefficients."""
+    dim, d, g_degree = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    coeff = st.sampled_from([0.0, 1.0, -1.0, 2.5, -0.375, 1e-3, -7.0])
+    terms = draw(st.dictionaries(st.sampled_from(monomials_up_to(dim, g_degree)), coeff, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    max_degree = 2 * d + g_degree
+    values = rng.standard_normal(math.comb(dim + max_degree, dim))
+    values[rng.random(len(values)) < 0.3] = 0.0
+    values[0] = 1.0
+    L = MomentFunctional(dim=dim, max_degree=max_degree, values=values)
+    return L, AlgebraElement(dim, g_degree, terms), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(functional_and_generator())
+def test_hankel_gathers_match_the_per_entry_loops(case):
+    L, g, d = case
+    assert np.array_equal(moment_matrix(L, d), _moment_matrix_loop(L, d))
+    assert np.array_equal(localizing_matrix(L, g, d), _localizing_matrix_loop(L, g, d))
+
+
+def test_quadratic_forms_match_sparse_products():
+    """s_L and cbs_check against L of sparse multiply products: s_L within
+    1e-13 relative, and the same CBS verdict, which a table that is not
+    positive (random moments) flips for some pairs."""
+    rng = np.random.default_rng(3)
+    verdicts = set()
+    for dim in (1, 2, 3):
+        for k in (1, 2):
+            nu = DiscreteMeasure(
+                dim=dim, atoms=rng.standard_normal((5, dim)), weights=np.full(5, 0.2)
+            )
+            measured = from_measure(nu, 2 * k)
+            values = rng.standard_normal(math.comb(dim + 2 * k, dim))
+            values[0] = 1.0
+            signed = MomentFunctional(dim=dim, max_degree=2 * k, values=values)
+            alphas = monomials_up_to(dim, k)
+            for _ in range(10):
+                a, b = (
+                    AlgebraElement(dim, 2 * k, dict(zip(alphas, rng.standard_normal(len(alphas)))))
+                    for _ in range(2)
+                )
+                want = math.sqrt(measured(multiply(a, a)))
+                assert s_L(measured, a) == pytest.approx(want, rel=1e-13, abs=0.0)
+                for L in (measured, signed):
+                    lhs = L(multiply(a, b)) ** 2
+                    rhs = L(multiply(a, a)) * L(multiply(b, b))
+                    ok = lhs <= rhs + 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+                    assert cbs_check(L, a, b) == ok
+                    verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 def test_quadratic_module_membership():
@@ -397,9 +526,16 @@ def test_carleman_compact_support_divergent():
 
 
 def test_carleman_from_functional_requires_even_positivity():
-    L = MomentFunctional(
-        dim=1, max_degree=8, moments={(0,): 1.0, (2,): 1.0, (4,): -3.0}
-    )
+    L = table(1, 8, {(0,): 1.0, (2,): 1.0, (4,): -3.0})
+    with pytest.raises(NegativeEvenMoment):
+        carleman_diagnostic(L, AlgebraElement.variable(0, 1, 1), n_max=4)
+
+
+@pytest.mark.parametrize("m8", [1.0, 1e6])
+def test_carleman_negativity_is_judged_on_its_own_terms(m8):
+    """L(x^4) = -1e-9 is negative beyond rounding whatever L(x^8) is: the
+    tolerance scales with the terms of v^4, not of v^8."""
+    L = table(1, 8, {(0,): 1.0, (2,): 1.0, (4,): -1e-9, (6,): 1.0, (8,): m8})
     with pytest.raises(NegativeEvenMoment):
         carleman_diagnostic(L, AlgebraElement.variable(0, 1, 1), n_max=4)
 

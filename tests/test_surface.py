@@ -70,6 +70,21 @@ def test_module_level_imports_are_used():
     assert unused == []
 
 
+def test_only_symalg_imports_the_sparse_products():
+    """``multiply`` and ``power`` expand sparse products term by term; the
+    library's other layers read moments through the dense slice kernel, so
+    no module but ``symalg`` imports them (demos and tests may)."""
+    importers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "symalg.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name in ("multiply", "power") for alias in node.names)
+    )
+    assert importers == []
+
+
 def _reached() -> set[str]:
     """Names the library, the demos or the acceptance tests reach."""
     reached = set()

@@ -25,6 +25,7 @@ from momentkit.forms import gram_schmidt, kernel_basis, whitening_system
 from momentkit.moments import DiscreteMeasure
 from momentkit.symalg import (
     Character,
+    _graded_rank,
     _monomial_values,
     _sym_power,
     graded_inner,
@@ -100,6 +101,18 @@ def test_monomial_values_match_the_power_routes(case):
             monomial = AlgebraElement(dim, degree, {alpha: 1.0})
             assert got == pytest.approx(atom.moment(alpha), rel=1e-13, abs=0.0)
             assert got == pytest.approx(evaluate_character(point, monomial), rel=1e-13, abs=0.0)
+
+
+def test_graded_rank_is_the_monomials_up_to_order():
+    """_graded_rank maps each exponent row of monomials_up_to(dim, D) to its
+    position, for rows stacked along any leading axes."""
+    for dim in range(1, 6):
+        for degree in range(7):
+            alphas = np.array(monomials_up_to(dim, degree)).reshape(-1, dim)
+            assert np.array_equal(_graded_rank(alphas), np.arange(len(alphas)))
+            assert np.array_equal(
+                _graded_rank(alphas[None, ::-1, :]), np.arange(len(alphas))[None, ::-1]
+            )
 
 
 def test_sym_power_is_a_representation():
