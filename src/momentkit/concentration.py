@@ -246,7 +246,7 @@ def _index_spectra(fam: MeasureFamily, p: GramForm) -> dict:
         run = list(run)
         w = np.stack([forms[i]._eig[0] for i in run])
         v = np.stack([forms[i]._eig[1] for i in run])
-        ranks = _above_cutoff(w, p.psd_tol).sum(axis=1)
+        ranks = _above_cutoff(w).sum(axis=1)
         for r in sorted(set(ranks.tolist())):
             group = np.flatnonzero(ranks == r)
             members = [run[j] for j in group]
@@ -450,7 +450,7 @@ def reverse_seminorm_construction(
             if ok:
                 m_n += w * np.outer(atom, atom)
         g += m_n / n**4
-    p = GramForm(dim=q.dim, gram=g, psd_tol=q.psd_tol)
+    p = GramForm(dim=q.dim, gram=g)
     tr = trace_value(p, q)
     if is_infinite(tr) or tr > 2.0 + 1e-9:
         raise MomentkitError(f"reverse construction trace {tr} violates the bound 2")

@@ -11,7 +11,7 @@ types defined here:
 * :class:`OrthonormalSystem` -- an ordered p-orthonormal family.
 
 Rank and kernel decisions use a relative eigenvalue cutoff
-``psd_tol * lambda_max``; eigenvalues at or below the cutoff count as kernel
+``PSD_TOL * lambda_max``; eigenvalues at or below the cutoff count as kernel
 (conservative for trace-finiteness checks).
 """
 
@@ -56,6 +56,9 @@ def jsonable(x):
     return "infinite" if is_infinite(x) else float(x)
 
 
+# PSD: least eigenvalue down to -PSD_TOL * max(1, lambda_max); kernel:
+# eigenvalues at or below PSD_TOL * lambda_max.
+PSD_TOL = 1e-10
 # q-continuous: kernel component <= _KER_REL_TOL * max(1, |coeffs|).
 # In the closed unit q-dual ball: dual norm <= 1 + _DUAL_BALL_SLACK.
 _KER_REL_TOL = 1e-8
@@ -80,18 +83,23 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(peaks < 0, -vectors, vectors)
 
 
-def _check_psd(w: np.ndarray, psd_tol: float) -> None:
+def _is_psd(w: np.ndarray) -> bool:
+    """The PSD rule on ascending eigenvalues w."""
+    return not (len(w) and float(w[0]) < -PSD_TOL * max(1.0, float(w[-1])))
+
+
+def _check_psd(w: np.ndarray) -> None:
     """GramForm's PSD rule on ascending eigenvalues w."""
-    if len(w) and float(w[0]) < -psd_tol * max(1.0, float(w[-1])):
+    if not _is_psd(w):
         raise NotPSD(
-            f"gram has eigenvalue {w[0]:.3e} below -psd_tol*max(1, lam_max)"
+            f"gram has eigenvalue {w[0]:.3e} below -PSD_TOL*max(1, lam_max)"
         )
 
 
-def _above_cutoff(w: np.ndarray, psd_tol: float) -> np.ndarray:
+def _above_cutoff(w: np.ndarray) -> np.ndarray:
     """Which ascending eigenvalues (last axis, stacks too) lie above the
-    kernel cutoff psd_tol * lambda_max; the rest count as kernel."""
-    return w > psd_tol * np.maximum(w[..., -1:], 0.0)
+    kernel cutoff PSD_TOL * lambda_max; the rest count as kernel."""
+    return w > PSD_TOL * np.maximum(w[..., -1:], 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +108,6 @@ class GramForm:
 
     dim: int
     gram: np.ndarray
-    psd_tol: float = 1e-10
 
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=float)
@@ -113,18 +120,18 @@ class GramForm:
         g = 0.5 * (g + g.T)  # symmetrize exactly against round-off
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
-        _check_psd(self._eig[0], self.psd_tol)
+        _check_psd(self._eig[0])
 
     @classmethod
-    def _decomposed(cls, gram, w, v, psd_tol) -> "GramForm":
+    def _decomposed(cls, gram, w, v) -> "GramForm":
         """A form on an exactly symmetric, read-only gram whose ascending
         eigenvalues w and sign-fixed eigenvectors v are already known: the
         constructor's PSD rule, without its copy and its eigh."""
         form = cls.__new__(cls)
-        for name, value in (("dim", len(w)), ("gram", gram), ("psd_tol", psd_tol)):
+        for name, value in (("dim", len(w)), ("gram", gram)):
             object.__setattr__(form, name, value)
         form.__dict__["_eig"] = (w, v)  # the slot cached_property fills
-        _check_psd(w, psd_tol)
+        _check_psd(w)
         return form
 
     # -- spectral data ----------------------------------------------------
@@ -143,13 +150,13 @@ class GramForm:
     @property
     def kernel_cutoff(self) -> float:
         """Eigenvalues <= this value count as kernel (ties go to the kernel)."""
-        return self.psd_tol * self.lambda_max
+        return PSD_TOL * self.lambda_max
 
     @cached_property
     def _split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(positive eigenvalues, their vectors, kernel eigenvalues, kernel vectors)."""
         w, v = self._eig
-        keep = _above_cutoff(w, self.psd_tol)
+        keep = _above_cutoff(w)
         return w[keep], v[:, keep], w[~keep], v[:, ~keep]
 
     @property
@@ -180,13 +187,6 @@ class GramForm:
     def to_jsonable(self) -> list:
         """Row-major nested lists of doubles."""
         return [[float(x) for x in row] for row in self.gram]
-
-    @classmethod
-    def from_jsonable(cls, rows, psd_tol: float = 1e-10) -> "GramForm":
-        g = np.asarray(rows, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionMismatch(f"expected square matrix, got shape {g.shape}")
-        return cls(dim=g.shape[0], gram=g, psd_tol=psd_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,12 +254,12 @@ class OrthonormalSystem:
 
 def evaluate(p: GramForm, v) -> float:
     """Seminorm value p(v) = sqrt(v' gram v), clamping tiny negative round-off:
-    values down to -psd_tol * max(1, lambda_max v'v) read 0, lower is NotPSD."""
+    values down to -PSD_TOL * max(1, lambda_max v'v) read 0, lower is NotPSD."""
     v = _as_vector(v, p.dim)
     val = float(v @ p.gram @ v)
     if val < 0.0:
         scale = max(1.0, p.lambda_max * float(v @ v))
-        if val < -p.psd_tol * scale:
+        if val < -PSD_TOL * scale:
             raise NotPSD(f"quadratic form value {val:.3e} below clamping tolerance")
         val = 0.0
     return float(np.sqrt(val))
@@ -344,7 +344,7 @@ def gram_schmidt(q: GramForm, vectors) -> OrthonormalSystem:
     dropped; their input indices are reported on the returned system."""
     basis: list[np.ndarray] = []
     dropped: list[int] = []
-    drop_scale = q.psd_tol * max(q.lambda_max, 1.0)
+    drop_scale = PSD_TOL * max(q.lambda_max, 1.0)
     for idx, v in enumerate(vectors):
         r = _as_vector(v, q.dim).copy()
         for _ in range(2):  # one reorthogonalization pass for stability
@@ -371,10 +371,10 @@ def whitening_system(q: GramForm) -> OrthonormalSystem:
 
 def kernel_contained(p: GramForm, q: GramForm) -> bool:
     """Whether ker(q) is contained in ker(p): every kernel vector of q must
-    have p-norm^2 at or below psd_tol * lambda_max(p)."""
+    have p-norm^2 at or below PSD_TOL * lambda_max(p)."""
     if p.dim != q.dim:
         raise DimensionMismatch(f"dims {p.dim} != {q.dim}")
-    thresh = p.psd_tol * p.lambda_max
+    thresh = p.kernel_cutoff
     for v in kernel_basis(q):
         if float(v @ p.gram @ v) > thresh:
             return False
@@ -423,7 +423,7 @@ def principal_restrictions(p: GramForm, index_sets) -> list:
         grams.setflags(write=False)
         w, v = np.linalg.eigh(grams)
         for i, g, w_i, v_i in zip(pos, grams, w, _fix_signs(v)):
-            out[i] = GramForm._decomposed(g, w_i, v_i, p.psd_tol)
+            out[i] = GramForm._decomposed(g, w_i, v_i)
     return out
 
 
@@ -432,11 +432,11 @@ def restrict_gram(p: GramForm, basis_vectors) -> GramForm:
     Euclidean-orthonormal basis of that span (choice immaterial for traces)."""
     cols = [_as_vector(v, p.dim) for v in basis_vectors]
     if not cols:
-        return GramForm(dim=0, gram=np.zeros((0, 0)), psd_tol=p.psd_tol)
+        return GramForm(dim=0, gram=np.zeros((0, 0)))
     m = np.column_stack(cols)
     # Euclidean-orthonormal basis of the span via SVD (rank-revealing)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     keep = s > 1e-12 * max(s[0], 1.0) if s.size else np.zeros(0, dtype=bool)
     b = u[:, keep]
     g = b.T @ p.gram @ b
-    return GramForm(dim=b.shape[1], gram=0.5 * (g + g.T), psd_tol=p.psd_tol)
+    return GramForm(dim=b.shape[1], gram=0.5 * (g + g.T))

@@ -28,7 +28,7 @@ from .errors import (
     NotSquarePositive,
     weights_sum_to_one,
 )
-from .forms import GramForm, INFINITE, OrthonormalSystem, jsonable
+from .forms import GramForm, INFINITE, OrthonormalSystem, _is_psd, jsonable
 from .symalg import (
     AlgebraElement,
     Character,
@@ -44,7 +44,6 @@ from .symalg import (
 
 SQUARE_TOL = 1e-9  # a negative L(a^2) within this share of its scale is rounding
 CBS_SLACK = 1e-9  # relative slack on L(ab)^2 <= L(a^2) L(b^2)
-PSD_TOL = 1e-10  # least eigenvalue down to -PSD_TOL * max(1, |largest|) counts as PSD
 EVEN_MOMENT_TOL = 1e-12  # a negative L(v^2n) within this share of its scale is rounding
 MEMBERSHIP_TOL = 1e-12  # g(c) down to -MEMBERSHIP_TOL counts as g(c) >= 0
 
@@ -139,6 +138,8 @@ class MomentFunctional:
             values.setflags(write=False)
         if values.shape != (math.comb(self.dim + self.max_degree, self.dim),):
             raise DimensionMismatch(f"{values.shape} moments for {self.dim} variables")
+        if not np.isfinite(values).all():
+            raise InvalidInput("moments must be finite")
         if abs(values[0] - 1.0) > 1e-9:
             raise InvalidInput(f"L(1) = {values[0]}, expected 1")
         object.__setattr__(self, "values", values)
@@ -249,9 +250,8 @@ def localizing_matrix(L: MomentFunctional, g: AlgebraElement, d: int) -> np.ndar
 
 
 def psd_within(matrix: np.ndarray) -> bool:
-    w = np.linalg.eigvalsh(matrix)
-    scale = max(1.0, abs(w[-1]))
-    return bool(w[0] >= -PSD_TOL * scale)
+    """GramForm's PSD rule on the eigenvalues of ``matrix``."""
+    return _is_psd(np.linalg.eigvalsh(matrix))
 
 
 def square_positive_check(L: MomentFunctional) -> bool:

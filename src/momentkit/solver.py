@@ -1,10 +1,17 @@
 """Finite atomic measure recovery from truncated moment data.
 
-Univariate: orthogonal-polynomial three-term recurrence from the Hankel
-matrix, atoms as Jacobi-matrix eigenvalues, weights by the first eigenvector
-components (Golub-Welsch).  Multivariate: rank factorization of the moment
-matrix, multiplication matrices on the flat column space, joint
-diagonalization through a seeded random combination and a real Schur form.
+Both solvers read the moment layer: the moment matrix M_d and the
+localizing matrix are gathers of one MomentFunctional's dense table, and
+each moment matrix is decomposed once, its eigenvalues giving the PSD gate
+and the rank by one rank rule (_rank).
+
+Univariate (Golub-Welsch): with the Hankel matrix H_{r-1} = C C' (Cholesky)
+and the shifted Hankel matrix L(x H), the localizing matrix of x, the
+Jacobi matrix is C^-1 L(x H) C^-T; its eigenvalues are the atoms and its
+squared first eigenvector components the weights.  Multivariate: rank
+factorization of M_d by its one eigh, multiplication matrices on the flat
+column space, joint diagonalization through a seeded random combination and
+a real Schur form.
 
 Non-flat truncations are reported as errors, never extended or guessed.
 """
@@ -16,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, InvalidInput, NotPSD, RankNotFlat
-from .moments import DiscreteMeasure, MomentFunctional, moment_matrix
-from .symalg import _monomial_values, _slice_index
+from .moments import DiscreteMeasure, MomentFunctional, localizing_matrix, moment_matrix
+from .symalg import AlgebraElement, _monomial_values, _slice_index
 
-_RANK_TOL = 1e-9  # singular values below tol * sigma_max count as rank deficiency
+_RANK_TOL = 1e-9  # eigenvalues at or below tol * lambda_max count as rank deficiency
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,15 +44,10 @@ class SolverResult:
         }
 
 
-def _numeric_rank(m: np.ndarray) -> int:
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > _RANK_TOL * max(s[0], 1e-300)))
-
-
-def _hankel(moments: np.ndarray, size: int) -> np.ndarray:
-    return np.array([[moments[i + j] for j in range(size)] for i in range(size)])
+def _rank(w: np.ndarray) -> int:
+    """The one rank rule: ascending eigenvalues above _RANK_TOL times the
+    largest count toward the rank."""
+    return int(np.count_nonzero(w > _RANK_TOL * max(w.max(initial=0.0), 1e-300)))
 
 
 def _sorted_measure(atoms: np.ndarray, weights: np.ndarray) -> DiscreteMeasure:
@@ -60,64 +62,32 @@ def _sorted_measure(atoms: np.ndarray, weights: np.ndarray) -> DiscreteMeasure:
 def solve_univariate(moments) -> SolverResult:
     """Moments m_0..m_{2d} (optionally followed by m_{2d+1}, which the full
     rank r = d+1 case needs); m_0 = 1."""
-    moments = np.asarray(moments, dtype=float)
     if len(moments) < 3:
         raise InvalidInput("need at least m_0, m_1, m_2")
-    d = (len(moments) - 1) // 2
-    h_d = _hankel(moments, d + 1)
-    w_eig = np.linalg.eigvalsh(h_d)
-    if w_eig[0] < -_RANK_TOL * max(w_eig[-1], 1.0):
-        raise NotPSD(f"Hankel matrix has eigenvalue {w_eig[0]}")
-    rank_d = _numeric_rank(h_d)
-    rank_dm1 = _numeric_rank(_hankel(moments, d)) if d >= 1 else 0
-    r = rank_d
-    if r == d + 1 and len(moments) < 2 * d + 2:
+    L = MomentFunctional(dim=1, max_degree=len(moments) - 1, values=moments)
+    d = L.max_degree // 2
+    h_d = moment_matrix(L, d)
+    w = np.linalg.eigvalsh(h_d)
+    if w[0] < -_RANK_TOL * max(w[-1], 1.0):
+        raise NotPSD(f"Hankel matrix has eigenvalue {w[0]}")
+    r = rank_d = _rank(w)
+    rank_dm1 = _rank(np.linalg.eigvalsh(h_d[:d, :d]))
+    if r == d + 1 and L.max_degree < 2 * d + 1:
         raise RankNotFlat(
-            f"rank {r} = full: need moment m_{2 * d + 1} to close the recurrence"
+            f"rank {r} = full: need moment m_{2 * d + 1} for the Jacobi matrix"
         )
-    if r <= d and _numeric_rank(_hankel(moments, r)) != r:
+    if r <= d and _rank(np.linalg.eigvalsh(h_d[:r, :r])) != r:
         raise RankNotFlat(f"rank profile not flat at order {r}")
 
-    # monic orthogonal polynomials under <x^i, x^j> = m_{i+j}
-    def inner(u, v):
-        total = 0.0
-        for i, ui in enumerate(u):
-            if ui == 0.0:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    total += ui * vj * moments[i + j]
-        return total
-
-    def shift(u):  # multiply by x
-        return np.concatenate(([0.0], u))
-
-    polys = [np.array([1.0])]
-    alphas, betas = [], []
-    for k in range(r):
-        pk = polys[k]
-        nk = inner(pk, pk)
-        if nk <= 0:
-            raise RankNotFlat(f"orthogonal polynomial {k} has nonpositive norm {nk}")
-        a_k = inner(shift(pk), pk) / nk
-        alphas.append(a_k)
-        if k + 1 < r + 1:
-            nxt = shift(pk) - a_k * np.concatenate((pk, [0.0]))
-            if k >= 1:
-                b_k = nk / inner(polys[k - 1], polys[k - 1])
-                betas.append(b_k)
-                nxt = nxt - b_k * np.concatenate((polys[k - 1], [0.0, 0.0]))
-            polys.append(nxt)
-
-    jacobi = np.diag(alphas)
-    if betas:
-        off = np.sqrt(np.maximum(betas, 0.0))
-        jacobi += np.diag(off, 1) + np.diag(off, -1)
-    vals, vecs = np.linalg.eigh(jacobi)
-    weights = moments[0] * vecs[0, :] ** 2
-    measure = _sorted_measure(vals.reshape(-1, 1), weights)
-    recon = measure.weights @ _monomial_values(measure.atoms, len(moments) - 1)
-    residual = float(np.abs(recon - moments).max())
+    # Golub-Welsch: with H_{r-1} = C C', the orthonormal polynomials are
+    # C^-1 (1, x, .., x^{r-1}) and the Jacobi matrix is C^-1 L(x H) C^-T
+    c = np.linalg.cholesky(h_d[:r, :r])
+    half = np.linalg.solve(c, localizing_matrix(L, AlgebraElement.variable(0, 1, 1), r - 1))
+    jacobi = np.linalg.solve(c, half.T)
+    vals, vecs = np.linalg.eigh(0.5 * (jacobi + jacobi.T))
+    measure = _sorted_measure(vals.reshape(-1, 1), vecs[0, :] ** 2)
+    recon = measure.weights @ _monomial_values(measure.atoms, L.max_degree)
+    residual = float(np.abs(recon - L.values).max())
     return SolverResult(
         measure=measure, residual=residual, rank_profile=(rank_dm1, rank_d)
     )
@@ -126,23 +96,21 @@ def solve_univariate(moments) -> SolverResult:
 def solve_multivariate(L: MomentFunctional, d: int, seed: int = 0) -> SolverResult:
     """Flat-extension extraction at order d: requires rank M_d = rank M_{d-1}."""
     m_d = moment_matrix(L, d)
-    m_dm1 = moment_matrix(L, d - 1)
-    w_eig = np.linalg.eigvalsh(m_d)
-    if w_eig[0] < -_RANK_TOL * max(w_eig[-1], 1.0):
-        raise NotPSD(f"moment matrix has eigenvalue {w_eig[0]}")
-    r_d = _numeric_rank(m_d)
-    r_dm1 = _numeric_rank(m_dm1)
+    # M_d's rows: monomials_up_to(dim, d), slice k from row start[k], so
+    # M_{d-1} is its leading start[d] block
+    start = np.cumsum([0] + [len(_slice_index(L.dim, k).monomials) for k in range(d + 1)])
+    w, v = np.linalg.eigh(m_d)
+    if w[0] < -_RANK_TOL * max(w[-1], 1.0):
+        raise NotPSD(f"moment matrix has eigenvalue {w[0]}")
+    r = r_d = _rank(w)
+    r_dm1 = _rank(np.linalg.eigvalsh(m_d[: start[d], : start[d]]))
     if r_d != r_dm1:
         raise RankNotFlat(f"rank M_{d} = {r_d} != rank M_{d - 1} = {r_dm1}")
-    r = r_d
+    top = slice(len(w) - r, None)  # the r eigenvalues the rank counts
+    feat = v[:, top] * np.sqrt(w[top])  # row per monomial, <row_a, row_b> = M[a,b]
 
-    # M_d's rows: monomials_up_to(dim, d), slice k from row start[k]; row b
-    # of shift holds the rows of monomial b (degree < d) times each x_i
-    start = np.cumsum([0] + [len(_slice_index(L.dim, k).monomials) for k in range(d + 1)])
+    # row b of shift holds the rows of monomial b (degree < d) times each x_i
     shift = np.vstack([start[k + 1] + _slice_index(L.dim, k + 1).times for k in range(d)])
-    w, v = np.linalg.eigh(m_d)
-    keep = w > _RANK_TOL * max(w[-1], 1e-300)
-    feat = v[:, keep] * np.sqrt(w[keep])  # row per monomial, <row_a, row_b> = M[a,b]
 
     a = feat[: start[d], :]
     s = np.linalg.svd(a, compute_uv=False)

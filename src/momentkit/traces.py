@@ -90,8 +90,8 @@ def trace_scaling_check(p: GramForm, q: GramForm, eps: float, delta: float,
     base = trace(p, q)
     if not base.finite:
         raise InvalidInput("trace_scaling_check requires finite tr(p/q)")
-    scaled_p = GramForm(p.dim, eps**2 * np.asarray(p.gram), psd_tol=p.psd_tol)
-    scaled_q = GramForm(q.dim, delta**2 * np.asarray(q.gram), psd_tol=q.psd_tol)
+    scaled_p = GramForm(p.dim, eps**2 * np.asarray(p.gram))
+    scaled_q = GramForm(q.dim, delta**2 * np.asarray(q.gram))
     lhs = trace(scaled_p, scaled_q).value
     rhs = (eps / delta) ** 2 * base.value
     return bool(abs(lhs - rhs) <= rel_tol * max(abs(rhs), 1e-300))
@@ -198,7 +198,7 @@ def construct_q(
     for lam_n, e_n in zip(lam.values, e_sys.vectors):
         u = p.gram @ e_n
         g += np.outer(u, u) / lam_n**2
-    q = GramForm(dim=p.dim, gram=g, psd_tol=p.psd_tol)
+    q = GramForm(dim=p.dim, gram=g)
     tr = trace(p, q).value
     expected = lam.sum_squares
     scaled = tuple(

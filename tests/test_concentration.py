@@ -41,6 +41,7 @@ from momentkit.errors import (
     NotSubset,
 )
 from momentkit.forms import (
+    PSD_TOL,
     DualFunctional,
     _in_unit_dual_ball,
     evaluate,
@@ -520,7 +521,7 @@ def test_nesting_decides_at_a_relative_kernel_cutoff():
     for fam, q, want in cases:
         p = GramForm(dim=q.dim, gram=np.diag([1.0] + [0.0] * (q.dim - 1)))
         rep = prokhorov_mass_check(fam, p, q, eps, np.sqrt(eps), require_certificate=False)
-        r_eps = GramForm(dim=q.dim, gram=rep.scale**2 * q.gram, psd_tol=q.psd_tol)
+        r_eps = GramForm(dim=q.dim, gram=rep.scale**2 * q.gram)
         assert rep.nesting_ok == _all_pairs_nesting(fam, r_eps) == want
 
 
@@ -560,7 +561,7 @@ def test_prokhorov_and_fundamental_lemma_masses_match_per_atom_dual_norms():
         atoms[: k // 2] = atoms[: k // 2] @ q.gram  # in range(q)
         eps, delta = 0.05, 0.5
         c = np.sqrt(trace_value(p, q)) / (delta * np.sqrt(eps))
-        r_eps = GramForm(dim=n, gram=c**2 * q.gram, psd_tol=q.psd_tol)
+        r_eps = GramForm(dim=n, gram=c**2 * q.gram)
         if trial % 4 >= 2:  # r_eps-dual norms 1 -+ 1e-6 on the in-range atoms
             for i in range(k // 2):
                 nd = dual_norm(r_eps, DualFunctional(dim=n, coeffs=atoms[i]))
@@ -738,7 +739,7 @@ def _ref_spectra(fam, p):
         idx = np.asarray(s.coords, dtype=int)
         gram = p.gram[np.ix_(idx, idx)]
         w, v = _ref_eig(gram)
-        keep = w > p.psd_tol * max(float(w[-1]), 0.0)
+        keep = w > PSD_TOL * max(float(w[-1]), 0.0)
         scale = max(1.0, float(np.abs(nu.support).max(initial=0.0)))
         if np.abs(nu.support @ v[:, ~keep]).max(initial=0.0) > 1e-10 * scale:
             raise KernelIssue("kernel")
@@ -785,7 +786,7 @@ def test_stacked_restrictions_equal_lone_restrictions():
             assert not form.gram.flags.writeable
             assert all(np.array_equal(x, y) for x, y in zip(form._eig, lone._eig))
             assert all(np.array_equal(x, y) for x, y in zip(form._split, lone._split))
-            assert form.rank == lone.rank and form.psd_tol == lone.psd_tol
+            assert form.rank == lone.rank and form.kernel_cutoff == lone.kernel_cutoff
     # a principal submatrix can break the PSD rule its parent passes
     p = GramForm(dim=2, gram=np.diag([-5e-9, 100.0]))
     with pytest.raises(NotPSD):

@@ -42,7 +42,7 @@ def test_evaluate_diag():
 
 def test_evaluate_clamps_round_off_and_raises_below_the_tolerance():
     """Forms that pass GramForm's PSD rule yet go slightly negative: values
-    down to -psd_tol * max(1, lambda_max v'v) read 0, lower ones raise."""
+    down to -PSD_TOL * max(1, lambda_max v'v) read 0, lower ones raise."""
     clamped = GramForm(dim=2, gram=np.diag([1e-14, -9e-12]))
     assert evaluate(clamped, [0.0, 1.0]) == 0.0
     assert evaluate(clamped, [1.0, 1.0]) == 0.0

@@ -94,6 +94,20 @@ def test_discrete_measure_rejects_non_finite(atoms, weights):
 
 
 @pytest.mark.parametrize(
+    "values",
+    [[1.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [1.0, 0.0, np.inf], [1.0, -np.inf, 1.0]],
+    ids=["nan_moment", "nan_L_of_1", "inf_moment", "minus_inf_moment"],
+)
+def test_moment_functional_rejects_non_finite(values):
+    """A NaN L(1) passes the |L(1) - 1| bound (NaN compares False), so the
+    table is checked for non-finite values first, by value and by map."""
+    with pytest.raises(InvalidInput, match="finite"):
+        MomentFunctional(dim=1, max_degree=2, values=values)
+    with pytest.raises(InvalidInput, match="finite"):
+        table(1, 2, {(k,): v for k, v in enumerate(values)})
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: DiscreteMeasure(dim=1, atoms=np.array([[np.nan]]), weights=np.array([1.0])),
