@@ -10,11 +10,11 @@ pool sized to the CPU affinity and their results merge in fixed block
 order — the result is bit-identical for a given (seed, samples, streams)
 regardless of scheduling or worker count.
 
-The parallelism lives in the block pool, so a chunk is small (_CHUNK rows):
-its BLAS calls stay in cache and single-threaded, where larger ones would
-start BLAS threads inside the pool's workers.  A worker holds one float64
-array of values per estimator for its block, squared in place for the sum
-of squares, plus chunk-sized buffers.
+The parallelism lives in the block pool, so a chunk is small (_chunk_rows,
+rows * rank^2 bounded): its BLAS calls stay in cache and single-threaded,
+where larger ones would start BLAS threads inside the pool's workers.  A
+worker holds one float64 array of values per estimator for its block,
+squared in place for the sum of squares, plus chunk-sized buffers.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .moments import DiscreteMeasure
 from .traces import trace_value
 
 CERTIFY_SIGMAS = 4.0  # a Monte Carlo estimate certifies within this many standard errors
-_CHUNK = 8_192  # rows per chunk: small enough that a chunk and its BLAS products stay in cache
+_CHUNK = 8_192  # rows per chunk up to rank 6: a chunk and its BLAS products stay in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,16 +118,26 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _chunk_rows(rank: int) -> int:
+    """The largest power of two up to _CHUNK with rows * rank^2, the work of
+    a chunk's z @ a, at most that of _CHUNK rows at rank 6."""
+    rows = _CHUNK
+    while rows > 1 and rows * rank * rank > _CHUNK * 36:
+        rows //= 2
+    return rows
+
+
 def _block_sums(gamma: GaussianMeasure, seed: int, block: int, count: int, fns) -> list:
     """(sum, sum of squares) of each fn's per-sample values on one block.
-    The block's stream is drawn _CHUNK rows at a time into one buffer; each
-    fn fills an array as long as the block, which is summed whole, so every
-    sum has the bits of a single whole-block draw."""
+    The block's stream is drawn _chunk_rows(rank) rows at a time into one
+    buffer; each fn fills an array as long as the block, which is summed
+    whole, so every sum has the bits of a single whole-block draw."""
     rng = _block_rng(seed, block)
-    buf = np.empty((min(count, _CHUNK), gamma.rank))
+    rows = _chunk_rows(gamma.rank)
+    buf = np.empty((min(count, rows), gamma.rank))
     vals = [np.empty(count) for _ in fns]
-    for start in range(0, count, _CHUNK):
-        z = buf[: min(_CHUNK, count - start)]
+    for start in range(0, count, rows):
+        z = buf[: min(rows, count - start)]
         rng.standard_normal(out=z)
         for fn, out in zip(fns, vals):
             out[start : start + len(z)] = fn(z)

@@ -227,6 +227,8 @@ def s_L(L: MomentFunctional, a: AlgebraElement) -> float:
 def moment_matrix(L: MomentFunctional, d: int) -> np.ndarray:
     """M[alpha, beta] = L(x^(alpha+beta)) over monomials of degree <= d
     (graded-lex order; see :func:`monomials_up_to`)."""
+    if d < 0:
+        raise InvalidInput(f"moment matrix order {d} < 0")
     if 2 * d > L.max_degree:
         raise DegreeOverflow(f"moment matrix needs degree {2 * d} > {L.max_degree}")
     return L.values[_hankel_index(L.dim, d)]
@@ -236,6 +238,8 @@ def localizing_matrix(L: MomentFunctional, g: AlgebraElement, d: int) -> np.ndar
     """M_g[alpha, beta] = L(g * x^(alpha+beta)) over monomials of degree <= d:
     the moment matrix's gather of the shifted table
     gamma -> sum of c L(x^(gamma+idx)) over g's terms, summed in term order."""
+    if d < 0:
+        raise InvalidInput(f"localizing matrix order {d} < 0")
     if 2 * d + g.degree() > L.max_degree:
         raise DegreeOverflow(
             f"localizing matrix needs degree {2 * d + g.degree()} > {L.max_degree}"

@@ -1,17 +1,15 @@
-"""Finite atomic measure recovery from truncated moment data.
+"""Finite atomic measure recovery from truncated moment data, numpy only.
 
 Both solvers read the moment layer: the moment matrix M_d and the
 localizing matrix are gathers of one MomentFunctional's dense table, and
 each moment matrix is decomposed once, its eigenvalues giving the PSD gate
-and the rank by one rank rule (_rank).
-
-Univariate (Golub-Welsch): with the Hankel matrix H_{r-1} = C C' (Cholesky)
-and the shifted Hankel matrix L(x H), the localizing matrix of x, the
-Jacobi matrix is C^-1 L(x H) C^-T; its eigenvalues are the atoms and its
-squared first eigenvector components the weights.  Multivariate: rank
-factorization of M_d by its one eigh, multiplication matrices on the flat
-column space, joint diagonalization through a seeded random combination and
-a real Schur form.
+and the rank by one rank rule (_rank).  Both end in Golub-Welsch
+(_spectral_measure): one eigh of a combination of symmetric multiplication
+matrices on an orthonormal basis.  Univariate: the Jacobi matrix
+C^-1 L(x H) C^-T with H_{r-1} = C C' (Cholesky).  Multivariate: the factor
+a of M_{d-1} = a a' from M_d's eigh, whose one SVD gives the pseudo-inverse
+that maps the shifted rows to every multiplication matrix, combined with
+seeded random weights.
 
 Non-flat truncations are reported as errors, never extended or guessed.
 """
@@ -50,13 +48,18 @@ def _rank(w: np.ndarray) -> int:
     return int(np.count_nonzero(w > _RANK_TOL * max(w.max(initial=0.0), 1e-300)))
 
 
-def _sorted_measure(atoms: np.ndarray, weights: np.ndarray) -> DiscreteMeasure:
-    """Clamp tiny negative weights, renormalize, sort atoms lexicographically
-    so that runs with different seeds produce identical output order."""
-    weights = np.where(weights < 0, np.maximum(weights, 0.0), weights)
-    weights = weights / weights.sum()
-    order = np.lexsort(tuple(atoms[:, i] for i in reversed(range(atoms.shape[1]))))
-    return DiscreteMeasure(dim=atoms.shape[1], atoms=atoms[order], weights=weights[order])
+def _spectral_measure(ops, mix, unit: np.ndarray) -> DiscreteMeasure:
+    """Golub-Welsch for commuting multiplication matrices ops (symmetric up
+    to rounding) on an orthonormal basis in which unit is the monomial 1:
+    with Q from the eigh of sum mix_i X_i, atom j has coordinates
+    (Q' X_i Q)_jj and weight (unit . Q_j)^2.  Atoms sort lexicographically:
+    one order for every seed, unless rounding splits a shared coordinate."""
+    ops = [0.5 * (x + x.T) for x in ops]
+    _, q = np.linalg.eigh(sum(m * x for m, x in zip(mix, ops)))
+    atoms = np.column_stack([(x @ q * q).sum(axis=0) for x in ops])
+    order = np.lexsort(atoms.T[::-1])
+    weights = (unit @ q[:, order]) ** 2
+    return DiscreteMeasure(dim=len(ops), atoms=atoms[order], weights=weights / weights.sum())
 
 
 def solve_univariate(moments) -> SolverResult:
@@ -73,9 +76,7 @@ def solve_univariate(moments) -> SolverResult:
     r = rank_d = _rank(w)
     rank_dm1 = _rank(np.linalg.eigvalsh(h_d[:d, :d]))
     if r == d + 1 and L.max_degree < 2 * d + 1:
-        raise RankNotFlat(
-            f"rank {r} = full: need moment m_{2 * d + 1} for the Jacobi matrix"
-        )
+        raise RankNotFlat(f"rank {r} = full: need moment m_{2 * d + 1} for the Jacobi matrix")
     if r <= d and _rank(np.linalg.eigvalsh(h_d[:r, :r])) != r:
         raise RankNotFlat(f"rank profile not flat at order {r}")
 
@@ -84,17 +85,16 @@ def solve_univariate(moments) -> SolverResult:
     c = np.linalg.cholesky(h_d[:r, :r])
     half = np.linalg.solve(c, localizing_matrix(L, AlgebraElement.variable(0, 1, 1), r - 1))
     jacobi = np.linalg.solve(c, half.T)
-    vals, vecs = np.linalg.eigh(0.5 * (jacobi + jacobi.T))
-    measure = _sorted_measure(vals.reshape(-1, 1), vecs[0, :] ** 2)
+    measure = _spectral_measure([jacobi], [1.0], c[0])
     recon = measure.weights @ _monomial_values(measure.atoms, L.max_degree)
     residual = float(np.abs(recon - L.values).max())
-    return SolverResult(
-        measure=measure, residual=residual, rank_profile=(rank_dm1, rank_d)
-    )
+    return SolverResult(measure=measure, residual=residual, rank_profile=(rank_dm1, rank_d))
 
 
 def solve_multivariate(L: MomentFunctional, d: int, seed: int = 0) -> SolverResult:
-    """Flat-extension extraction at order d: requires rank M_d = rank M_{d-1}."""
+    """Flat-extension extraction at order d >= 1: requires rank M_d = rank M_{d-1}."""
+    if d < 1:
+        raise InvalidInput(f"order d = {d}: flat extraction needs d >= 1")
     m_d = moment_matrix(L, d)
     # M_d's rows: monomials_up_to(dim, d), slice k from row start[k], so
     # M_{d-1} is its leading start[d] block
@@ -112,30 +112,14 @@ def solve_multivariate(L: MomentFunctional, d: int, seed: int = 0) -> SolverResu
     # row b of shift holds the rows of monomial b (degree < d) times each x_i
     shift = np.vstack([start[k + 1] + _slice_index(L.dim, k + 1).times for k in range(d)])
 
-    a = feat[: start[d], :]
-    s = np.linalg.svd(a, compute_uv=False)
+    a = feat[: start[d], :]  # row 0 is the monomial 1
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[-1] <= 0 or s[0] / s[-1] > 1e10:
         raise IllConditioned(f"basis extraction condition {s[0] / max(s[-1], 1e-300)}")
-    mult = [np.linalg.lstsq(a, feat[shift[:, i]], rcond=None)[0] for i in range(L.dim)]
-
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(L.dim)
-    t = sum(ci * xi for ci, xi in zip(c, mult))
-    import scipy.linalg  # deferred so that importing momentkit does not load scipy
-
-    _, q_schur = scipy.linalg.schur(np.asarray(t), output="real")
-    atoms = np.empty((r, L.dim))
-    for i in range(L.dim):
-        atoms[:, i] = np.diag(q_schur.T @ mult[i] @ q_schur)
-
-    vand = _monomial_values(atoms, 2 * d).T
-    targets = L.values[: len(vand)]
-    weights, *_ = np.linalg.lstsq(vand, targets, rcond=None)
-    if np.any(weights < -1e-8):
-        from scipy.optimize import nnls
-
-        weights, _ = nnls(vand, targets)
-    measure = _sorted_measure(atoms, weights)
+    # a X_i = feat[shift[:, i]], and X_i = a^+ L(x_i M_{d-1}) a^+' is symmetric
+    pinv = (vt.T / s) @ u.T
+    c = np.random.default_rng(seed).standard_normal(L.dim)
+    measure = _spectral_measure([pinv @ feat[shift[:, i]] for i in range(L.dim)], c, a[0])
     recon = measure.weights @ _monomial_values(measure.atoms, 2 * d)
-    residual = float(np.abs(recon - targets).max())
+    residual = float(np.abs(recon - L.values[: len(recon)]).max())
     return SolverResult(measure=measure, residual=residual, rank_profile=(r_dm1, r_d))

@@ -75,7 +75,8 @@ def test_main_theorem_tiny_epsilon_passes_prokhorov_mass(tmp_path):
 
 def test_run_loads_no_scipy(tmp_path):
     """import momentkit and a CLI run stay on numpy and the standard
-    library; only the solver imports scipy, on its first call."""
+    library: the library imports no scipy anywhere (the solvers' own
+    no-scipy run is in test_solver.py)."""
     script = (
         "import sys, momentkit, momentkit.cli\n"
         "code = momentkit.cli.main(['run', sys.argv[1], '--out', sys.argv[2]])\n"

@@ -44,6 +44,7 @@ from momentkit.gaussian import (
     _block_rng,
     _block_sums,
     _chebyshev_estimator,
+    _chunk_rows,
     _mc_checks,
     _mc_means,
     sample,
@@ -181,13 +182,22 @@ def _whole_block_means(gamma, cfg, per_sample_fns):
     return means
 
 
+def test_chunk_rows_scale_with_rank():
+    """Up to rank 6 a chunk has _CHUNK rows; above, the largest power of two
+    with rows * rank^2 within that of rank 6."""
+    assert [_chunk_rows(r) for r in (1, 2, 6, 7, 12, 24, 1000)] == [
+        _CHUNK, _CHUNK, _CHUNK, _CHUNK // 2, _CHUNK // 4, _CHUNK // 16, 1
+    ]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("streams", [1, 3, 4, 7])
 def test_chunked_pooled_pass_keeps_whole_block_bits(monkeypatch, streams, workers):
     """The streaming kernel (chunked draws, one pass for several estimators,
     blocks on a thread pool) gives the bits of whole-block draws, one pass
     per estimator, on one thread, for every block layout: partial chunks,
-    several chunks, and empty blocks (samples < streams)."""
+    several chunks, and empty blocks (samples < streams); at rank 3 with
+    _CHUNK rows and at rank 12 with a quarter of that."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     pools = []
 
@@ -198,20 +208,23 @@ def test_chunked_pooled_pass_keeps_whole_block_bits(monkeypatch, streams, worker
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
     rng = np.random.default_rng(11)
-    m = rng.standard_normal((3, 3))
-    gamma = GaussianMeasure.from_form(GramForm(dim=3, gram=m @ m.T + np.eye(3)))
-    u = rng.standard_normal(3)
-    a = m.T @ m
-    fns = [
-        lambda z: (z @ u) ** 2,
-        lambda z: (np.einsum("ij,jk,ik->i", z, a, z) > 2.0).astype(float),
-    ]
-    for samples in (1, 10, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5):
-        cfg = McConfig(seed=5, samples=samples, streams=streams)
-        pools.clear()
-        assert _mc_means(gamma, cfg, fns) == _whole_block_means(gamma, cfg, fns), samples
-        busy = min(samples, streams)  # non-empty blocks
-        assert pools == ([2] if workers == 2 and busy >= 2 else []), samples
+    for rank in (3, 12):
+        m = rng.standard_normal((rank, rank))
+        gamma = GaussianMeasure.from_form(GramForm(dim=rank, gram=m @ m.T + np.eye(rank)))
+        u = rng.standard_normal(rank)
+        a = m.T @ m
+        fns = [
+            lambda z: (z @ u) ** 2,
+            lambda z: (np.einsum("ij,jk,ik->i", z, a, z) > 2.0 * rank / 3).astype(float),
+            lambda z: np.einsum("ij,ij->i", z @ a, z),
+        ]
+        rows = _chunk_rows(rank)
+        for samples in (1, 10, rows - 1, rows + 1, 3 * rows + 5):
+            cfg = McConfig(seed=5, samples=samples, streams=streams)
+            pools.clear()
+            assert _mc_means(gamma, cfg, fns) == _whole_block_means(gamma, cfg, fns), (rank, samples)
+            busy = min(samples, streams)  # non-empty blocks
+            assert pools == ([2] if workers == 2 and busy >= 2 else []), (rank, samples)
 
 
 def test_one_pass_equals_separate_checks():

@@ -1,22 +1,36 @@
 """Atomic measure recovery: Hankel quadrature and flat-extension extraction.
 
-The univariate solver is checked against the orthogonal-polynomial
-recurrence on a loop-built Hankel matrix with SVD ranks, the route it
-replaced, as an independent reference."""
+Each solver is checked against the route it replaced, as an independent
+reference: the univariate one against the orthogonal-polynomial recurrence
+on a loop-built Hankel matrix with SVD ranks, the multivariate one against
+least-squares multiplication matrices, a real Schur form of their random
+combination and Vandermonde weights (non-negative least squares when a
+least-squares weight is negative)."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import nnls
 
+import momentkit
 from momentkit import (
+    AlgebraElement,
     DiscreteMeasure,
+    MomentFunctional,
     from_measure,
     solve_multivariate,
     solve_univariate,
 )
-from momentkit.errors import InvalidInput, NotPSD, RankNotFlat
-from momentkit.moments import moment_matrix, monomials_up_to
+from momentkit.errors import IllConditioned, InvalidInput, NotPSD, RankNotFlat
+from momentkit.moments import localizing_matrix, moment_matrix, monomials_up_to
+from momentkit.symalg import _monomial_values, _slice_index
 
 _RANK_TOL = 1e-9
 
@@ -296,3 +310,174 @@ def test_multivariate_rank_profile_matches_svd_count(case):
             solve_multivariate(L, d)
     else:
         assert solve_multivariate(L, d).rank_profile == want
+
+
+def _eig_rank(w: np.ndarray) -> int:
+    return int(np.count_nonzero(w > _RANK_TOL * max(w.max(initial=0.0), 1e-300)))
+
+
+def _reference_multivariate(L, d, seed=0):
+    """(sorted atoms, their weights, rank profile) by the Schur route, with
+    the solver's error rules: least-squares multiplication matrices on the
+    flat factor, the real Schur vectors of their seeded random combination,
+    and Vandermonde least-squares weights (NNLS when one is negative)."""
+    m_d = moment_matrix(L, d)
+    start = np.cumsum([0] + [len(_slice_index(L.dim, k).monomials) for k in range(d + 1)])
+    w, v = np.linalg.eigh(m_d)
+    if w[0] < -_RANK_TOL * max(w[-1], 1.0):
+        raise NotPSD(f"moment matrix has eigenvalue {w[0]}")
+    r = _eig_rank(w)
+    profile = (_eig_rank(np.linalg.eigvalsh(m_d[: start[d], : start[d]])), r)
+    if profile[0] != r:
+        raise RankNotFlat("not flat")
+    feat = v[:, len(w) - r :] * np.sqrt(w[len(w) - r :])
+    shift = np.vstack([start[k + 1] + _slice_index(L.dim, k + 1).times for k in range(d)])
+    a = feat[: start[d]]
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[-1] <= 0 or s[0] / s[-1] > 1e10:
+        raise IllConditioned("basis extraction")
+    mult = [np.linalg.lstsq(a, feat[shift[:, i]], rcond=None)[0] for i in range(L.dim)]
+    c = np.random.default_rng(seed).standard_normal(L.dim)
+    _, q = scipy.linalg.schur(sum(ci * x for ci, x in zip(c, mult)), output="real")
+    atoms = np.column_stack([np.diag(q.T @ x @ q) for x in mult])
+    vand = _monomial_values(atoms, 2 * d).T
+    targets = L.values[: len(vand)]
+    weights = np.linalg.lstsq(vand, targets, rcond=None)[0]
+    if np.any(weights < -1e-8):
+        weights = nnls(vand, targets)[0]
+    order = np.lexsort(atoms.T[::-1])
+    return atoms[order], weights[order] / weights.sum(), profile
+
+
+def _multivariate_outcome(solve, L, d):
+    """(atoms, weights, rank profile), or the type of the error raised."""
+    try:
+        res = solve(L, d)
+    except (NotPSD, RankNotFlat, IllConditioned) as err:
+        return type(err)
+    if isinstance(res, tuple):
+        return res
+    return res.measure.atoms, res.measure.weights, res.rank_profile
+
+
+def _spiked(dim, d):
+    """The point mass at the origin with L(x_1^{2d}) raised to 1e12: M_d is
+    diagonal and flat of rank 1, its counted eigenvector the row of x_1^d,
+    so the factor's leading M_{d-1} block is zero."""
+    values = np.zeros(len(monomials_up_to(dim, 2 * d)))
+    values[0] = 1.0
+    values[monomials_up_to(dim, 2 * d).index((2 * d,) + (0,) * (dim - 1))] = 1e12
+    return MomentFunctional(dim=dim, max_degree=2 * d, values=values)
+
+
+def test_multivariate_matches_schur_reference():
+    """1-12 atoms at least 0.3 apart in dims 1-4 at orders 2-4, every third
+    table with one moment perturbed, plus the spiked ill-conditioned tables:
+    the same atoms and weights within 1e-10 as the Schur route, the same
+    rank profile, or the same error type."""
+    rng = np.random.default_rng(25)
+    cases = [(_spiked(dim, d), d) for dim in range(1, 5) for d in range(2, 5)]
+    while len(cases) < 300:
+        dim, d, k = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(1, 13))
+        atoms = rng.uniform(-1.5, 1.5, (k, dim))
+        gaps = np.linalg.norm(atoms[:, None] - atoms[None], axis=-1) + np.eye(k)
+        if gaps.min() < 0.3:
+            continue
+        w = rng.uniform(0.1, 1.0, k)
+        L = from_measure(DiscreteMeasure(dim=dim, atoms=atoms, weights=w / w.sum()), 2 * d)
+        if len(cases) % 3 == 2:
+            values = L.values.copy()
+            values[int(rng.integers(1, len(values)))] += rng.normal(0.0, 0.5)
+            L = MomentFunctional(dim=dim, max_degree=2 * d, values=values)
+        cases.append((L, d))
+    seen = {"solved": 0, NotPSD: 0, RankNotFlat: 0, IllConditioned: 0}
+    for L, d in cases:
+        want = _multivariate_outcome(_reference_multivariate, L, d)
+        got = _multivariate_outcome(solve_multivariate, L, d)
+        if isinstance(want, type):
+            assert got is want
+            seen[want] += 1
+            continue
+        assert not isinstance(got, type), got
+        assert got[2] == want[2]
+        assert np.abs(got[0] - want[0]).max() <= 1e-10
+        assert np.abs(got[1] - want[1]).max() <= 1e-10
+        seen["solved"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def _by_rounded_atoms(atoms, weights):
+    """Atoms and weights in the lexicographic order of the atoms rounded to
+    8 digits: ties in a shared coordinate are rounding-level apart, so the
+    solvers' exact lexsort may order such atoms either way."""
+    order = np.lexsort(np.round(atoms, 8).T[::-1])
+    return atoms[order], weights[order]
+
+
+def test_multivariate_separates_atoms_sharing_a_coordinate():
+    """Atoms that share a coordinate give a multiplication matrix with a
+    repeated eigenvalue; the random combination still separates them, for
+    every seed, as the Schur route does."""
+    nu = DiscreteMeasure(
+        dim=2,
+        atoms=np.array([[-0.5, 1.0], [0.5, -1.0], [0.5, 1.0]]),
+        weights=np.array([0.2, 0.3, 0.5]),
+    )
+    L = from_measure(nu, 4)
+    for seed in range(5):
+        res = solve_multivariate(L, 2, seed=seed)
+        got = _by_rounded_atoms(res.measure.atoms, res.measure.weights)
+        for want in ((nu.atoms, nu.weights), _reference_multivariate(L, 2, seed=seed)[:2]):
+            want = _by_rounded_atoms(*want)
+            assert np.abs(got[0] - want[0]).max() <= 1e-10
+            assert np.abs(got[1] - want[1]).max() <= 1e-10
+        assert res.residual <= 1e-12
+
+
+def test_orders_below_range_raise_invalid_input():
+    """A negative order has no moment or localizing matrix, and a flat
+    extraction needs an order of at least 1 (M_{d-1} must exist)."""
+    L = _multivariate_cases()[0][0]
+    with pytest.raises(InvalidInput):
+        moment_matrix(L, -1)
+    with pytest.raises(InvalidInput):
+        localizing_matrix(L, AlgebraElement.variable(0, 2, 1), -1)
+    for d in (-1, 0):
+        with pytest.raises(InvalidInput):
+            solve_multivariate(L, d)
+    assert moment_matrix(L, 0).shape == (1, 1)
+
+
+def test_solvers_and_demo_run_without_scipy():
+    """With every scipy import made to fail, both solvers and the atom
+    recovery demo run, and no scipy module is loaded."""
+    script = (
+        "import importlib.abc, runpy, sys\n"
+        "class NoScipy(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'{name} is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "import numpy as np\n"
+        "from momentkit import DiscreteMeasure, from_measure, solve_multivariate, solve_univariate\n"
+        "uni = solve_univariate([1.0, 0.0, 1.0, 0.0, 3.0, 0.0])\n"
+        "nu = DiscreteMeasure(dim=2, atoms=np.array([[1.0, 2.0], [-1.0, 0.0]]), weights=np.full(2, 0.5))\n"
+        "multi = solve_multivariate(from_measure(nu, 4), 2)\n"
+        "runpy.run_path(sys.argv[1], run_name='__main__')\n"
+        "print(len(uni.measure.weights), len(multi.measure.weights), "
+        "[m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    demo = Path(__file__).resolve().parents[1] / "demos" / "07_atom_recovery.py"
+    src = str(Path(momentkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(demo)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "3 2 []"
+    assert any(line.startswith("d=3 recovers 4 atoms") for line in lines)
