@@ -1,7 +1,8 @@
 """Moment functionals on the truncated symmetric algebra.
 
 A MomentFunctional stores its moments as one dense read-only vector in
-monomials_up_to order, so each degree is one contiguous slice.  A Hankel
+monomials_up_to order, the layout of an element's coefficient vector, so
+L(a) is one dot product and each degree is one contiguous slice.  A Hankel
 index (ranks of alpha + beta) gathers moment and localizing matrices from
 it; s_L and the Cauchy-Schwarz check are quadratic forms on the moment
 matrix.  Continuity of the restriction to a graded slice is measured against
@@ -26,6 +27,7 @@ from .errors import (
     InvalidInput,
     NegativeEvenMoment,
     NotSquarePositive,
+    ZeroNormDirection,
     weights_sum_to_one,
 )
 from .forms import GramForm, INFINITE, OrthonormalSystem, _is_psd, jsonable
@@ -33,10 +35,11 @@ from .symalg import (
     AlgebraElement,
     Character,
     _canon_alpha,
+    _graded_exponents,
     _graded_rank,
+    _graded_slice,
     _monomial_values,
     _orthonormal_monomials,
-    _slice_vector,
     _sym_power,
     evaluate_character,
     monomials_up_to,
@@ -136,7 +139,7 @@ class MomentFunctional:
         if values.flags.writeable:  # a caller's array: keep a private copy
             values = values.copy()
             values.setflags(write=False)
-        if values.shape != (math.comb(self.dim + self.max_degree, self.dim),):
+        if values.shape != (_graded_slice(self.dim, self.max_degree).stop,):
             raise DimensionMismatch(f"{values.shape} moments for {self.dim} variables")
         if not np.isfinite(values).all():
             raise InvalidInput("moments must be finite")
@@ -155,7 +158,8 @@ class MomentFunctional:
             raise DegreeOverflow(
                 f"element degree {a.degree()} exceeds stored degree {self.max_degree}"
             )
-        u = _coefficients(a, self.dim, a.degree())
+        _check_dim(self, a)
+        u = a._padded(a.degree())
         return float(u @ self.values[: len(u)])
 
     def extend(self, new_max_degree: int) -> "MomentFunctional":
@@ -178,8 +182,8 @@ class MomentFunctional:
         coefficients validates the multi-indices."""
         dim, max_degree = data["dim"], data["max_degree"]
         moments = {tuple(e["alpha"]): e["value"] for e in data["moments"]}
-        values = _coefficients(AlgebraElement(dim, max_degree, moments), dim, max_degree)
-        return cls(dim=dim, max_degree=max_degree, values=values)
+        return cls(dim=dim, max_degree=max_degree,
+                   values=AlgebraElement(dim, max_degree, moments).coeffs)
 
 
 def from_measure(nu: DiscreteMeasure, max_degree: int) -> MomentFunctional:
@@ -189,23 +193,16 @@ def from_measure(nu: DiscreteMeasure, max_degree: int) -> MomentFunctional:
     return MomentFunctional(dim=nu.dim, max_degree=max_degree, values=values, source=nu)
 
 
-def _coefficients(a: AlgebraElement, dim: int, degree: int) -> np.ndarray:
-    """a's coefficients in monomials_up_to(dim, degree) order."""
-    if a.dim != dim:
-        raise DimensionMismatch(f"element dim {a.dim} != functional dim {dim}")
-    return np.concatenate([_slice_vector(a, k) for k in range(degree + 1)])
-
-
 def _slice_values(L: MomentFunctional, k: int) -> np.ndarray:
     """L on the degree-k slice, in slice_monomials order."""
-    return L.values[math.comb(L.dim + k - 1, L.dim) : math.comb(L.dim + k, L.dim)]
+    return L.values[_graded_slice(L.dim, k)]
 
 
 @functools.lru_cache(maxsize=None)
 def _hankel_index(dim: int, d: int) -> np.ndarray:
     """H[a, b] = rank of monomial a + monomial b in monomials_up_to(dim, 2d),
     for a, b over monomials_up_to(dim, d)."""
-    e = np.array(monomials_up_to(dim, d))
+    e = _graded_exponents(dim, d)
     index = _graded_rank(e[:, None, :] + e[None, :, :])
     index.setflags(write=False)  # shared by every caller through the cache
     return index
@@ -215,7 +212,8 @@ def s_L(L: MomentFunctional, a: AlgebraElement) -> float:
     """The seminorm s_L(a) = sqrt(L(a^2)); clamps tiny negatives, raises
     NotSquarePositive when L(a^2) = u M u is negative beyond SQUARE_TOL of
     the scale 1 + |u| |M| |u|."""
-    m, u = moment_matrix(L, a.degree()), _coefficients(a, L.dim, a.degree())
+    _check_dim(L, a)
+    m, u = moment_matrix(L, a.degree()), a._padded(a.degree())
     val = float(u @ m @ u)
     if val < 0.0:
         if val < -SQUARE_TOL * (1.0 + np.abs(u) @ np.abs(m) @ np.abs(u)):
@@ -236,20 +234,19 @@ def moment_matrix(L: MomentFunctional, d: int) -> np.ndarray:
 
 def localizing_matrix(L: MomentFunctional, g: AlgebraElement, d: int) -> np.ndarray:
     """M_g[alpha, beta] = L(g * x^(alpha+beta)) over monomials of degree <= d:
-    the moment matrix's gather of the shifted table
-    gamma -> sum of c L(x^(gamma+idx)) over g's terms, summed in term order."""
+    the moment matrix's gather of the shifted table gamma -> sum of
+    c L(x^(gamma+idx)) over g's nonzero coefficients, in graded-lex order."""
     if d < 0:
         raise InvalidInput(f"localizing matrix order {d} < 0")
     if 2 * d + g.degree() > L.max_degree:
         raise DegreeOverflow(
             f"localizing matrix needs degree {2 * d + g.degree()} > {L.max_degree}"
         )
-    if g.dim != L.dim:
-        raise DimensionMismatch(f"element dim {g.dim} != functional dim {L.dim}")
-    exponents = np.array(monomials_up_to(L.dim, 2 * d))
+    _check_dim(L, g)
+    exponents = _graded_exponents(L.dim, 2 * d)
     shifted = np.zeros(len(exponents))
-    for idx, c in g.terms.items():
-        shifted += c * L.values[_graded_rank(exponents + idx)]
+    for r, idx in zip(*g._support()):
+        shifted += g.coeffs[r] * L.values[_graded_rank(exponents + idx)]
     return shifted[_hankel_index(L.dim, d)]
 
 
@@ -266,8 +263,10 @@ def square_positive_check(L: MomentFunctional) -> bool:
 
 def cbs_check(L: MomentFunctional, a: AlgebraElement, b: AlgebraElement) -> bool:
     """Cauchy-Bunyakovsky-Schwarz: L(ab)^2 <= L(a^2) L(b^2), with L(ab) = u M v."""
+    _check_dim(L, a)
+    _check_dim(L, b)
     k = max(a.degree(), b.degree())
-    m, u, v = moment_matrix(L, k), _coefficients(a, L.dim, k), _coefficients(b, L.dim, k)
+    m, u, v = moment_matrix(L, k), a._padded(k), b._padded(k)
     lhs = float(u @ m @ v) ** 2
     rhs = float(u @ m @ u) * float(v @ m @ v)
     scale = max(abs(lhs), abs(rhs), 1.0)
@@ -278,9 +277,10 @@ def _kernel_tol(values: np.ndarray) -> float:
     return 1e-10 * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
-def _check_form_dim(L: MomentFunctional, p: GramForm):
-    if p.dim != L.dim:
-        raise DimensionMismatch(f"form dim {p.dim} != functional dim {L.dim}")
+def _check_dim(L: MomentFunctional, x):
+    """x, a form or an element, lives in L's dimension."""
+    if x.dim != L.dim:
+        raise DimensionMismatch(f"{type(x).__name__} dim {x.dim} != functional dim {L.dim}")
 
 
 def continuity_constant(
@@ -292,7 +292,7 @@ def continuity_constant(
     """Smallest C with |L(b)| <= C * p~^(2d)(b) on the degree-2d slice: the
     l2 norm of L's values on the orthonormalized monomial basis; INFINITE
     when L is nonzero on a monomial touching the kernel."""
-    _check_form_dim(L, p_2d)
+    _check_dim(L, p_2d)
     if 2 * d > L.max_degree:
         raise DegreeOverflow(f"slice degree {2 * d} not stored, max {L.max_degree}")
     g, kernel = _orthonormal_monomials(p_2d, system, 2 * d)
@@ -317,7 +317,7 @@ def square_constant(
     the graded seminorm; it is generally smaller or larger than the linear
     continuity constant and the two must not be conflated.
     """
-    _check_form_dim(L, p_2d)
+    _check_dim(L, p_2d)
     g, kernel = _orthonormal_monomials(p_2d, system, d)
     k = len(kernel)
     # the degree-d block of the moment matrix, transformed to the basis
@@ -414,9 +414,12 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 def log_even_moments_from_measure(nu: DiscreteMeasure, v, n_max: int) -> np.ndarray:
-    """log integral of <v, .>^{2n} for n = 1..N via log-sum-exp over atoms."""
+    """log integral of <v, .>^{2n} for n = 1..N via log-sum-exp over atoms;
+    raises ZeroNormDirection when <v, .> vanishes on the support."""
     v = np.asarray(v, dtype=float)
     vals = nu.atoms @ v
+    if not vals[nu.weights > 0].any():
+        raise ZeroNormDirection("L(v^2) = 0: the direction vanishes on the support")
     out = np.empty(n_max)
     with np.errstate(divide="ignore"):
         log_w = np.log(np.maximum(nu.weights, 0.0))
@@ -432,26 +435,27 @@ def carleman_diagnostic(
     """Diagnostic for the direction v (degree-1 element).  Even moments come
     from the source measure when present (log space, any N) and otherwise
     from the stored moments (requires degree 2N): L(v^2n) is Sym^2n(v) times
-    the degree-2n slice, negative beyond EVEN_MOMENT_TOL of its terms' scale."""
+    the degree-2n slice, negative beyond EVEN_MOMENT_TOL of its terms' scale.
+    Both routes raise ZeroNormDirection when s_L(v) = 0, v = 0 included."""
     if not v.is_homogeneous(1):
         raise DimensionMismatch("direction must be a degree-1 element")
-    if v.dim != L.dim:
-        raise DimensionMismatch(f"direction dim {v.dim} != functional dim {L.dim}")
+    _check_dim(L, v)
+    vec = v._padded(1)[_graded_rank(np.eye(L.dim, dtype=np.intp))]  # x_i's ranks
     if L.source is not None:
-        logs = log_even_moments_from_measure(L.source, v.linear_coeffs(), n_max)
-        return carleman_from_log_moments(logs)
+        return carleman_from_log_moments(log_even_moments_from_measure(L.source, vec, n_max))
     if 2 * n_max > L.max_degree:
         raise DegreeOverflow(
             f"need even moments to degree {2 * n_max}, stored {L.max_degree}"
         )
     logs = np.empty(n_max)
-    vec = v.linear_coeffs()[None, :]
     for n in range(1, n_max + 1):
-        terms = _sym_power(vec, 2 * n)[0] * _slice_values(L, 2 * n)
+        terms = _sym_power(vec[None, :], 2 * n)[0] * _slice_values(L, 2 * n)
         val = float(terms.sum())
         if val < -EVEN_MOMENT_TOL * float(np.abs(terms).sum()):
             raise NegativeEvenMoment(f"L(v^{2 * n}) = {val} < 0")
-        logs[n - 1] = np.log(max(val, 1e-300))
+        if val <= 0.0:
+            raise ZeroNormDirection(f"L(v^{2 * n}) = 0: the direction has zero seminorm")
+        logs[n - 1] = np.log(val)
     return carleman_from_log_moments(logs)
 
 

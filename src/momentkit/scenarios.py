@@ -460,6 +460,8 @@ def _carleman_rules(params, errors):
     elif family is None:
         n = len(params["measure"]["atoms"][0])
         _check_size(errors, "parameters.direction", len(params["direction"]), n, "atom length")
+        if not any(params["direction"]):
+            errors.append("parameters.direction: expected a nonzero vector")
     if params["n_max"] < CARLEMAN_MIN_MOMENTS:
         errors.append(f"parameters.n_max: expected at least {CARLEMAN_MIN_MOMENTS} even moments")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import IllConditioned, InvalidInput, NotPSD, RankNotFlat
 from .moments import DiscreteMeasure, MomentFunctional, localizing_matrix, moment_matrix
-from .symalg import AlgebraElement, _monomial_values, _slice_index
+from .symalg import AlgebraElement, _graded_slice, _monomial_values, _slice_index
 
 _RANK_TOL = 1e-9  # eigenvalues at or below tol * lambda_max count as rank deficiency
 
@@ -96,23 +96,24 @@ def solve_multivariate(L: MomentFunctional, d: int, seed: int = 0) -> SolverResu
     if d < 1:
         raise InvalidInput(f"order d = {d}: flat extraction needs d >= 1")
     m_d = moment_matrix(L, d)
-    # M_d's rows: monomials_up_to(dim, d), slice k from row start[k], so
-    # M_{d-1} is its leading start[d] block
-    start = np.cumsum([0] + [len(_slice_index(L.dim, k).monomials) for k in range(d + 1)])
+    # M_d's rows: monomials_up_to(dim, d), so M_{d-1} is its leading block
+    low = _graded_slice(L.dim, d).start
     w, v = np.linalg.eigh(m_d)
     if w[0] < -_RANK_TOL * max(w[-1], 1.0):
         raise NotPSD(f"moment matrix has eigenvalue {w[0]}")
     r = r_d = _rank(w)
-    r_dm1 = _rank(np.linalg.eigvalsh(m_d[: start[d], : start[d]]))
+    r_dm1 = _rank(np.linalg.eigvalsh(m_d[:low, :low]))
     if r_d != r_dm1:
         raise RankNotFlat(f"rank M_{d} = {r_d} != rank M_{d - 1} = {r_dm1}")
     top = slice(len(w) - r, None)  # the r eigenvalues the rank counts
     feat = v[:, top] * np.sqrt(w[top])  # row per monomial, <row_a, row_b> = M[a,b]
 
     # row b of shift holds the rows of monomial b (degree < d) times each x_i
-    shift = np.vstack([start[k + 1] + _slice_index(L.dim, k + 1).times for k in range(d)])
+    shift = np.vstack(
+        [_graded_slice(L.dim, k).start + _slice_index(L.dim, k).times for k in range(1, d + 1)]
+    )
 
-    a = feat[: start[d], :]  # row 0 is the monomial 1
+    a = feat[:low, :]  # row 0 is the monomial 1
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     if s[-1] <= 0 or s[0] / s[-1] > 1e10:
         raise IllConditioned(f"basis extraction condition {s[0] / max(s[-1], 1e-300)}")

@@ -1,9 +1,11 @@
 """Degree-truncated symmetric algebra S(R^n) and its graded seminorms.
 
-Elements are sparse maps multi-index -> coefficient, truncated at a hard
-degree D.  Characters are point evaluations.  For a Hilbertian seminorm s
-on the degree-1 slice, the graded seminorm s~^(d) on S(R^n)_d follows the
-canonical convention
+An element is one dense read-only coefficient vector in monomials_up_to
+order, the layout of a moment table, truncated at a hard degree D; this
+module alone knows that layout (``_graded_slice`` gives a degree's slice
+bounds, ``_graded_rank`` the position of an exponent row).  Characters are
+point evaluations.  For a Hilbertian seminorm s on the degree-1 slice, the
+graded seminorm s~^(d) on S(R^n)_d follows the canonical convention
 
     *the orthonormalized monomial basis has identity Gram*:
 
@@ -27,16 +29,18 @@ tilde-trace direct path and the slice constants of
 monomials of degree <= D at a set of points (``_monomial_values``) for the
 moment tables, the consistency sweep and the solver; ``evaluate_character``
 and ``DiscreteMeasure.moment`` take powers instead, the reference route.
-``_graded_rank`` ranks exponent rows in ``monomials_up_to``, the order of a
-moment table; the Hankel index of :mod:`momentkit.moments` is built on it.
+A product scatter-adds the outer product of two coefficient vectors at the
+ranks of alpha + beta; the Hankel index of :mod:`momentkit.moments` gathers
+through the same ranks.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from .errors import (
     IllConditioned,
     IncompleteSystem,
     InfiniteTrace,
+    InvalidInput,
     NotContinuous,
     NotHomogeneous,
     NotInScope,
@@ -74,29 +79,10 @@ def _canon_alpha(alpha, dim: int) -> tuple:
     return t
 
 
-def gradlex_key(alpha: tuple) -> tuple:
-    """Sort key for graded-lexicographic order: by total degree, then lex."""
-    return (sum(alpha), alpha)
-
-
 def slice_monomials(dim: int, degree: int) -> list[tuple]:
     """All multi-indices of total degree ``degree`` in lex order."""
-    if degree == 0:
-        return [(0,) * dim]
-    if dim == 0:
-        return []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-
-    rec((), degree, dim)
-    out.sort()
-    return out
+    words = itertools.combinations_with_replacement(range(dim), degree)
+    return sorted(tuple(w.count(i) for i in range(dim)) for w in words)
 
 
 def multinomial(alpha: tuple) -> int:
@@ -113,38 +99,28 @@ def multinomial(alpha: tuple) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The degree-d monomials in dim variables ranked in slice_monomials order, and
-# the tables that build slice d from slice d - 1: parent[r] is the rank of
+# The degree-d monomials in dim variables in slice_monomials order, and the
+# tables that build slice d from slice d - 1: parent[r] is the slice rank of
 # monomial r without one factor x_var[r] (its first variable), and times[b, i]
-# is the rank of monomial b of slice d - 1 times x_i.
-_SliceIndex = collections.namedtuple(
-    "_SliceIndex", "monomials rank exponents parent var times"
-)
+# is the slice rank of monomial b of slice d - 1 times x_i.
+_SliceIndex = collections.namedtuple("_SliceIndex", "monomials exponents parent var times")
 
 
 @functools.lru_cache(maxsize=None)
 def _slice_index(dim: int, d: int) -> _SliceIndex:
     monos = tuple(slice_monomials(dim, d))
-    rank = {alpha: r for r, alpha in enumerate(monos)}
-    var, parent, times = [], [], []
-    if d > 0:
-        lower = _slice_index(dim, d - 1)
-        var = [next(k for k, e in enumerate(alpha) if e) for alpha in monos]
-        for alpha, i in zip(monos, var):
-            parent.append(lower.rank[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]])
-        times = [
-            [rank[beta[:i] + (beta[i] + 1,) + beta[i + 1 :]] for i in range(dim)]
-            for beta in lower.monomials
-        ]
-    tables = (
-        np.array(monos, dtype=np.intp).reshape(len(monos), dim),
-        np.array(parent, dtype=np.intp),
-        np.array(var, dtype=np.intp),
-        np.array(times, dtype=np.intp).reshape(len(times), dim),
-    )
-    for t in tables:
+    exponents = np.array(monos, dtype=np.intp).reshape(len(monos), dim)
+    parent = var = np.zeros(0, dtype=np.intp)
+    times = np.zeros((0, dim), dtype=np.intp)
+    if d > 0 and dim > 0:
+        unit = np.eye(dim, dtype=np.intp)
+        var = (exponents > 0).argmax(axis=1)
+        parent = _graded_rank(exponents - unit[var]) - _graded_slice(dim, d - 1).start
+        lower = _slice_index(dim, d - 1).exponents
+        times = _graded_rank(lower[:, None, :] + unit) - _graded_slice(dim, d).start
+    for t in (exponents, parent, var, times):
         t.setflags(write=False)  # shared by every caller through the cache
-    return _SliceIndex(monos, rank, *tables)
+    return _SliceIndex(monos, exponents, parent, var, times)
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,14 +146,18 @@ def _graded_rank(exponents) -> np.ndarray:
     return counts[deg, dim + 1] - counts[deg, dim] + lex
 
 
-def _slice_vector(a: AlgebraElement, d: int) -> np.ndarray:
-    """Coefficients of the degree-d component of ``a``, by slice rank."""
-    rank = _slice_index(a.dim, d).rank
-    v = np.zeros(len(rank))
-    for alpha, c in a.terms.items():
-        if sum(alpha) == d:
-            v[rank[alpha]] = c
-    return v
+def _graded_slice(dim: int, d: int) -> slice:
+    """Positions of the degree-d monomials in monomials_up_to(dim, D), any
+    D >= d: after the C(dim + d - 1, dim) monomials of lower degree."""
+    return slice(math.comb(dim + d - 1, dim) if d else 0, math.comb(dim + d, dim))
+
+
+@functools.lru_cache(maxsize=None)
+def _graded_exponents(dim: int, degree: int) -> np.ndarray:
+    """Exponent rows of monomials_up_to(dim, degree)."""
+    table = np.vstack([_slice_index(dim, d).exponents for d in range(degree + 1)])
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
 
 
 def _sym_power(s: np.ndarray, d: int) -> np.ndarray:
@@ -220,24 +200,39 @@ def _monomial_values(points: np.ndarray, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """Truncated element of S(R^dim): sparse multi-index -> coefficient."""
+    """Truncated element of S(R^dim): ``coeffs[r]`` is the coefficient of
+    monomial r of monomials_up_to(dim, max_degree), the layout of a moment
+    table.  A map multi-index -> coefficient may stand in for the vector;
+    repeated multi-indices add up."""
 
     dim: int
     max_degree: int
-    terms: dict = field(default_factory=dict)
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        clean = {}
-        for alpha, c in self.terms.items():
-            a = _canon_alpha(alpha, self.dim)
-            if sum(a) > self.max_degree:
-                raise DegreeOverflow(
-                    f"term {a} exceeds truncation degree {self.max_degree}"
+        if self.dim < 1:
+            raise DimensionMismatch(f"element dim {self.dim} < 1")
+        if self.max_degree < 0:
+            raise InvalidInput(f"truncation degree {self.max_degree} < 0")
+        size = _graded_slice(self.dim, self.max_degree).stop
+        if isinstance(self.coeffs, dict):
+            alphas = [_canon_alpha(a, self.dim) for a in self.coeffs]
+            top = max(alphas, key=sum, default=())
+            if sum(top) > self.max_degree:
+                raise DegreeOverflow(f"term {top} exceeds truncation degree {self.max_degree}")
+            coeffs = np.zeros(size)
+            ranks = _graded_rank(np.reshape(alphas, (-1, self.dim)))
+            np.add.at(coeffs, ranks, [float(c) for c in self.coeffs.values()])
+        else:
+            coeffs = np.array(self.coeffs, dtype=float)
+            if coeffs.shape != (size,):
+                raise DimensionMismatch(
+                    f"{coeffs.shape} coefficients for dim {self.dim}, degree {self.max_degree}"
                 )
-            c = float(c)
-            if c != 0.0:
-                clean[a] = clean.get(a, 0.0) + c
-        object.__setattr__(self, "terms", clean)
+        if not np.isfinite(coeffs).all():
+            raise InvalidInput("coefficients must be finite")
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- constructors ----------------------------------------------------
 
@@ -251,66 +246,64 @@ class AlgebraElement:
 
     @staticmethod
     def variable(i: int, dim: int, max_degree: int) -> "AlgebraElement":
-        alpha = tuple(1 if j == i else 0 for j in range(dim))
-        return AlgebraElement(dim, max_degree, {alpha: 1.0})
+        if not 0 <= i < dim:
+            raise DimensionMismatch(f"variable index {i} outside 0..{dim - 1}")
+        return AlgebraElement.from_vector(np.eye(dim)[i], max_degree)
 
     @staticmethod
     def from_vector(v, max_degree: int) -> "AlgebraElement":
         """Degree-1 element sum v_i x_i."""
         v = np.asarray(v, dtype=float)
-        terms = {}
-        for i, c in enumerate(v):
-            if c != 0.0:
-                alpha = tuple(1 if j == i else 0 for j in range(len(v)))
-                terms[alpha] = float(c)
-        return AlgebraElement(len(v), max_degree, terms)
+        units = map(tuple, np.eye(len(v), dtype=int).tolist())
+        return AlgebraElement(len(v), max_degree, {e: c for e, c in zip(units, v) if c != 0.0})
 
     # -- structure -------------------------------------------------------
 
+    def _support(self):
+        """Ranks of the nonzero coefficients and their exponent rows, in
+        graded-lex order."""
+        nz = np.flatnonzero(self.coeffs)
+        return nz, _graded_exponents(self.dim, self.max_degree)[nz]
+
+    def _padded(self, degree: int) -> np.ndarray:
+        """The coefficients in monomials_up_to(dim, degree) order: cut at
+        ``degree`` (at least the element's degree), zeros beyond max_degree."""
+        size = _graded_slice(self.dim, degree).stop
+        out = self.coeffs[:size]
+        return out if len(out) == size else np.concatenate([out, np.zeros(size - len(out))])
+
     def degree(self) -> int:
         """Degree of the element (0 for the zero element)."""
-        return max((sum(a) for a in self.terms), default=0)
-
-    def graded_component(self, d: int) -> "AlgebraElement":
-        return AlgebraElement(
-            self.dim,
-            self.max_degree,
-            {a: c for a, c in self.terms.items() if sum(a) == d},
-        )
+        _, exponents = self._support()
+        return int(exponents[-1].sum()) if len(exponents) else 0
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(sum(a) == d for a in self.terms)
+        _, exponents = self._support()
+        return bool((exponents.sum(axis=1) == d).all())
 
     def coefficient(self, alpha) -> float:
-        return self.terms.get(_canon_alpha(alpha, self.dim), 0.0)
+        a = _canon_alpha(alpha, self.dim)
+        return float(self.coeffs[_graded_rank(a)]) if sum(a) <= self.max_degree else 0.0
 
-    def sorted_terms(self) -> list[tuple]:
-        return sorted(self.terms.items(), key=lambda kv: gradlex_key(kv[0]))
-
-    def linear_coeffs(self) -> np.ndarray:
-        """Coefficient vector of the degree-1 component."""
-        v = np.zeros(self.dim)
-        for a, c in self.terms.items():
-            if sum(a) == 1:
-                v[a.index(1)] = c
-        return v
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients by multi-index, in graded-lex order (a
+        copy: the element does not change with it)."""
+        nz, exponents = self._support()
+        return dict(zip(map(tuple, exponents.tolist()), self.coeffs[nz].tolist()))
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            terms[a] = terms.get(a, 0.0) + c
-        return AlgebraElement(self.dim, max(self.max_degree, other.max_degree), terms)
+        top = max(self.max_degree, other.max_degree)
+        return AlgebraElement(self.dim, top, self._padded(top) + other._padded(top))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: float) -> "AlgebraElement":
-        return AlgebraElement(
-            self.dim, self.max_degree, {a: scalar * c for a, c in self.terms.items()}
-        )
+        return AlgebraElement(self.dim, self.max_degree, scalar * self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -322,40 +315,30 @@ class AlgebraElement:
             raise DimensionMismatch(f"dims {self.dim} != {other.dim}")
 
     def __repr__(self):
-        parts = [f"{c:+g}*x^{list(a)}" for a, c in self.sorted_terms()]
+        parts = [f"{c:+g}*x^{list(a)}" for a, c in self.terms.items()]
         return f"AlgebraElement({' '.join(parts) or '0'})"
 
     def to_jsonable(self) -> dict:
         return {
             "dim": self.dim,
-            "terms": [
-                {"alpha": list(a), "c": float(c)} for a, c in self.sorted_terms()
-            ],
+            "terms": [{"alpha": list(a), "c": c} for a, c in self.terms.items()],
         }
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Commutative product by sparse convolution of multi-indices; raises
-    DegreeOverflow when a product term exceeds the truncation degree."""
+    """Commutative product: the outer product of the nonzero coefficients,
+    scatter-added at the ranks of alpha + beta; raises DegreeOverflow when a
+    product term exceeds the truncation degree."""
     a._check_compatible(b)
     cap = max(a.max_degree, b.max_degree)
-    terms: dict = {}
-    for alpha, ca in a.terms.items():
-        for beta, cb in b.terms.items():
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            if sum(gamma) > cap:
-                raise DegreeOverflow(
-                    f"product term of degree {sum(gamma)} exceeds truncation {cap}"
-                )
-            terms[gamma] = terms.get(gamma, 0.0) + ca * cb
-    return AlgebraElement(a.dim, cap, terms)
-
-
-def power(a: AlgebraElement, k: int) -> AlgebraElement:
-    out = AlgebraElement.one(a.dim, a.max_degree)
-    for _ in range(k):
-        out = multiply(out, a)
-    return out
+    (ra, ea), (rb, eb) = a._support(), b._support()
+    gamma = ea[:, None, :] + eb[None, :, :]
+    top = int(gamma.sum(axis=-1).max(initial=0))
+    if top > cap:
+        raise DegreeOverflow(f"product term of degree {top} exceeds truncation {cap}")
+    out = np.zeros(_graded_slice(a.dim, cap).stop)
+    np.add.at(out, _graded_rank(gamma), np.outer(a.coeffs[ra], b.coeffs[rb]))
+    return AlgebraElement(a.dim, cap, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,17 +358,16 @@ class Character:
 
 
 def evaluate_character(alpha: Character, a: AlgebraElement) -> float:
-    """hat a (alpha): polynomial evaluation of a at the character's point."""
+    """hat a (alpha): polynomial evaluation of a at the character's point,
+    term by term in graded-lex order, each term c times the coordinates'
+    powers, taken one scalar power at a time."""
     if alpha.dim != a.dim:
         raise DimensionMismatch(f"character dim {alpha.dim} != element dim {a.dim}")
-    total = 0.0
-    for idx, c in a.sorted_terms():
-        val = c
-        for k, e in zip(alpha.point, idx):
-            if e:
-                val *= k**e
-        total += val
-    return float(total)
+    ranks, exponents = a._support()
+    vals = a.coeffs[ranks]
+    for k, e in zip(alpha.point, exponents.T):
+        vals = vals * np.array([k**j for j in range(a.max_degree + 1)])[e]
+    return float(np.cumsum(np.append(0.0, vals))[-1])  # summed left to right
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +438,13 @@ def graded_inner(
             raise NotHomogeneous(f"element {elem!r} is not homogeneous of degree {d}")
         if elem.dim != s.dim:
             raise DimensionMismatch(f"element dim {elem.dim} != form dim {s.dim}")
-    a_ref, b_ref = _reference_coords(
-        s, system, d, np.array([_slice_vector(a_d, d), _slice_vector(b_d, d)])
-    )
+    u, v = (elem._padded(d)[_graded_slice(s.dim, d)] for elem in (a_d, b_d))
+    return _slice_inner(s, d, u, v, system)
+
+
+def _slice_inner(s: GramForm, d: int, u, v, system: OrthonormalSystem | None = None) -> float:
+    """graded_inner of the degree-d slice vectors u and v."""
+    a_ref, b_ref = _reference_coords(s, system, d, np.array([u, v]))
     return float(a_ref @ b_ref)
 
 
@@ -530,14 +516,15 @@ def p_tilde(tower: GradedSeminormTower, a: AlgebraElement) -> float:
         raise DegreeOverflow(
             f"element degree {a.degree()} exceeds tower degree {tower.max_degree}"
         )
-    zero_idx = (0,) * tower.dim
-    total = (tower.lam[0] * a.coefficient(zero_idx)) ** 2
+    if a.dim != tower.dim:
+        raise DimensionMismatch(f"element dim {a.dim} != tower dim {tower.dim}")
+    coeffs = a._padded(tower.max_degree)
+    total = (tower.lam[0] * coeffs[0]) ** 2
     for d in range(1, tower.max_degree + 1):
-        comp = a.graded_component(d)
-        if not comp.terms:
-            continue
-        gn = graded_norm(tower.base_forms[d - 1][0], d, comp)
-        total += tower.lam[d] ** 2 * tower.constants[d - 1] * gn**2
+        u = coeffs[_graded_slice(tower.dim, d)]
+        if u.any():
+            sq = max(_slice_inner(tower.base_forms[d - 1][0], d, u, u), 0.0)
+            total += tower.lam[d] ** 2 * tower.constants[d - 1] * sq
     return float(np.sqrt(total))
 
 

@@ -476,6 +476,24 @@ def test_cross_field_mismatch_exit_2(tmp_path, stem, parameters):
     assert run_cli("run", cfg, "--out", str(tmp_path)) == 2
 
 
+def test_carleman_zero_direction_is_typed(tmp_path, capsys):
+    """An all-zero direction is a config problem for validate and run alike;
+    a direction that vanishes on every atom (L(v^2) = 0) ends in
+    ZeroNormDirection, exit 3, not in a NaN that has no JSON encoding."""
+    on_axis = {"atoms": [[1.0, 0.0], [-2.0, 0.0]], "weights": [0.5, 0.5]}
+    zero = _fixture_with(tmp_path, "carleman_gaussian", family=_DROP, measure=on_axis,
+                         direction=[0.0, 0.0])
+    assert run_cli("validate", zero) == 2
+    assert run_cli("run", zero, "--out", str(tmp_path)) == 2
+    assert "parameters.direction" in capsys.readouterr().err
+    kernel = _fixture_with(tmp_path, "carleman_gaussian", family=_DROP, measure=on_axis,
+                           direction=[0.0, 1.0])
+    assert run_cli("validate", kernel) == 0
+    assert run_cli("run", kernel, "--out", str(tmp_path)) == 3
+    assert "ZeroNormDirection" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.report.json"))
+
+
 @pytest.mark.parametrize(
     "stem, parameters",
     [

@@ -23,7 +23,6 @@ UNREACHED_BY_DECISION = (
 # Public functions kept without a reaching caller because tests use them as oracles.
 TEST_ORACLES = (
     "exact_tail",  # the exact tail weight sum of a measure
-    "power",  # the sparse reference the dense slice kernel is checked against
 )
 
 
@@ -70,18 +69,49 @@ def test_module_level_imports_are_used():
 
 
 def test_only_symalg_imports_the_sparse_products():
-    """``multiply`` and ``power`` expand sparse products term by term; the
-    library's other layers read moments through the dense slice kernel, so
-    no module but ``symalg`` imports them (demos and tests may)."""
+    """``multiply`` builds a product element; the library's other layers
+    read moments through the dense table and never multiply elements, so no
+    module but ``symalg`` imports it (demos and tests may)."""
     importers = sorted(
         f"{path.name}:{node.lineno}"
         for path in MODULES
         if path.name != "symalg.py"
         for node in ast.walk(_tree(path))
         if isinstance(node, ast.ImportFrom)
-        and any(alias.name in ("multiply", "power") for alias in node.names)
+        and any(alias.name == "multiply" for alias in node.names)
     )
     assert importers == []
+
+
+# Top-level definitions whose ``terms`` is a Carleman diagnostic's t_n, not
+# an element's coefficient map.
+CARLEMAN_TERMS = ("moments.py:CarlemanDiagnostic", "scenarios.py:_run_carleman")
+
+
+def test_only_symalg_knows_the_coefficient_layout():
+    """An element is one vector in monomials_up_to order, and symalg owns that
+    layout: no other module reads an element's sparse ``terms`` view, and no
+    module built on symalg computes slice offsets with ``math.comb`` (they
+    take ``_graded_slice``).  errors and scenarios count monomials with it
+    for the config caps without importing symalg."""
+    found = []
+    for path in MODULES:
+        if path.name == "symalg.py":
+            continue
+        tree = _tree(path)
+        on_symalg = any(
+            isinstance(node, ast.ImportFrom) and node.module == "symalg" for node in tree.body
+        )
+        for top in tree.body:
+            owner = f"{path.name}:{getattr(top, 'name', '')}"
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if node.attr == "terms" and owner not in CARLEMAN_TERMS:
+                    found.append(f"{owner}:{node.lineno} .terms")
+                if on_symalg and node.attr == "comb" and getattr(node.value, "id", "") == "math":
+                    found.append(f"{owner}:{node.lineno} math.comb")
+    assert found == []
 
 
 def _reached() -> set[str]:

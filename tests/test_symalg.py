@@ -20,20 +20,27 @@ from momentkit import (
     p_tilde,
     tilde_trace_identity,
 )
-from momentkit.errors import DegreeOverflow, NotHomogeneous, NotInScope
+from momentkit.errors import (
+    DegreeOverflow,
+    DimensionMismatch,
+    InvalidInput,
+    NotHomogeneous,
+    NotInScope,
+)
 from momentkit.forms import gram_schmidt, kernel_basis, whitening_system
 from momentkit.moments import DiscreteMeasure
 from momentkit.symalg import (
     Character,
     _graded_rank,
     _monomial_values,
+    _slice_index,
     _sym_power,
     graded_inner,
     monomials_up_to,
     multinomial,
-    power,
     slice_monomials,
 )
+from sparse_oracles import power, sparse_multiply
 
 
 def x(i, dim=2, deg=4):
@@ -63,6 +70,89 @@ def test_multiplication_and_degree_cap():
     assert c.coefficient((2, 2)) == pytest.approx(6.0)
     with pytest.raises(DegreeOverflow):
         power(a, 5)
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of one dimension 1-4 and truncations <= 4, with zero and
+    negative coefficients drawn on monomials up to each truncation, so that
+    some products overflow the larger truncation."""
+    dim = draw(st.integers(1, 4))
+    coeff = st.sampled_from([0.0, 1.0, -1.0, 2.5, -0.375, 1e-3, -7.0, 3e5])
+    out = []
+    for _ in range(2):
+        max_degree = draw(st.integers(0, 4))
+        alphas = st.sampled_from(monomials_up_to(dim, max_degree))
+        out.append(AlgebraElement(dim, max_degree,
+                                  draw(st.dictionaries(alphas, coeff, max_size=6))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_dense_multiply_matches_the_sparse_oracle(pair):
+    """The scatter-add product equals the dict convolution within 1e-12
+    relative, and both raise DegreeOverflow on the same pairs."""
+    a, b = pair
+    try:
+        want = sparse_multiply(a, b)
+    except DegreeOverflow:
+        with pytest.raises(DegreeOverflow):
+            multiply(a, b)
+        return
+    got = multiply(a, b)
+    assert (got.dim, got.max_degree) == (want.dim, want.max_degree)
+    scale = max(np.abs(want.coeffs).max(initial=0.0), 1e-300)
+    assert np.abs(got.coeffs - want.coeffs).max(initial=0.0) <= 1e-12 * scale
+    assert got.degree() == want.degree()
+
+
+def test_element_is_one_vector_in_the_moment_table_layout():
+    """coeffs follows monomials_up_to; a map or a vector builds the same
+    element, the vector is read-only, and terms is a copy of the nonzero
+    coefficients in graded-lex order."""
+    a = AlgebraElement(2, 2, {(0, 1): -1.5, (2, 0): 2.0, (0, 0): 1.0})
+    assert monomials_up_to(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert a.coeffs.tolist() == [1.0, -1.5, 0.0, 0.0, 0.0, 2.0]
+    assert list(a.terms.items()) == [((0, 0), 1.0), ((0, 1), -1.5), ((2, 0), 2.0)]
+    assert AlgebraElement(2, 2, a.coeffs).terms == a.terms
+    with pytest.raises(ValueError):
+        a.coeffs[0] = 5.0
+    a.terms[(0, 0)] = 5.0
+    assert a.coefficient((0, 0)) == 1.0 and a.coefficient((2, 2)) == 0.0
+    # x_0 sits after x_1 in the lex-ordered degree-1 slice
+    assert AlgebraElement.from_vector([3.0, 4.0], 1).coeffs.tolist() == [0.0, 4.0, 3.0]
+    assert AlgebraElement.variable(0, 3, 1).terms == {(1, 0, 0): 1.0}
+    for dim, coeffs in ((2, np.zeros(5)), (0, {})):
+        with pytest.raises(DimensionMismatch):
+            AlgebraElement(dim, 2, coeffs)
+
+
+def test_zero_element_is_homogeneous_of_every_degree():
+    """A slice beyond max_degree reads as zeros."""
+    s = GramForm(dim=2, gram=np.eye(2))
+    zero = AlgebraElement.zero(2, 2)
+    assert zero.is_homogeneous(5) and zero.degree() == 0
+    assert graded_norm(s, 5, zero) == 0.0
+
+
+@pytest.mark.parametrize("i", [2, 5, -1])
+def test_variable_out_of_range_raises(i):
+    """Before, an index outside 0..dim-1 built the constant 1."""
+    with pytest.raises(DimensionMismatch):
+        AlgebraElement.variable(i, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "dim, max_degree, coeffs",
+    [(2, 2, {(1, 0): np.nan}), (2, 2, {(0, 1): np.inf}), (1, 1, [1.0, -np.inf]), (2, -1, {})],
+    ids=["nan", "inf", "inf_vector", "negative_truncation"],
+)
+def test_element_rejects_nonfinite_and_negative_truncation(dim, max_degree, coeffs):
+    """Before, these constructed, and L of an element with an inf
+    coefficient returned nan."""
+    with pytest.raises(InvalidInput):
+        AlgebraElement(dim, max_degree, coeffs)
 
 
 def test_evaluate_character_is_point_evaluation():
@@ -113,6 +203,24 @@ def test_graded_rank_is_the_monomials_up_to_order():
             assert np.array_equal(
                 _graded_rank(alphas[None, ::-1, :]), np.arange(len(alphas))[None, ::-1]
             )
+
+
+def test_slice_index_tables_follow_their_definition():
+    """Per-entry loop over slice_monomials: var[r] is monomial r's first
+    variable, parent[r] the slice rank of monomial r without that factor,
+    and times[b, i] the slice rank of monomial b of the slice below times x_i."""
+    for dim in range(1, 6):
+        for d in range(1, 6):
+            index = _slice_index(dim, d)
+            rank = {alpha: r for r, alpha in enumerate(slice_monomials(dim, d))}
+            lower = {alpha: r for r, alpha in enumerate(slice_monomials(dim, d - 1))}
+            assert index.monomials == tuple(rank)
+            for alpha, i, parent in zip(index.monomials, index.var, index.parent):
+                assert alpha[:i] == (0,) * i and alpha[i] > 0
+                assert lower[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]] == parent
+            for beta, row in zip(lower, index.times):
+                for i, r in enumerate(row):
+                    assert rank[beta[:i] + (beta[i] + 1,) + beta[i + 1 :]] == r
 
 
 def test_sym_power_is_a_representation():
