@@ -100,7 +100,7 @@ class RankNotFlat(MomentkitError):
 
 
 class IllConditioned(MomentkitError):
-    """A basis extraction or linear solve exceeds the condition-number cap."""
+    """A solve exceeds its condition cap, or a recovered measure misses its table."""
 
 
 class InfiniteTrace(MomentkitError):

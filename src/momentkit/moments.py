@@ -135,6 +135,8 @@ class MomentFunctional:
     source: DiscreteMeasure | None = None
 
     def __post_init__(self):
+        if self.max_degree < 0:
+            raise InvalidInput(f"truncation degree {self.max_degree} < 0")
         values = np.asarray(self.values, dtype=float)
         if values.flags.writeable:  # a caller's array: keep a private copy
             values = values.copy()
@@ -199,11 +201,11 @@ def _slice_values(L: MomentFunctional, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _hankel_index(dim: int, d: int) -> np.ndarray:
-    """H[a, b] = rank of monomial a + monomial b in monomials_up_to(dim, 2d),
-    for a, b over monomials_up_to(dim, d)."""
+def _hankel_index(dim: int, d: int, shift=0) -> np.ndarray:
+    """H[a, b] = rank of monomial a + monomial b + shift (an exponent tuple)
+    in monomials_up_to, for a, b over monomials_up_to(dim, d)."""
     e = _graded_exponents(dim, d)
-    index = _graded_rank(e[:, None, :] + e[None, :, :])
+    index = _graded_rank(e[:, None, :] + e[None, :, :] + np.asarray(shift, dtype=np.intp))
     index.setflags(write=False)  # shared by every caller through the cache
     return index
 
@@ -234,20 +236,18 @@ def moment_matrix(L: MomentFunctional, d: int) -> np.ndarray:
 
 def localizing_matrix(L: MomentFunctional, g: AlgebraElement, d: int) -> np.ndarray:
     """M_g[alpha, beta] = L(g * x^(alpha+beta)) over monomials of degree <= d:
-    the moment matrix's gather of the shifted table gamma -> sum of
-    c L(x^(gamma+idx)) over g's nonzero coefficients, in graded-lex order."""
+    the sum of c L(x^(alpha+beta+idx)) over g's nonzero coefficients c x^idx,
+    in graded-lex order, one gather each through the shifted Hankel index."""
     if d < 0:
         raise InvalidInput(f"localizing matrix order {d} < 0")
-    if 2 * d + g.degree() > L.max_degree:
-        raise DegreeOverflow(
-            f"localizing matrix needs degree {2 * d + g.degree()} > {L.max_degree}"
-        )
+    top = 2 * d + g.degree()
+    if top > L.max_degree:
+        raise DegreeOverflow(f"localizing matrix needs degree {top} > {L.max_degree}")
     _check_dim(L, g)
-    exponents = _graded_exponents(L.dim, 2 * d)
-    shifted = np.zeros(len(exponents))
+    out = np.zeros(_hankel_index(L.dim, d).shape)
     for r, idx in zip(*g._support()):
-        shifted += g.coeffs[r] * L.values[_graded_rank(exponents + idx)]
-    return shifted[_hankel_index(L.dim, d)]
+        out += g.coeffs[r] * L.values[_hankel_index(L.dim, d, tuple(idx.tolist()))]
+    return out
 
 
 def psd_within(matrix: np.ndarray) -> bool:

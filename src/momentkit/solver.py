@@ -1,17 +1,11 @@
 """Finite atomic measure recovery from truncated moment data, numpy only.
 
-Both solvers read the moment layer: the moment matrix M_d and the
-localizing matrix are gathers of one MomentFunctional's dense table, and
-each moment matrix is decomposed once, its eigenvalues giving the PSD gate
-and the rank by one rank rule (_rank).  Both end in Golub-Welsch
-(_spectral_measure): one eigh of a combination of symmetric multiplication
-matrices on an orthonormal basis.  Univariate: the Jacobi matrix
-C^-1 L(x H) C^-T with H_{r-1} = C C' (Cholesky).  Multivariate: the factor
-a of M_{d-1} = a a' from M_d's eigh, whose one SVD gives the pseudo-inverse
-that maps the shifted rows to every multiplication matrix, combined with
-seeded random weights.
-
-Non-flat truncations are reported as errors, never extended or guessed.
+Both solvers run one route on the table equilibrated by x_i -> x_i / t_i,
+so that no decision depends on the units of x.  Each picks an order k whose
+M_k = V diag(w) V' has the rank of M_d, and Golub-Welsch reads the atoms off
+a^+ localizing_matrix(x_i, k) a^+' with a^+ = (V / sqrt(w))'.  Non-flat
+tables raise, never extended or guessed, and so does a measure that misses
+the equilibrated table by more than _RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -22,9 +16,10 @@ import numpy as np
 
 from .errors import IllConditioned, InvalidInput, NotPSD, RankNotFlat
 from .moments import DiscreteMeasure, MomentFunctional, localizing_matrix, moment_matrix
-from .symalg import AlgebraElement, _graded_slice, _monomial_values, _slice_index
+from .symalg import AlgebraElement, _graded_exponents, _graded_slice, _monomial_values, _slice_index
 
 _RANK_TOL = 1e-9  # eigenvalues at or below tol * lambda_max count as rank deficiency
+_RESIDUAL_TOL = 1e-7  # largest |recovered - given| moment of the equilibrated table
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,18 +43,48 @@ def _rank(w: np.ndarray) -> int:
     return int(np.count_nonzero(w > _RANK_TOL * max(w.max(initial=0.0), 1e-300)))
 
 
-def _spectral_measure(ops, mix, unit: np.ndarray) -> DiscreteMeasure:
+def _equilibrated(L: MomentFunctional):
+    """(t, the table value_alpha / t^alpha) with t_i = L(x_i^2e)^(1/2e) at
+    the top even degree 2e, or 1 where that moment is not positive or the
+    table has degree < 2.  A PSD table's scaled moments to degree 2e are at
+    most 1 in size, so a table with one that overflows has no measure."""
+    e = L.max_degree // 2
+    top = L.values[_graded_slice(L.dim, 2 * e)] @ (_slice_index(L.dim, 2 * e).exponents == 2 * e)
+    log_t = np.log(np.where(top > 0, top, 1.0)) / max(2 * e, 1)
+    with np.errstate(over="ignore"):
+        values = L.values / np.exp(_graded_exponents(L.dim, L.max_degree) @ log_t)
+    if not np.isfinite(values).all():
+        raise NotPSD("an equilibrated moment overflows")
+    return np.exp(log_t), MomentFunctional(dim=L.dim, max_degree=L.max_degree, values=values)
+
+
+def _spectral_measure(ops, mix, unit: np.ndarray):
     """Golub-Welsch for commuting multiplication matrices ops (symmetric up
     to rounding) on an orthonormal basis in which unit is the monomial 1:
-    with Q from the eigh of sum mix_i X_i, atom j has coordinates
-    (Q' X_i Q)_jj and weight (unit . Q_j)^2.  Atoms sort lexicographically:
-    one order for every seed, unless rounding splits a shared coordinate."""
+    with Q from the eigh of sum mix_i X_i, atom j has coordinates (Q' X_i Q)_jj
+    and weight (unit . Q_j)^2, in the atoms' lexicographic order."""
     ops = [0.5 * (x + x.T) for x in ops]
     _, q = np.linalg.eigh(sum(m * x for m, x in zip(mix, ops)))
     atoms = np.column_stack([(x @ q * q).sum(axis=0) for x in ops])
     order = np.lexsort(atoms.T[::-1])
     weights = (unit @ q[:, order]) ** 2
-    return DiscreteMeasure(dim=len(ops), atoms=atoms[order], weights=weights / weights.sum())
+    return atoms[order], weights / weights.sum()
+
+
+def _flat_measure(S: MomentFunctional, t, k: int, w, v, seed: int, profile) -> SolverResult:
+    """The measure of the flat equilibrated table S from the eigh (w, v) of its
+    M_k, mapped back by t: the atoms' degree-k Vandermonde matrix has full
+    column rank, so a^+ S(x_i M_k) a^+' = Q' diag(atom coordinates i) Q."""
+    top = slice(len(w) - _rank(w), None)  # the counted eigenpairs
+    pinv = (v[:, top] / np.sqrt(w[top])).T  # row 0 of a is pinv[:, 0] * w
+    ops = [pinv @ localizing_matrix(S, AlgebraElement.variable(i, S.dim, 1), k) @ pinv.T
+           for i in range(S.dim)]
+    mix = np.random.default_rng(seed).standard_normal(S.dim)
+    atoms, weights = _spectral_measure(ops, mix, pinv[:, 0] * w[top])
+    residual = float(np.abs(weights @ _monomial_values(atoms, S.max_degree) - S.values).max())
+    if residual > _RESIDUAL_TOL:
+        raise IllConditioned(f"recovered measure misses the equilibrated moments by {residual}")
+    return SolverResult(DiscreteMeasure(S.dim, atoms * t, weights), residual, profile)
 
 
 def solve_univariate(moments) -> SolverResult:
@@ -67,60 +92,34 @@ def solve_univariate(moments) -> SolverResult:
     rank r = d+1 case needs); m_0 = 1."""
     if len(moments) < 3:
         raise InvalidInput("need at least m_0, m_1, m_2")
-    L = MomentFunctional(dim=1, max_degree=len(moments) - 1, values=moments)
-    d = L.max_degree // 2
-    h_d = moment_matrix(L, d)
+    t, S = _equilibrated(MomentFunctional(dim=1, max_degree=len(moments) - 1, values=moments))
+    d = S.max_degree // 2
+    h_d = moment_matrix(S, d)
     w = np.linalg.eigvalsh(h_d)
     if w[0] < -_RANK_TOL * max(w[-1], 1.0):
         raise NotPSD(f"Hankel matrix has eigenvalue {w[0]}")
-    r = rank_d = _rank(w)
-    rank_dm1 = _rank(np.linalg.eigvalsh(h_d[:d, :d]))
-    if r == d + 1 and L.max_degree < 2 * d + 1:
-        raise RankNotFlat(f"rank {r} = full: need moment m_{2 * d + 1} for the Jacobi matrix")
-    if r <= d and _rank(np.linalg.eigvalsh(h_d[:r, :r])) != r:
+    r = _rank(w)
+    profile = (_rank(np.linalg.eigvalsh(h_d[:d, :d])), r)
+    if r == d + 1 and S.max_degree < 2 * d + 1:
+        raise RankNotFlat(f"rank {r} = full: the multiplication matrix needs m_{2 * d + 1}")
+    w, v = np.linalg.eigh(h_d[:r, :r])  # H_{r-1}, H_d itself at full rank
+    if _rank(w) != r:
         raise RankNotFlat(f"rank profile not flat at order {r}")
-
-    # Golub-Welsch: with H_{r-1} = C C', the orthonormal polynomials are
-    # C^-1 (1, x, .., x^{r-1}) and the Jacobi matrix is C^-1 L(x H) C^-T
-    c = np.linalg.cholesky(h_d[:r, :r])
-    half = np.linalg.solve(c, localizing_matrix(L, AlgebraElement.variable(0, 1, 1), r - 1))
-    jacobi = np.linalg.solve(c, half.T)
-    measure = _spectral_measure([jacobi], [1.0], c[0])
-    recon = measure.weights @ _monomial_values(measure.atoms, L.max_degree)
-    residual = float(np.abs(recon - L.values).max())
-    return SolverResult(measure=measure, residual=residual, rank_profile=(rank_dm1, rank_d))
+    return _flat_measure(S, t, r - 1, w, v, 0, profile)
 
 
 def solve_multivariate(L: MomentFunctional, d: int, seed: int = 0) -> SolverResult:
     """Flat-extension extraction at order d >= 1: requires rank M_d = rank M_{d-1}."""
     if d < 1:
         raise InvalidInput(f"order d = {d}: flat extraction needs d >= 1")
-    m_d = moment_matrix(L, d)
-    # M_d's rows: monomials_up_to(dim, d), so M_{d-1} is its leading block
-    low = _graded_slice(L.dim, d).start
-    w, v = np.linalg.eigh(m_d)
+    t, S = _equilibrated(L)
+    m_d = moment_matrix(S, d)
+    w = np.linalg.eigvalsh(m_d)
     if w[0] < -_RANK_TOL * max(w[-1], 1.0):
         raise NotPSD(f"moment matrix has eigenvalue {w[0]}")
-    r = r_d = _rank(w)
-    r_dm1 = _rank(np.linalg.eigvalsh(m_d[:low, :low]))
-    if r_d != r_dm1:
-        raise RankNotFlat(f"rank M_{d} = {r_d} != rank M_{d - 1} = {r_dm1}")
-    top = slice(len(w) - r, None)  # the r eigenvalues the rank counts
-    feat = v[:, top] * np.sqrt(w[top])  # row per monomial, <row_a, row_b> = M[a,b]
-
-    # row b of shift holds the rows of monomial b (degree < d) times each x_i
-    shift = np.vstack(
-        [_graded_slice(L.dim, k).start + _slice_index(L.dim, k).times for k in range(1, d + 1)]
-    )
-
-    a = feat[:low, :]  # row 0 is the monomial 1
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s[-1] <= 0 or s[0] / s[-1] > 1e10:
-        raise IllConditioned(f"basis extraction condition {s[0] / max(s[-1], 1e-300)}")
-    # a X_i = feat[shift[:, i]], and X_i = a^+ L(x_i M_{d-1}) a^+' is symmetric
-    pinv = (vt.T / s) @ u.T
-    c = np.random.default_rng(seed).standard_normal(L.dim)
-    measure = _spectral_measure([pinv @ feat[shift[:, i]] for i in range(L.dim)], c, a[0])
-    recon = measure.weights @ _monomial_values(measure.atoms, 2 * d)
-    residual = float(np.abs(recon - L.values[: len(recon)]).max())
-    return SolverResult(measure=measure, residual=residual, rank_profile=(r_dm1, r_d))
+    low = _graded_slice(L.dim, d).start  # M_d's rows run over degree <= d: M_{d-1} leads
+    w_low, v_low = np.linalg.eigh(m_d[:low, :low])
+    profile = (_rank(w_low), _rank(w))
+    if profile[0] != profile[1]:
+        raise RankNotFlat(f"rank M_{d} = {profile[1]} != rank M_{d - 1} = {profile[0]}")
+    return _flat_measure(S, t, d - 1, w_low, v_low, seed, profile)

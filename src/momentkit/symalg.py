@@ -245,6 +245,7 @@ class AlgebraElement:
         return AlgebraElement(dim, max_degree, {(0,) * dim: 1.0})
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)  # elements are immutable: one per (i, dim, max_degree)
     def variable(i: int, dim: int, max_degree: int) -> "AlgebraElement":
         if not 0 <= i < dim:
             raise DimensionMismatch(f"variable index {i} outside 0..{dim - 1}")

@@ -109,6 +109,14 @@ def test_moment_functional_rejects_non_finite(values):
         table(1, 2, {(k,): v for k, v in enumerate(values)})
 
 
+@pytest.mark.parametrize("max_degree", [-1, -5])
+def test_moment_functional_rejects_negative_degree(max_degree):
+    """A negative truncation degree is InvalidInput, as for AlgebraElement,
+    not an IndexError or math.comb's ValueError."""
+    with pytest.raises(InvalidInput, match="degree"):
+        MomentFunctional(dim=2, max_degree=max_degree, values=[])
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -1,11 +1,13 @@
 """Atomic measure recovery: Hankel quadrature and flat-extension extraction.
 
-Each solver is checked against the route it replaced, as an independent
-reference: the univariate one against the orthogonal-polynomial recurrence
-on a loop-built Hankel matrix with SVD ranks, the multivariate one against
-least-squares multiplication matrices, a real Schur form of their random
-combination and Vandermonde weights (non-negative least squares when a
-least-squares weight is negative)."""
+Each solver is checked against an independent reference route: the
+univariate one against the orthogonal-polynomial recurrence on a loop-built
+Hankel matrix with SVD ranks, the multivariate one against least-squares
+multiplication matrices, a real Schur form of their random combination and
+Vandermonde weights (non-negative least squares when a least-squares weight
+is negative).  Both references take the solvers' decisions on the table
+equilibrated by a loop-built t_i = L(x_i^2e)^(1/2e): the univariate one its
+residual gate, the multivariate one its PSD gate and ranks."""
 
 from __future__ import annotations
 
@@ -28,11 +30,12 @@ from momentkit import (
     solve_multivariate,
     solve_univariate,
 )
-from momentkit.errors import IllConditioned, InvalidInput, NotPSD, RankNotFlat
+from momentkit.errors import IllConditioned, InvalidInput, MomentkitError, NotPSD, RankNotFlat
 from momentkit.moments import localizing_matrix, moment_matrix, monomials_up_to
 from momentkit.symalg import _monomial_values, _slice_index
 
 _RANK_TOL = 1e-9
+_RESIDUAL_TOL = 1e-7
 
 
 def _svd_rank(m: np.ndarray) -> int:
@@ -49,7 +52,8 @@ def _hankel(moments: np.ndarray, size: int) -> np.ndarray:
 def _reference_univariate(moments):
     """(sorted atoms, their weights, rank profile) by the three-term
     recurrence of the monic orthogonal polynomials under <x^i, x^j> =
-    m_{i+j}, with the solver's error rules."""
+    m_{i+j}, with the solver's error rules: IllConditioned when the measure
+    misses some m_n / t^n by more than _RESIDUAL_TOL, t = m_2e^(1/2e)."""
     moments = np.asarray(moments, dtype=float)
     d = (len(moments) - 1) // 2
     h_d = _hankel(moments, d + 1)
@@ -81,16 +85,21 @@ def _reference_univariate(moments):
         polys.append(nxt)
     off = np.sqrt(np.maximum(betas, 0.0))
     vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
-    weights = vecs[0, :] ** 2
+    weights = vecs[0, :] ** 2 / (vecs[0, :] ** 2).sum()
+    e = (len(moments) - 1) // 2
+    t = moments[2 * e] ** (1 / (2 * e)) if moments[2 * e] > 0 else 1.0
+    for n, m_n in enumerate(moments):
+        if abs(sum(w * a**n for a, w in zip(vals, weights)) - m_n) / t**n > _RESIDUAL_TOL:
+            raise IllConditioned(f"the measure misses m_{n}")
     order = np.argsort(vals)
-    return vals[order], weights[order] / weights.sum(), profile
+    return vals[order], weights[order], profile
 
 
 def _outcome(solve, moments):
     """(atoms, weights, rank profile), or the type of the error raised."""
     try:
         return solve(moments)
-    except (NotPSD, RankNotFlat) as err:
+    except (NotPSD, RankNotFlat, IllConditioned) as err:
         return type(err)
 
 
@@ -238,9 +247,11 @@ def test_solver_result_serialization():
 def test_univariate_matches_recurrence_reference():
     """1-5 atoms at least 0.1 apart, with and without m_{2d+1}, and tables
     with one moment perturbed: the same atoms and weights within 1e-10 as
-    the recurrence, the same rank profile, or the same error type."""
+    the recurrence, the same rank profile, or the same error type.  Two
+    perturbed tables are flat but have no representing measure: the
+    measure of their flat part misses the perturbed moment."""
     rng = np.random.default_rng(24)
-    seen = {"solved": 0, NotPSD: 0, RankNotFlat: 0}
+    seen = {"solved": 0, NotPSD: 0, RankNotFlat: 0, IllConditioned: 0}
     for trial in range(300):
         k = int(rng.integers(1, 6))
         atoms = np.sort(rng.uniform(-1.5, 1.5, k))
@@ -265,7 +276,7 @@ def test_univariate_matches_recurrence_reference():
         assert np.abs(got[0] - want[0]).max() <= 1e-10
         assert np.abs(got[1] - want[1]).max() <= 1e-10
         seen["solved"] += 1
-    assert min(seen.values()) >= 10, seen
+    assert seen.pop(IllConditioned) == 2 and min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize(
@@ -318,18 +329,29 @@ def _eig_rank(w: np.ndarray) -> int:
 
 def _reference_multivariate(L, d, seed=0):
     """(sorted atoms, their weights, rank profile) by the Schur route, with
-    the solver's error rules: least-squares multiplication matrices on the
-    flat factor, the real Schur vectors of their seeded random combination,
-    and Vandermonde least-squares weights (NNLS when one is negative)."""
+    the solver's error rules: the PSD gate and the ranks on M_d scaled by
+    the loop-built t^alpha, then least-squares multiplication matrices on
+    the flat factor of M_d, the real Schur vectors of their seeded random
+    combination, and Vandermonde least-squares weights (NNLS when one is
+    negative)."""
     m_d = moment_matrix(L, d)
     start = np.cumsum([0] + [len(_slice_index(L.dim, k).monomials) for k in range(d + 1)])
-    w, v = np.linalg.eigh(m_d)
+    e = L.max_degree // 2
+    t = []
+    for i in range(L.dim):
+        top = L.moment(tuple(2 * e if j == i else 0 for j in range(L.dim)))
+        t.append(top ** (1 / (2 * e)) if top > 0 else 1.0)
+    basis = monomials_up_to(L.dim, d)
+    t_alpha = np.array([np.prod([ti**ai for ti, ai in zip(t, a)]) for a in basis])
+    scaled = m_d / np.outer(t_alpha, t_alpha)
+    w = np.linalg.eigvalsh(scaled)
     if w[0] < -_RANK_TOL * max(w[-1], 1.0):
         raise NotPSD(f"moment matrix has eigenvalue {w[0]}")
     r = _eig_rank(w)
-    profile = (_eig_rank(np.linalg.eigvalsh(m_d[: start[d], : start[d]])), r)
+    profile = (_eig_rank(np.linalg.eigvalsh(scaled[: start[d], : start[d]])), r)
     if profile[0] != r:
         raise RankNotFlat("not flat")
+    w, v = np.linalg.eigh(m_d)
     feat = v[:, len(w) - r :] * np.sqrt(w[len(w) - r :])
     shift = np.vstack([start[k + 1] + _slice_index(L.dim, k + 1).times for k in range(d)])
     a = feat[: start[d]]
@@ -362,8 +384,9 @@ def _multivariate_outcome(solve, L, d):
 
 def _spiked(dim, d):
     """The point mass at the origin with L(x_1^{2d}) raised to 1e12: M_d is
-    diagonal and flat of rank 1, its counted eigenvector the row of x_1^d,
-    so the factor's leading M_{d-1} block is zero."""
+    diagonal with entries 1 and 1e12 and its rank profile is (1, 2), so the
+    table is not flat, though a rank rule relative to the raw table's
+    largest eigenvalue sees rank 1 at both orders."""
     values = np.zeros(len(monomials_up_to(dim, 2 * d)))
     values[0] = 1.0
     values[monomials_up_to(dim, 2 * d).index((2 * d,) + (0,) * (dim - 1))] = 1e12
@@ -372,11 +395,14 @@ def _spiked(dim, d):
 
 def test_multivariate_matches_schur_reference():
     """1-12 atoms at least 0.3 apart in dims 1-4 at orders 2-4, every third
-    table with one moment perturbed, plus the spiked ill-conditioned tables:
-    the same atoms and weights within 1e-10 as the Schur route, the same
-    rank profile, or the same error type."""
+    table with one moment perturbed, plus the spiked tables, which are not
+    flat: the same atoms and weights within 1e-10 as the Schur route, the
+    same rank profile, or the same error type."""
     rng = np.random.default_rng(25)
     cases = [(_spiked(dim, d), d) for dim in range(1, 5) for d in range(2, 5)]
+    for L, d in cases:
+        with pytest.raises(RankNotFlat):
+            solve_multivariate(L, d)
     while len(cases) < 300:
         dim, d, k = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(1, 13))
         atoms = rng.uniform(-1.5, 1.5, (k, dim))
@@ -390,7 +416,7 @@ def test_multivariate_matches_schur_reference():
             values[int(rng.integers(1, len(values)))] += rng.normal(0.0, 0.5)
             L = MomentFunctional(dim=dim, max_degree=2 * d, values=values)
         cases.append((L, d))
-    seen = {"solved": 0, NotPSD: 0, RankNotFlat: 0, IllConditioned: 0}
+    seen = {"solved": 0, NotPSD: 0, RankNotFlat: 0}
     for L, d in cases:
         want = _multivariate_outcome(_reference_multivariate, L, d)
         got = _multivariate_outcome(solve_multivariate, L, d)
@@ -432,6 +458,91 @@ def test_multivariate_separates_atoms_sharing_a_coordinate():
             assert np.abs(got[0] - want[0]).max() <= 1e-10
             assert np.abs(got[1] - want[1]).max() <= 1e-10
         assert res.residual <= 1e-12
+
+
+def _separated(rng, k, dim, sep):
+    """k atoms drawn from U(-1.5, 1.5)^dim until they are at least sep apart."""
+    while True:
+        atoms = rng.uniform(-1.5, 1.5, (k, dim))
+        gaps = np.linalg.norm(atoms[:, None] - atoms[None], axis=-1) + np.eye(k)
+        if gaps.min() >= sep:
+            return atoms
+
+
+def test_scale_sweep_never_returns_a_wrong_atom_count():
+    """400 seeded measures of 1-6 atoms at least 0.3 apart in the plane,
+    weights from U(0.1, 1), case i scaled by (1e-3, 1e-2, 1, 1e2, 1e3)[i % 5]
+    and, for odd i // 5, its second axis by 1e3 more: at order 3 every case
+    gives its atoms or a typed error, never a wrong atom count."""
+    rng = np.random.default_rng(17)
+    solved = 0
+    for i in range(400):
+        k = int(rng.integers(1, 7))
+        atoms = _separated(rng, k, 2, 0.3)
+        w = rng.uniform(0.1, 1.0, k)
+        scale = (1e-3, 1e-2, 1.0, 1e2, 1e3)[i % 5] * np.array([1.0, 1e3 if i // 5 % 2 else 1.0])
+        nu = DiscreteMeasure(dim=2, atoms=atoms * scale, weights=w / w.sum())
+        try:
+            res = solve_multivariate(from_measure(nu, 6), 3)
+        except MomentkitError:
+            continue
+        assert len(res.measure.weights) == k, (i, res.measure.atoms)
+        order = np.lexsort(atoms.T[::-1])
+        assert np.abs(res.measure.atoms / scale - atoms[order]).max() <= 1e-8
+        solved += 1
+    assert solved >= 390
+
+
+def test_diagonal_scaling_maps_the_atoms():
+    """The scaling relation: x -> Dx with D diagonal, entries of either sign
+    and of size 1e-3 to 1e3, maps the recovered atoms by D and keeps the
+    weights, or gives the same error type."""
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        dim, k = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        atoms = _separated(rng, k, dim, 0.3)
+        w = rng.uniform(0.1, 1.0, k)
+        d = 1
+        while len(monomials_up_to(dim, d - 1)) < k:
+            d += 1
+        diag = rng.choice([-1.0, 1.0], dim) * 10 ** rng.uniform(-3, 3, dim)
+        got, want = (
+            _multivariate_outcome(solve_multivariate, from_measure(nu, 2 * d), d)
+            for nu in (DiscreteMeasure(dim, atoms * diag, w / w.sum()),
+                       DiscreteMeasure(dim, atoms, w / w.sum()))
+        )
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert not isinstance(got, type) and len(got[1]) == len(want[1]), got
+        mapped = _by_rounded_atoms(got[0] / diag, got[1])
+        assert np.abs(mapped[0] - want[0]).max() <= 1e-8
+        assert np.abs(mapped[1] - want[1]).max() <= 1e-8
+
+
+def test_near_flat_tables_without_a_measure_raise():
+    """Tables that pass the PSD gate and the rank rule but that no measure
+    matches: four atoms at order 3 with L(x_0) moved by 1e-8, whose
+    flat-part measure misses the table by about 3e-5, and the two-point
+    table with m_5 moved to 1e-3.  No measure is returned."""
+    nu = DiscreteMeasure(
+        dim=2,
+        atoms=np.array([[0.25, 0.25], [1.25, 1.25], [-1.35, -0.35], [-1.4, -0.4]]),
+        weights=np.array([0.35, 0.3, 0.25, 0.1]),
+    )
+    values = from_measure(nu, 6).values.copy()
+    values[monomials_up_to(2, 6).index((1, 0))] += 1e-8
+    with pytest.raises(IllConditioned):
+        solve_multivariate(MomentFunctional(dim=2, max_degree=6, values=values), 3)
+    with pytest.raises(IllConditioned):
+        solve_univariate([1.0, 0.0, 1.0, 0.0, 1.0, 1e-3])
+
+
+def test_equilibrated_overflow_is_not_psd():
+    """m_1 = 1e300 with m_2 = 1e-300 scales m_1 past the float range: no
+    PSD table does that."""
+    with pytest.raises(NotPSD):
+        solve_univariate([1.0, 1e300, 1e-300])
 
 
 def test_orders_below_range_raise_invalid_input():
