@@ -16,10 +16,12 @@ from momentkit import (
     GramForm,
     MeasureFamily,
     QuadraticModuleSpec,
+    SubalgebraIndex,
     concentration_check,
     concentration_equivalence_check,
     consistency_check,
     prokhorov_mass_check,
+    pushforward,
     verify_main_theorem_scenario,
 )
 
@@ -30,6 +32,13 @@ nu = DiscreteMeasure(dim=2, atoms=np.array([[1.0, 2.0], [-1.0, 0.0]]),
 fam = MeasureFamily.from_global(nu)
 print("marginal indices:", [s.coords for s in fam.indices()])
 print("projective consistency:", consistency_check(fam))
+
+# The family is projective: pushforward, the marginal map of one pair of
+# nested indices S within T, takes nu_T to nu_S (images that coincide on S
+# merge, their weights adding).
+s, t = SubalgebraIndex(coords=(0,)), SubalgebraIndex(coords=(0, 1))
+pushed = pushforward(fam.entries[t], s, t)
+print("nu_T pushed to S is nu_S:", pushed.to_jsonable() == fam.entries[s].to_jsonable())
 
 # The concentration certificate: for every subset S the exact sup of the
 # nu_S-second moment over the p-ball of radius delta must be <= eps.

@@ -7,14 +7,22 @@ exact Chebyshev eigenvalue criterion.  Its sup over the delta-ball of an
 index S is delta^2 lambda_S, lambda_S the top eigenvalue of nu_S's
 second-moment matrix whitened by p|_S, so one spectrum per index decides
 every (epsilon, delta) pair, and the eps-gamma equivalence too: Chebyshev
-bounds every tail the certificate speaks of by that sup.  The spectral
-pass restricts all indices of one size with one stacked decomposition and
-whitens them in stacks per (size, rank).  A family keeps the pass of the
-last form p it met (its entries are read-only, so the pass cannot go
-stale), so all checks on one (family, p) share it; the nested checks pick
-each index's supersets by bitmask.  The module ends in a
-nine-stage verification pipeline combining moment functionals,
-concentration certificates and Prokhorov-type mass bounds.
+bounds every tail the certificate speaks of by that sup.
+
+Every lattice pass runs once per size of index, not once per index.  A
+global measure's marginals of one size come from one projection and one
+stable sort of the images, which puts coinciding ones side by side.  The
+spectral pass restricts all indices of one size with one stacked
+decomposition and whitens them in stacks per (size, rank); the Prokhorov
+pass tests the atoms of every index of a (size, rank of q|_S) group, and
+the superset rows of its nesting test, in stacked dual-ball calls.  Each
+stacked value is bit for bit the one a lone index gets.  A family keeps the
+spectral pass of the last form p and the dual-ball stacks of the last form
+q it met (its entries are read-only, so neither can go stale), so all
+checks on one (family, p) or (family, q) share them; the nested checks
+pick each index's supersets by bitmask.  The module ends in a nine-stage
+verification pipeline combining moment functionals, concentration
+certificates and Prokhorov-type mass bounds.
 """
 
 from __future__ import annotations
@@ -39,14 +47,16 @@ from .forms import (
     DualFunctional,
     GramForm,
     _above_cutoff,
+    _dual_ball_stacks,
     _in_unit_dual_ball,
+    _in_unit_dual_balls,
     dual_norm,
     is_infinite,
     jsonable,
     principal_restrictions,
 )
 from .moments import DiscreteMeasure, QuadraticModuleSpec, from_measure
-from .symalg import _monomial_values, monomials_up_to
+from .symalg import _graded_slice, _monomial_values, monomials_up_to
 from .traces import trace_value
 
 
@@ -59,7 +69,14 @@ CERTIFICATE_SLACK = 1e-9  # relative slack on epsilon in the concentration certi
 CONSISTENCY_ABS = 1e-10  # moment difference allowed between nested marginals
 MASS_SLACK = 1e-12  # shortfall of a mass below its bound still accepted
 IDENTITY_ABS = 1e-12  # representation identity error allowed per monomial
+_CERTIFICATE_FLOOR = 1e-15  # absolute slack on epsilon in the concentration certificate
+_KERNEL_LEAK_REL = 1e-10  # a supported atom's p|_S-kernel component allowed, relative
+_TRACE_IDENTITY_REL = 1e-10  # error of tr(p / (delta r_eps)) = eps allowed, relative
+_REVERSE_TRACE_SLACK = 1e-9  # excess of the reverse construction's trace over 2 allowed
 _SWEEP_BLOCK = 256  # monomial columns per superset sweep of consistency_check
+_FILL_BLOCK = 1 << 16  # atom-monomial values per table fill of consistency_check
+_MERGE_BLOCK = 1 << 16  # image values (indices x atoms x coordinates) per block of _marginals
+_NEST_BLOCK = 1 << 16  # entries per stack of the nesting test (rows x coordinates, supersets)
 
 
 @dataclass(frozen=True, order=True)
@@ -98,31 +115,67 @@ def full_lattice(n: int) -> list[SubalgebraIndex]:
     ]
 
 
+def _marginals(nu: DiscreteMeasure, cols: np.ndarray) -> list:
+    """Marginals of nu on the coordinate tuples in the rows of ``cols`` (one
+    size, positions among nu's coordinates), by pushforward's rule: each
+    atom's image copies its values, and images equal in every coordinate
+    (float ==, so 0.0 and -0.0 coincide) merge into the first of them, with
+    the weights added from 0.0 in atom order.  One stable sort of all the
+    images of a block of tuples (keyed by tuple, then by the image + 0.0,
+    which reads -0.0 as 0.0) puts coinciding images next to each other in
+    atom order; np.add.at makes the merging additions in that order.  The
+    working set is linear in the atom count: blocks of at most _MERGE_BLOCK
+    image values."""
+    k, size = len(nu.weights), cols.shape[1]
+    step = max(1, _MERGE_BLOCK // max(1, k * size))
+    out = []
+    for lo in range(0, len(cols), step):
+        block = cols[lo:lo + step]
+        images = nu.atoms[:, block].swapaxes(0, 1).reshape(len(block) * k, size)
+        tuple_of = np.repeat(np.arange(len(block)), k)
+        keys = images + 0.0
+        order = np.lexsort((*keys.T, tuple_of))
+        keys, tuples = keys[order], tuple_of[order]
+        new = np.ones(len(order), dtype=bool)  # a sorted image starts a group
+        new[1:] = (tuples[1:] != tuples[:-1]) | (keys[1:] != keys[:-1]).any(axis=1)
+        merged_into = np.empty_like(order)
+        merged_into[order] = order[new][np.cumsum(new) - 1]  # its group's first atom
+        sums = np.zeros(len(order))
+        np.add.at(sums, merged_into, np.tile(nu.weights, len(block)))
+        first = merged_into == np.arange(len(order))
+        atoms, weights = images[first], sums[first]
+        atoms.setflags(write=False)  # and so every marginal's slice
+        weights.setflags(write=False)
+        ends = np.cumsum(first.reshape(-1, k).sum(axis=1)).tolist()
+        out += [
+            DiscreteMeasure._marginal(atoms[a:b], weights[a:b])
+            for a, b in zip([0] + ends[:-1], ends)
+        ]
+    return out
+
+
 def pushforward(
     nu: DiscreteMeasure, s: SubalgebraIndex, t: SubalgebraIndex
 ) -> DiscreteMeasure:
     """Marginal of a measure over T on the sub-coordinates S: project atoms
-    and merge exactly coinciding images by weight addition."""
+    and merge exactly coinciding images by weight addition, in atom order
+    (the one-index case of the pass that builds a family's marginals)."""
     if nu.dim != len(t):
         raise DimensionMismatch(f"measure dim {nu.dim} != |T| = {len(t)}")
-    pos = s.positions_in(t)
-    merged: dict = {}
-    for atom, w in zip(nu.atoms, nu.weights):
-        key = tuple(atom[pos])
-        merged[key] = merged.get(key, 0.0) + w
-    atoms = np.array(list(merged.keys()), dtype=float).reshape(len(merged), len(s))
-    weights = np.array(list(merged.values()))
-    return DiscreteMeasure(dim=len(s), atoms=atoms, weights=weights)
+    return _marginals(nu, np.array(s.positions_in(t), dtype=int).reshape(1, len(s)))[0]
 
 
 @dataclass(frozen=True, eq=False)
 class MeasureFamily:
     """Finite map SubalgebraIndex -> DiscreteMeasure over those coordinates,
     held read-only.  It keeps the index spectra of the last form it was
-    checked against: one slot, matched by identity (GramForm is frozen)."""
+    checked against, and the dual-ball stacks of the last form q of a
+    Prokhorov check: one slot each, matched by identity (GramForm is
+    frozen)."""
 
     entries: MappingProxyType
     _spectra: tuple = field(default=(None, None), init=False, repr=False)
+    _balls: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
@@ -137,12 +190,22 @@ class MeasureFamily:
 
     @classmethod
     def from_global(cls, nu: DiscreteMeasure, lattice=None) -> "MeasureFamily":
-        """Marginals of one global measure over a lattice (default: full)."""
+        """Marginals of one global measure over a lattice (default: full),
+        each pushforward's from the top index; the indices of one size share
+        one projection and one coincidence pass."""
         if lattice is None:
             lattice = full_lattice(nu.dim)
         top = SubalgebraIndex(coords=tuple(range(nu.dim)))
-        entries = {s: pushforward(nu, s, top) for s in lattice}
-        return cls(entries=entries)
+        by_size: dict = {}
+        for s in lattice:
+            if s.coords and s.coords[-1] >= nu.dim:
+                s.positions_in(top)  # raises NotSubset
+            by_size.setdefault(len(s), []).append(s)
+        marginals = {}
+        for size, group in by_size.items():
+            cols = np.array([s.coords for s in group], dtype=int).reshape(len(group), size)
+            marginals.update(zip(group, _marginals(nu, cols)))
+        return cls(entries={s: marginals[s] for s in lattice})
 
 
 def _lattice_bits(idxs):
@@ -155,6 +218,59 @@ def _lattice_bits(idxs):
     return len(bit), cols, [sum(1 << k for k in c) for c in cols]
 
 
+def _size_runs(idxs) -> list:
+    """Positions of the indices of each size, for indices sorted by size."""
+    return [list(run) for _, run in itertools.groupby(range(len(idxs)), key=lambda i: len(idxs[i]))]
+
+
+def _rank_groups(idxs, forms):
+    """The indices grouped by (size, rank of their restriction in ``forms``),
+    both ascending: (size, rank, positions, the stacked ascending
+    eigenvalues and eigenvectors of those restrictions)."""
+    for run in _size_runs(idxs):
+        w = np.stack([forms[i]._eig[0] for i in run])
+        v = np.stack([forms[i]._eig[1] for i in run])
+        ranks = _above_cutoff(w).sum(axis=1)
+        for r in sorted(set(ranks.tolist())):
+            group = np.flatnonzero(ranks == r)
+            yield len(idxs[run[0]]), r, [run[j] for j in group], w[group], v[group]
+
+
+def _padded(nus):
+    """Measures on one R^s stacked: (atoms padded with zero rows to the
+    largest count, weights padded with 0.0, which rows are atoms)."""
+    counts = np.array([len(nu.weights) for nu in nus])
+    real = np.arange(counts.max()) < counts[:, None]
+    atoms, weights = np.zeros(real.shape + (nus[0].dim,)), np.zeros(real.shape)
+    atoms[real] = np.vstack([nu.atoms for nu in nus])
+    weights[real] = np.concatenate([nu.weights for nu in nus])
+    return atoms, weights, real
+
+
+def _by_count(real):
+    """The rows of a padded stack by atom count, as (rows, count): an einsum
+    or matmul over the atoms may add in an order set by their number, so a
+    reduction that must equal its lone measure's runs per count, on the
+    atoms alone."""
+    counts = real.sum(axis=1)
+    for k in sorted(set(counts.tolist())):
+        yield np.flatnonzero(counts == k), k
+
+
+def _moment_rows(nus, degree: int) -> np.ndarray:
+    """The moments up to ``degree`` of measures on one R^s, one row each in
+    monomials_up_to order: one monomial-kernel call for all their padded
+    atoms, one stacked product per atom count, each row bit for bit its
+    measure's weights times its values."""
+    atoms, weights, real = _padded(nus)
+    values = _monomial_values(atoms.reshape(-1, atoms.shape[2]), degree)
+    values = values.reshape(real.shape + values.shape[1:])
+    out = np.empty((len(nus), values.shape[2]))
+    for rows, k in _by_count(real):
+        out[rows] = np.matmul(weights[rows, None, :k], values[rows, :k])[:, 0]
+    return out
+
+
 def consistency_check(fam: MeasureFamily, degree: int = 4) -> bool:
     """For every nested pair S within T (not only |T| = |S| + 1: the
     tolerance CONSISTENCY_ABS is absolute, so differences add up along a
@@ -165,21 +281,32 @@ def consistency_check(fam: MeasureFamily, degree: int = 4) -> bool:
     (Yates' zeta transform), per column block, give each row the max and
     min over its supersets.  Rounded subtraction is monotone, so comparing
     those with the row is the all-pairs verdict (on nu_T's own moments,
-    which pushing forward only rounds anew)."""
+    which pushing forward only rounds anew).  The rows of one size are
+    filled by _moment_rows, in parts of at most _FILL_BLOCK atom-monomial
+    values."""
     idxs = fam.indices()
     n, _, masks = _lattice_bits(idxs)
     supp = (np.array(monomials_up_to(n, degree)) > 0) @ (1 << np.arange(n))
-    table = np.full((1 << n, len(supp)), np.nan)
-    for s, mask in zip(idxs, masks):
-        nu, within = fam.entries[s], np.flatnonzero((supp & ~mask) == 0)
-        table[mask, within] = nu.weights @ _monomial_values(nu.atoms, degree)
+    table, masks = np.full((1 << n, len(supp)), np.nan), np.array(masks)
+    for run in _size_runs(idxs):
+        nus = [fam.entries[idxs[i]] for i in run]
+        width = _graded_slice(nus[0].dim, degree).stop * max(len(nu.weights) for nu in nus)
+        step = max(1, _FILL_BLOCK // width)
+        for lo in range(0, len(run), step):
+            mask = masks[run[lo:lo + step]]
+            within = np.nonzero((supp & ~mask[:, None]) == 0)[1].reshape(len(mask), -1)
+            table[mask[:, None], within] = _moment_rows(nus[lo:lo + step], degree)
+    buffer = np.empty(table.shape[0] * min(len(supp), _SWEEP_BLOCK))  # one block's sweep
     for own in np.split(table, range(_SWEEP_BLOCK, len(supp), _SWEEP_BLOCK), axis=1):
         for fold, sign in ((np.fmax, 1.0), (np.fmin, -1.0)):
-            sweep = own.copy()
+            sweep = buffer[:own.size].reshape(own.shape)
+            np.copyto(sweep, own)
             for i in range(n):
                 pairs = sweep.reshape(-1, 2, 1 << i, sweep.shape[1])
                 fold(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
-            if np.any(sign * (sweep - own) > CONSISTENCY_ABS):
+            sweep -= own
+            sweep *= sign
+            if np.any(sweep > CONSISTENCY_ABS):
                 return False
     return True
 
@@ -219,6 +346,17 @@ def _second_moment(nu: DiscreteMeasure) -> np.ndarray:
     return np.einsum("j,ji,jk->ik", nu.weights, nu.atoms, nu.atoms)
 
 
+def _second_moments(nus) -> np.ndarray:
+    """The second-moment matrices of measures on one R^s, stacked: those of
+    one atom count from one einsum, each bit for bit _second_moment's."""
+    atoms, weights, real = _padded(nus)
+    out = np.empty((len(nus), atoms.shape[2], atoms.shape[2]))
+    for rows, k in _by_count(real):
+        own = atoms[rows, :k]
+        out[rows] = np.einsum("mj,mji,mjk->mik", weights[rows, :k], own, own)
+    return out
+
+
 def exact_tail(nu: DiscreteMeasure, a: np.ndarray, threshold: float = 1.0) -> float:
     """nu({alpha : |alpha(a)| >= threshold}) as an exact weight sum."""
     a = np.asarray(a, dtype=float)
@@ -230,41 +368,35 @@ def _index_spectra(fam: MeasureFamily, p: GramForm) -> dict:
     the family keeps the pass of the last form it was given.  One stacked
     eigh restricts every index of a size; the whitening (the trailing rank
     eigenvectors over the square roots of their eigenvalues, as in
-    whitening_system), the whitened second moments and their eigvalsh run
-    in stacks per (size, rank).  Each second moment (atom counts differ)
-    and each kernel test (only where p|_S has a kernel) stays per index,
-    so every value is the one a lone index gets.  Raises KernelIssue when a
-    supported atom is nonzero on a p|_S-kernel direction (concentrated
-    families must vanish there)."""
+    whitening_system), the second moments (one einsum per atom count), the
+    whitened second moments and their eigvalsh run in stacks per (size,
+    rank).  Each kernel test (only where p|_S has a kernel) stays per
+    index, so every value is the one a lone index gets.  Raises KernelIssue
+    when a supported atom is nonzero on a p|_S-kernel direction
+    (concentrated families must vanish there)."""
     form, spectra = fam._spectra
     if form is p:
         return spectra
     idxs = fam.indices()
     forms = principal_restrictions(p, [s.coords for s in idxs])
     lams = [0.0] * len(idxs)
-    for size, run in itertools.groupby(range(len(idxs)), key=lambda i: len(idxs[i])):
-        run = list(run)
-        w = np.stack([forms[i]._eig[0] for i in run])
-        v = np.stack([forms[i]._eig[1] for i in run])
-        ranks = _above_cutoff(w).sum(axis=1)
-        for r in sorted(set(ranks.tolist())):
-            group = np.flatnonzero(ranks == r)
-            members = [run[j] for j in group]
-            if r < size:
-                for i in members:
-                    support = fam.entries[idxs[i]].support
-                    scale = max(1.0, float(np.abs(support).max(initial=0.0)))
-                    if np.abs(support @ forms[i]._split[3]).max(initial=0.0) > 1e-10 * scale:
-                        raise KernelIssue(
-                            "supported character is nonzero on a kernel direction of p|_S"
-                        )
-            if r == 0:
-                continue
-            white = v[group][:, :, size - r:] / np.sqrt(w[group][:, None, size - r:])
-            moments = np.stack([_second_moment(fam.entries[idxs[i]]) for i in members])
-            tops = np.linalg.eigvalsh(np.swapaxes(white, 1, 2) @ moments @ white)[:, -1]
-            for i, top in zip(members, tops):
-                lams[i] = float(max(top, 0.0))
+    for size, r, members, w, v in _rank_groups(idxs, forms):
+        if r < size:
+            for i in members:
+                support = fam.entries[idxs[i]].support
+                scale = max(1.0, float(np.abs(support).max(initial=0.0)))
+                leak = np.abs(support @ forms[i]._split[3]).max(initial=0.0)
+                if leak > _KERNEL_LEAK_REL * scale:
+                    raise KernelIssue(
+                        "supported character is nonzero on a kernel direction of p|_S"
+                    )
+        if r == 0:
+            continue
+        white = v[:, :, size - r:] / np.sqrt(w[:, None, size - r:])
+        moments = _second_moments([fam.entries[idxs[i]] for i in members])
+        tops = np.linalg.eigvalsh(np.swapaxes(white, 1, 2) @ moments @ white)[:, -1]
+        for i, top in zip(members, tops):
+            lams[i] = float(max(top, 0.0))
     out = {s: (p_s, lam) for s, p_s, lam in zip(idxs, forms, lams)}
     object.__setattr__(fam, "_spectra", (p, out))
     return out
@@ -278,8 +410,8 @@ def _worst_sup(spectra: dict, delta: float) -> float:
 
 def _certifies(value: float, epsilon: float) -> bool:
     """The certificate's acceptance rule:
-    value <= epsilon (1 + CERTIFICATE_SLACK) + 1e-15."""
-    return value <= epsilon * (1.0 + CERTIFICATE_SLACK) + 1e-15
+    value <= epsilon (1 + CERTIFICATE_SLACK) + _CERTIFICATE_FLOOR."""
+    return value <= epsilon * (1.0 + CERTIFICATE_SLACK) + _CERTIFICATE_FLOOR
 
 
 def concentration_check(
@@ -353,6 +485,39 @@ class ProkhorovReport:
         }
 
 
+def _dual_balls(fam: MeasureFamily, q: GramForm) -> list:
+    """q restricted to every index, as the stacks the dual-ball test takes,
+    computed once per (family, q): the family keeps those of the last q it
+    was given.  One entry per (size, rank of q|_S) group, in index order:
+    (positions in fam.indices(), the group's pseudo-inverses and kernel
+    bases, and its indices' atoms, weights and atom rows as _padded stacks
+    them: the dual-ball test is per row and a mass adds in atom order, so
+    the pad rows change neither)."""
+    form, groups = fam._balls
+    if form is q:
+        return groups
+    idxs = fam.indices()
+    forms = principal_restrictions(q, [s.coords for s in idxs])
+    groups = []
+    for _, r, members, w, v in _rank_groups(idxs, forms):
+        pinvs, kernels = _dual_ball_stacks(w, v, r)
+        atoms, weights, real = _padded([fam.entries[idxs[i]] for i in members])
+        groups.append((members, pinvs, kernels, atoms, weights, real))
+    object.__setattr__(fam, "_balls", (q, groups))
+    return groups
+
+
+def _superset_rows(masks: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Per index, the total count over its strict supersets among the masks:
+    a sum over supersets of one 2^n table (Yates' zeta transform)."""
+    table = np.zeros(1 << n, dtype=np.int64)
+    table[masks] = counts
+    for i in range(n):
+        pairs = table.reshape(-1, 2, 1 << i)
+        pairs[:, 0] += pairs[:, 1]
+    return table[masks] - counts
+
+
 def prokhorov_mass_check(
     fam: MeasureFamily,
     p: GramForm,
@@ -370,10 +535,14 @@ def prokhorov_mass_check(
     is never formed ({0} when c = 0).  Nesting: for every nested pair S
     within T, nu_T's atoms in K^(T), projected onto S, lie in K^(S): per S,
     one test on the kept atoms of its strict supersets (picked by bitmask)
-    projected onto S, each row the per-pair projection exactly.  Also checks
-    the identity tr(p / (delta r_eps)) = eps (exact when tr(p/q) > 0), on the
-    form (delta c)^2 q; InvalidInput when that form leaves float range (an
-    eps or delta so small that c overflows)."""
+    projected onto S, each row the per-pair projection exactly.  q is
+    restricted once per (family, q) (see _dual_balls); each (size, rank of
+    q|_S) group tests all its indices' atoms in one stacked call, and the
+    nesting rows of its indices in stacks of at most _NEST_BLOCK entries.
+    A mass is the sum of the inside weights in atom order, as sum() adds
+    them.  Also checks the identity tr(p / (delta r_eps)) = eps (exact when
+    tr(p/q) > 0), on the form (delta c)^2 q; InvalidInput when that form
+    leaves float range (an eps or delta so small that c overflows)."""
     tr = trace_value(p, q)
     if is_infinite(tr):
         raise HypothesisNotCertified("tr(p/q) is infinite")
@@ -392,44 +561,85 @@ def prokhorov_mass_check(
         )
     bound = 1.0 - 14.0 * epsilon
     idxs = fam.indices()
-    q_s = dict(zip(idxs, principal_restrictions(q, [s.coords for s in idxs])))
+    groups = _dual_balls(fam, q)
 
-    def in_k(s, points):
-        return _in_unit_dual_ball(q_s[s], points / c) if c > 0 else ~points.any(axis=1)
+    def in_k(pinvs, kernels, points):
+        if c > 0:
+            return _in_unit_dual_balls(pinvs, kernels, points / c)
+        return ~points.any(axis=-1)
 
-    inside = {s: in_k(s, fam.entries[s].atoms) for s in idxs}
-    masses = {
-        s: float(sum(w for w, ok in zip(fam.entries[s].weights, inside[s]) if ok))
-        for s in idxs
-    }
-    mass_ok = not any(mass < bound - MASS_SLACK for mass in masses.values())
+    masses, kept = [0.0] * len(idxs), []
+    for members, pinvs, kernels, atoms, weights, real in groups:
+        inside = in_k(pinvs, kernels, atoms) & real
+        # the cumsum adds in atom order as sum() does; + 0.0 is sum()'s 0 start
+        sums = np.cumsum(np.where(inside, weights, 0.0), axis=1)[:, -1] + 0.0
+        for i, mass in zip(members, sums.tolist()):
+            masses[i] = mass
+        kept.append(inside)
+    mass_ok = not any(mass < bound - MASS_SLACK for mass in masses)
     n, cols, masks = _lattice_bits(idxs)
-    blocks = [np.zeros((int(inside[s].sum()), n)) for s in idxs]
-    for s, pos, block in zip(idxs, cols, blocks):
-        block[:, pos] = fam.entries[s].atoms[inside[s]]
-    owner = np.repeat(np.array(masks, dtype=np.int64), [len(b) for b in blocks])
-    kept = np.vstack([np.zeros((0, n))] + blocks)
-    nesting_ok = all(
-        in_k(s, kept[((owner & mask) == mask) & (owner != mask)][:, pos]).all()
-        for s, pos, mask in zip(idxs, cols, masks)
-    )
+    nesting_ok = _nested(groups, kept, n, cols, np.array(masks, dtype=np.int64), in_k)
 
     if tr > 0:
         # tr(p / (delta r_eps)) = tr(p/q) / (delta c)^2 = eps exactly
         ident = trace_value(p, GramForm(dim=q.dim, gram=r_gram))
-        ident_ok = abs(ident - epsilon) <= 1e-10 * max(epsilon, 1.0)
+        ident_ok = abs(ident - epsilon) <= _TRACE_IDENTITY_REL * max(epsilon, 1.0)
     else:
         ident = 0.0
         ident_ok = True
     return ProkhorovReport(
         scale=float(c),
-        masses=masses,
+        masses=dict(zip(idxs, masses)),
         bound=bound,
         mass_ok=mass_ok,
         nesting_ok=nesting_ok,
         trace_identity=float(ident),
         trace_identity_ok=ident_ok,
     )
+
+
+def _nested(groups, kept, n, cols, masks, in_k) -> bool:
+    """Prokhorov nesting on the dual-ball groups, given which of each
+    group's rows are kept (in K^(S)): the kept atoms, placed at their
+    index's bits (``cols``) among n coordinates, are read for each S at its
+    own bits from the rows of its strict supersets (picked by bitmask), in
+    stacks of at most _NEST_BLOCK entries, and tested in K^(S)."""
+    if not groups:
+        return True
+    rows, counts, order = [], [], []
+    for (members, _, _, atoms, _, _), inside in zip(groups, kept):
+        placed = np.zeros(atoms.shape[:2] + (n,))
+        at = np.array([cols[i] for i in members])[:, None, :]
+        placed[np.arange(len(members))[:, None, None], np.arange(atoms.shape[1])[:, None], at] = atoms
+        rows.append(placed[inside])
+        counts.append(inside.sum(axis=1))
+        order += members
+    rows = np.vstack(rows)
+    count, start = np.zeros(len(masks), dtype=np.int64), np.zeros(len(masks), dtype=np.int64)
+    count[order] = np.concatenate(counts)
+    start[order] = np.cumsum(count[order]) - count[order]
+    supersets = _superset_rows(masks, count, n)
+    for members, pinvs, kernels, atoms, _, _ in groups:
+        size, mask, total = atoms.shape[2], masks[members][:, None], supersets[members]
+        if not total.any():
+            continue
+        at = np.array([cols[i] for i in members])
+        step = max(1, _NEST_BLOCK // max(1, int(total.max()) * size, len(masks)))
+        for lo in range(0, len(members), step):
+            sl = slice(lo, lo + step)
+            pair_s, pair_t = np.nonzero(((masks & mask[sl]) == mask[sl]) & (masks != mask[sl]))
+            per_pair = count[pair_t]
+            seq = np.arange(per_pair.sum())
+            src = np.repeat(start[pair_t] - (np.cumsum(per_pair) - per_pair), per_pair) + seq
+            owner = np.repeat(pair_s, per_pair)
+            slot = seq - (np.cumsum(total[sl]) - total[sl])[owner]
+            points = np.zeros((len(total[sl]), int(total[sl].max(initial=0)), size))
+            real = np.zeros(points.shape[:2], dtype=bool)
+            points[owner, slot] = rows[src[:, None], at[sl][owner]]
+            real[owner, slot] = True
+            if not (in_k(pinvs[sl], kernels[sl], points) | ~real).all():
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +662,7 @@ def reverse_seminorm_construction(
         g += m_n / n**4
     p = GramForm(dim=q.dim, gram=g)
     tr = trace_value(p, q)
-    if is_infinite(tr) or tr > 2.0 + 1e-9:
+    if is_infinite(tr) or tr > 2.0 + _REVERSE_TRACE_SLACK:
         raise MomentkitError(f"reverse construction trace {tr} violates the bound 2")
     return p
 

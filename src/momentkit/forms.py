@@ -178,9 +178,7 @@ class GramForm:
     def pseudo_inverse(self) -> np.ndarray:
         """Spectral pseudo-inverse of gram (kernel directions dropped)."""
         wp, vp, _, _ = self._split
-        if wp.size == 0:
-            return np.zeros_like(self.gram)
-        out = (vp / wp) @ vp.T
+        out = _pseudo_inverses(wp, vp) if wp.size else np.zeros_like(self.gram)
         out.setflags(write=False)
         return out
 
@@ -266,15 +264,36 @@ def evaluate(p: GramForm, v) -> float:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for each row i: a stacked matmul runs, row by row, the
-    dot product two lone vectors get."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    """a[..., i, :] @ b[..., i, :] for each row i: a stacked matmul runs,
+    row by row, the dot product two lone vectors get."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _quad_rows(m: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """v @ m @ v for each row v of ``vs``, bit for bit as for a lone v: its
-    vector-matrix product, then its dot product."""
-    return _row_dots(np.matmul(vs[:, None, :], m)[:, 0, :], vs)
+    """v @ m @ v for each row v of ``vs`` (m, vs: one matrix and its rows,
+    or stacks of both), bit for bit as for a lone v: its vector-matrix
+    product, then its dot product."""
+    return _row_dots(np.matmul(vs[..., None, :], m[..., None, :, :])[..., 0, :], vs)
+
+
+def _pseudo_inverses(wp: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """(vp / wp) vp' for positive eigenvalues wp and their vectors vp, or
+    for stacks of both: GramForm.pseudo_inverse's product."""
+    return (vp / wp[..., None, :]) @ np.swapaxes(vp, -1, -2)
+
+
+def _dual_ball_stacks(w: np.ndarray, v: np.ndarray, rank: int):
+    """(pseudo-inverses, kernel bases) of a stack of forms of one rank from
+    their stacked ascending eigenvalues w and sign-fixed eigenvectors v,
+    each matrix bit for bit a lone form's pseudo_inverse and _split[3]: the
+    columns are laid out as a lone form's boolean pick of them lays them
+    out (Fortran order), so every product runs as it runs alone."""
+    def picked(x):
+        return np.swapaxes(np.ascontiguousarray(np.swapaxes(x, -1, -2)), -1, -2)
+
+    cut = w.shape[-1] - rank
+    pinvs = _pseudo_inverses(w[..., cut:], picked(v[..., cut:])) if rank else np.zeros_like(v)
+    return pinvs, picked(v[..., :cut])
 
 
 def kernel_basis(p: GramForm) -> list[np.ndarray]:
@@ -322,20 +341,27 @@ def dual_norm(q: GramForm, l: DualFunctional):
     return float(s) * float(np.sqrt(max(float(unit @ q.pseudo_inverse @ unit), 0.0)))
 
 
-def _in_unit_dual_ball(q: GramForm, points: np.ndarray) -> np.ndarray:
-    """Row by row, whether those coefficients lie in the closed unit q-dual
-    ball: dual_norm <= 1 + _DUAL_BALL_SLACK, where a row failing
+def _in_unit_dual_balls(pinvs: np.ndarray, kernels: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Verdicts (g, R) on points (g, R, s) for the stacks of g forms given
+    by their pseudo-inverses (g, s, s) and Euclidean kernel bases (g, s, z):
+    whether each row of points[j] lies in the closed unit dual ball of form
+    j, i.e. dual_norm <= 1 + _DUAL_BALL_SLACK, where a row failing
     ``is_continuous``'s kernel test is outside (both on _unit_rows).  Each
     row's kernel test and quadratic form run the products that row gets
-    alone (stacked matmuls), so its verdict does not depend on the rows
-    stacked with it."""
-    _, _, _, vk = q._split
+    alone (stacked matmuls), so its verdict depends neither on the rows
+    nor on the forms stacked with it."""
     unit, s = _unit_rows(points)
-    leak = np.matmul(vk.T, unit[:, :, None])[:, :, 0]
+    leak = np.matmul(np.swapaxes(kernels, -1, -2)[:, None], unit[..., None])[..., 0]
     ker_tol = _KER_REL_TOL * np.maximum(1.0 / s, np.sqrt(_row_dots(unit, unit)))
     continuous = np.sqrt(_row_dots(leak, leak)) <= ker_tol
-    quad = _quad_rows(q.pseudo_inverse, unit)
+    quad = _quad_rows(pinvs, unit)
     return continuous & (np.sqrt(np.maximum(quad, 0.0)) <= (1.0 + _DUAL_BALL_SLACK) / s)
+
+
+def _in_unit_dual_ball(q: GramForm, points: np.ndarray) -> np.ndarray:
+    """Row by row, whether those coefficients lie in the closed unit q-dual
+    ball: the one-form case of _in_unit_dual_balls."""
+    return _in_unit_dual_balls(q.pseudo_inverse[None], q._split[3][None], points[None])[0]
 
 
 def gram_schmidt(q: GramForm, vectors) -> OrthonormalSystem:

@@ -50,6 +50,7 @@ from .traces import trace_value
 
 CERTIFY_SIGMAS = 4.0  # a Monte Carlo estimate certifies within this many standard errors
 _CHUNK = 8_192  # rows per chunk up to rank 6: a chunk and its BLAS products stay in cache
+_HYPOTHESIS_LEAK_REL = 1e-12  # second moment on ker p allowed by the lemma's sup, relative
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +359,7 @@ def fundamental_lemma_check(
 
     ker = kernel_basis(p)
     leak = np.abs(m @ np.column_stack(ker)).max() if ker else 0.0
-    if leak > 1e-12 * max(1.0, float(np.abs(m).max())):
+    if leak > _HYPOTHESIS_LEAK_REL * max(1.0, float(np.abs(m).max())):
         sup = INFINITE
     else:
         w = whitening_system(p).matrix

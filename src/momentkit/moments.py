@@ -56,6 +56,16 @@ MEMBERSHIP_TOL = 1e-12  # g(c) down to -MEMBERSHIP_TOL counts as g(c) >= 0
 # ---------------------------------------------------------------------------
 
 
+def _check_weights(weights: np.ndarray) -> None:
+    """A measure's weight rules on finite weights: nonnegative down to
+    -1e-14, summing to 1 within WEIGHT_SUM_TOL."""
+    values = weights.tolist()
+    if min(values, default=0.0) < -1e-14:
+        raise InvalidInput("weights must be nonnegative")
+    if not weights_sum_to_one(values):
+        raise InvalidInput(f"weights do not sum to 1 within {WEIGHT_SUM_TOL}")
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely supported probability measure on R^dim."""
@@ -73,14 +83,22 @@ class DiscreteMeasure:
             )
         if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
             raise InvalidInput("atoms and weights must be finite")
-        if np.any(weights < -1e-14):
-            raise InvalidInput("weights must be nonnegative")
-        if not weights_sum_to_one(weights.tolist()):
-            raise InvalidInput(f"weights do not sum to 1 within {WEIGHT_SUM_TOL}")
+        _check_weights(weights)
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def _marginal(cls, atoms, weights) -> "DiscreteMeasure":
+        """A marginal of an already validated measure on read-only arrays:
+        atoms copied from its finite atoms, weights its weights merged by
+        addition.  The constructor's weight rules, without its copies and
+        its finiteness test."""
+        _check_weights(weights)
+        nu = cls.__new__(cls)
+        nu.__dict__.update(dim=atoms.shape[1], atoms=atoms, weights=weights)
+        return nu
 
     @property
     def support(self) -> np.ndarray:

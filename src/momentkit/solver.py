@@ -20,6 +20,7 @@ from .symalg import AlgebraElement, _graded_exponents, _graded_slice, _monomial_
 
 _RANK_TOL = 1e-9  # eigenvalues at or below tol * lambda_max count as rank deficiency
 _RESIDUAL_TOL = 1e-7  # largest |recovered - given| moment of the equilibrated table
+_GAP_TOL = 1e-6  # eigenvalues of the mixed operator this close, relative, count as tied
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,12 +46,13 @@ def _rank(w: np.ndarray) -> int:
 
 def _equilibrated(L: MomentFunctional):
     """(t, the table value_alpha / t^alpha) with t_i = L(x_i^2e)^(1/2e) at
-    the top even degree 2e, or 1 where that moment is not positive or the
+    the top even degree 2e, or 1 where that moment is not positive (below
+    the smallest normal float: a subnormal one has lost its digits) or the
     table has degree < 2.  A PSD table's scaled moments to degree 2e are at
     most 1 in size, so a table with one that overflows has no measure."""
     e = L.max_degree // 2
     top = L.values[_graded_slice(L.dim, 2 * e)] @ (_slice_index(L.dim, 2 * e).exponents == 2 * e)
-    log_t = np.log(np.where(top > 0, top, 1.0)) / max(2 * e, 1)
+    log_t = np.log(np.where(top >= np.finfo(float).tiny, top, 1.0)) / max(2 * e, 1)
     with np.errstate(over="ignore"):
         values = L.values / np.exp(_graded_exponents(L.dim, L.max_degree) @ log_t)
     if not np.isfinite(values).all():
@@ -58,13 +60,25 @@ def _equilibrated(L: MomentFunctional):
     return np.exp(log_t), MomentFunctional(dim=L.dim, max_degree=L.max_degree, values=values)
 
 
-def _spectral_measure(ops, mix, unit: np.ndarray):
+def _spectral_measure(ops, rng, unit: np.ndarray):
     """Golub-Welsch for commuting multiplication matrices ops (symmetric up
     to rounding) on an orthonormal basis in which unit is the monomial 1:
-    with Q from the eigh of sum mix_i X_i, atom j has coordinates (Q' X_i Q)_jj
-    and weight (unit . Q_j)^2, in the atoms' lexicographic order."""
+    with Q from the eigh of sum mix_i X_i, mix drawn from rng, atom j has
+    coordinates (Q' X_i Q)_jj and weight (unit . Q_j)^2, in the atoms'
+    lexicographic order.  A run of eigenvalues within _GAP_TOL of each
+    other (relative to the largest) may mix its eigenvectors; each such
+    run's invariant subspace is diagonalized anew by the next combination
+    rng draws."""
     ops = [0.5 * (x + x.T) for x in ops]
-    _, q = np.linalg.eigh(sum(m * x for m, x in zip(mix, ops)))
+    lam, q = np.linalg.eigh(sum(m * x for m, x in zip(rng.standard_normal(len(ops)), ops)))
+    gaps = np.diff(lam)
+    tol = _GAP_TOL * max(-lam[0], lam[-1]) if len(lam) else 0.0  # lam ascends
+    if gaps.size and gaps.min() <= tol:
+        for run in np.split(np.arange(len(lam)), np.flatnonzero(gaps > tol) + 1):
+            if len(run) > 1:
+                basis = q[:, run]
+                mixed = sum(m * x for m, x in zip(rng.standard_normal(len(ops)), ops))
+                q[:, run] = basis @ np.linalg.eigh(basis.T @ mixed @ basis)[1]
     atoms = np.column_stack([(x @ q * q).sum(axis=0) for x in ops])
     order = np.lexsort(atoms.T[::-1])
     weights = (unit @ q[:, order]) ** 2
@@ -79,8 +93,7 @@ def _flat_measure(S: MomentFunctional, t, k: int, w, v, seed: int, profile) -> S
     pinv = (v[:, top] / np.sqrt(w[top])).T  # row 0 of a is pinv[:, 0] * w
     ops = [pinv @ localizing_matrix(S, AlgebraElement.variable(i, S.dim, 1), k) @ pinv.T
            for i in range(S.dim)]
-    mix = np.random.default_rng(seed).standard_normal(S.dim)
-    atoms, weights = _spectral_measure(ops, mix, pinv[:, 0] * w[top])
+    atoms, weights = _spectral_measure(ops, np.random.default_rng(seed), pinv[:, 0] * w[top])
     residual = float(np.abs(weights @ _monomial_values(atoms, S.max_degree) - S.values).max())
     if residual > _RESIDUAL_TOL:
         raise IllConditioned(f"recovered measure misses the equilibrated moments by {residual}")

@@ -28,6 +28,7 @@ from momentkit import (
 )
 from momentkit.concentration import (
     CONSISTENCY_ABS,
+    _dual_balls,
     _index_spectra,
     exact_tail,
 )
@@ -44,6 +45,7 @@ from momentkit.forms import (
     PSD_TOL,
     DualFunctional,
     _in_unit_dual_ball,
+    _in_unit_dual_balls,
     evaluate,
     principal_restrictions,
 )
@@ -860,3 +862,215 @@ def test_spectral_pass_makes_one_eigh_per_index_size(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     assert concentration_check(fam, p, 0.05, 0.5).certified
     assert calls == {"eigh": 5, "eigvalsh": 5}
+
+
+# ---------------------------------------------------------------------------
+# Batched marginals and stacked dual-ball tests against per-index references
+# ---------------------------------------------------------------------------
+
+
+def _dict_marginal(nu, pos):
+    """Reference pushforward: a dict keyed by the projected tuples (float
+    ==, so 0.0 and -0.0 share a key, the first kept), weights added from
+    0.0 in atom order."""
+    merged: dict = {}
+    for atom, w in zip(nu.atoms, nu.weights):
+        key = tuple(atom[pos])
+        merged[key] = merged.get(key, 0.0) + w
+    atoms = np.array(list(merged), dtype=float).reshape(len(merged), len(pos))
+    return atoms, np.array(list(merged.values()))
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+def _coincident_measure(rng, n, k):
+    """k atoms on a coarse grid, so projections coincide often, one pair
+    apart only by 0.0 against -0.0 in one coordinate, weights mixing sizes
+    so that merged sums round."""
+    atoms = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0 / 3.0], (k, n))
+    if rng.random() < 0.5:
+        atoms[:, int(rng.integers(n))] = rng.uniform(-1.0, 1.0, k)  # one spread coordinate
+    j = int(rng.integers(n))
+    atoms[1] = atoms[0]
+    atoms[0, j], atoms[1, j] = 0.0, -0.0
+    if rng.random() < 0.5:
+        atoms[0, j], atoms[1, j] = -0.0, 0.0
+    w = rng.uniform(0.01, 1.0, k) * 10.0 ** rng.integers(-3, 1, k)
+    return DiscreteMeasure(dim=n, atoms=atoms, weights=w / w.sum())
+
+
+def test_batched_marginals_equal_per_index_pushforward_bit_for_bit():
+    """On seeded measures with planted coincident projections (a 0.0/-0.0
+    pair among them), every marginal of from_global on full and partial
+    lattices, and pushforward between the entries of hand-built families,
+    equal the dict-merging reference in atoms, weights and their order, bit
+    for bit; from_global's marginals also equal pushforward's."""
+    rng = np.random.default_rng(51)
+    signed_zero_merges = 0
+    for trial in range(30):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+        nu = _coincident_measure(rng, n, k)
+        top = SubalgebraIndex(coords=tuple(range(n)))
+        fam = MeasureFamily.from_global(nu) if trial % 2 else _partial_family(nu, rng)
+        for s, nu_s in fam.entries.items():
+            atoms, weights = _dict_marginal(nu, list(s.coords))
+            assert _bits(nu_s.atoms) == _bits(atoms) and _bits(nu_s.weights) == _bits(weights)
+            lone = pushforward(nu, s, top)
+            assert _bits(lone.atoms) == _bits(atoms) and _bits(lone.weights) == _bits(weights)
+            assert not (nu_s.atoms.flags.writeable or nu_s.weights.flags.writeable)
+            signed_zero_merges += bool(np.signbit(nu.atoms[:2, list(s.coords)]).any()
+                                       and len(atoms) < k)
+        # a hand-built family: each entry the marginal of its own measure
+        hand = MeasureFamily(entries={
+            s: _coincident_measure(rng, len(s), int(rng.integers(2, 8))) for s in full_lattice(n)
+        })
+        for t, nu_t in hand.entries.items():
+            for s in hand.entries:
+                if s.is_subset(t):
+                    pos = s.positions_in(t)
+                    atoms, weights = _dict_marginal(nu_t, pos)
+                    got = pushforward(nu_t, s, t)
+                    assert _bits(got.atoms) == _bits(atoms) and _bits(got.weights) == _bits(weights)
+    assert signed_zero_merges > 10
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_many_atom_marginals_are_exact_in_linear_memory(monkeypatch, block):
+    """A 4,000-atom measure on a coarse grid (a 0.0/-0.0 pair planted):
+    every marginal of from_global equals the dict-merging reference bit for
+    bit, also when each merge block holds at most one index, and the
+    traced peak stays far below the 4,000^2 pairs of atoms."""
+    import tracemalloc
+
+    from momentkit import concentration
+
+    if block is not None:
+        monkeypatch.setattr(concentration, "_MERGE_BLOCK", block)
+    nu = _coincident_measure(np.random.default_rng(52), 4, 4000)
+    tracemalloc.start()
+    try:
+        fam = MeasureFamily.from_global(nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # one bool per pair of atoms would be 15 MB
+    for s, nu_s in fam.entries.items():
+        atoms, weights = _dict_marginal(nu, list(s.coords))
+        assert _bits(nu_s.atoms) == _bits(atoms) and _bits(nu_s.weights) == _bits(weights)
+    assert any(len(nu_s.weights) < 4000 for nu_s in fam.entries.values())
+
+
+def test_lattice_tolerances_are_named_constants():
+    """concentration.py writes no 1e-... literal outside the module
+    constants that name its tolerances."""
+    import ast
+    import re
+    from pathlib import Path
+
+    from momentkit import concentration
+
+    src = Path(concentration.__file__).read_text()
+    tree = ast.parse(src)
+    named = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.Assign) and [type(t) for t in top.targets] == [ast.Name]
+        for node in ast.walk(top.value)
+    }
+    bare = [
+        (node.lineno, ast.get_source_segment(src, node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and id(node) not in named
+        and re.fullmatch(r"[0-9.]*e-[0-9]+", ast.get_source_segment(src, node) or "", re.I)
+    ]
+    assert bare == []
+
+
+def _lone_restriction(q, s):
+    """q restricted to s by GramForm's own constructor and eigh."""
+    return GramForm(dim=len(s), gram=q.gram[np.ix_(s.coords, s.coords)])
+
+
+def test_stacked_dual_balls_equal_lone_tests_row_by_row():
+    """q with a null coordinate and a rank below n, so that indices of one
+    size split into full-rank and rank-deficient groups: each group's
+    pseudo-inverses and kernel bases are the lone restriction's bit for
+    bit, and the stacked test's verdict on every row (random rows, rows on
+    the 1 + 1e-9 dual-norm boundary of their index, rows leaking into the
+    kernel at the tolerance) equals the lone test's on that row alone."""
+    rng = np.random.default_rng(52)
+    mixed = checked = 0
+    for trial in range(10):
+        n = int(rng.integers(3, 7))
+        b = rng.standard_normal((n, int(rng.integers(2, n + 1))))
+        b[int(rng.integers(n))] = 0.0  # a null coordinate: its indices lose rank
+        q = GramForm(dim=n, gram=b @ b.T)
+        nu = DiscreteMeasure(dim=n, atoms=rng.standard_normal((4, n)), weights=np.full(4, 0.25))
+        fam = MeasureFamily.from_global(nu) if trial % 2 else _partial_family(nu, rng)
+        idxs = fam.indices()
+        groups = _dual_balls(fam, q)
+        sizes = [len(idxs[g[0][0]]) for g in groups]
+        mixed += len(sizes) > len(set(sizes))
+        for members, pinvs, kernels, _, _, _ in groups:
+            size = len(idxs[members[0]])
+            rows = rng.standard_normal((len(members), 24, size))
+            for j, i in enumerate(members):
+                lone = _lone_restriction(q, idxs[i])
+                assert _bits(pinvs[j]) == _bits(np.asarray(lone.pseudo_inverse))
+                assert _bits(kernels[j]) == _bits(lone._split[3])
+                _, vr, _, vk = lone._split
+                for r in range(0, 8):
+                    if vr.shape[1]:
+                        row = vr @ rng.standard_normal(vr.shape[1])
+                        rows[j, r] = row / dual_norm(lone, DualFunctional(dim=size, coeffs=row))
+                        rows[j, r] *= 1.0 + 1e-9
+                    if vk.shape[1] and r % 2:
+                        half = 0.5 * rows[j, r]
+                        tol = 1e-8 * max(1.0, float(np.linalg.norm(half)))
+                        rows[j, r] = half + tol * vk[:, int(rng.integers(vk.shape[1]))]
+            stacked = _in_unit_dual_balls(pinvs, kernels, rows)
+            for j, i in enumerate(members):
+                lone = _lone_restriction(q, idxs[i])
+                alone = [bool(_in_unit_dual_ball(lone, row[None])[0]) for row in rows[j]]
+                assert stacked[j].tolist() == alone
+                checked += len(alone)
+    assert mixed >= 5 and checked > 2000
+
+
+def test_hand_built_families_take_the_stacked_prokhorov_passes():
+    """Families built by hand (entries unrelated to each other, atom counts
+    differing within a size): masses equal sums of per-atom lone verdicts
+    in atom order bit for bit, and nesting equals the pair-by-pair
+    reference, for full-rank and rank-deficient q and, every third trial,
+    for q = diag(1, 1e-30, ...) with atoms 5e-9 off the first axis, which
+    breaks nesting at the relative kernel cutoff."""
+    rng = np.random.default_rng(53)
+    seen = set()
+    for trial in range(12):
+        n = int(rng.integers(2, 5))
+        b = rng.standard_normal((n, n if trial % 2 else n - 1))
+        tiny = trial % 3 == 0
+        q = GramForm(dim=n, gram=np.diag([1.0] + [1e-30] * (n - 1)) if tiny else b @ b.T)
+        p = GramForm(dim=n, gram=0.3 * q.gram)
+        entries = {}
+        for s in full_lattice(n):
+            k = int(rng.integers(1, 6))
+            w = rng.uniform(0.1, 1.0, k)
+            atoms = rng.standard_normal((k, len(s))) * rng.uniform(0.05, 2.0)
+            if tiny:
+                atoms = rng.uniform(-0.3, 0.3, (k, len(s)))
+                atoms[:, [c != 0 for c in s.coords]] *= 5e-9 / 0.3
+            entries[s] = DiscreteMeasure(dim=len(s), atoms=atoms, weights=w / w.sum())
+        fam = MeasureFamily(entries=entries)
+        eps, delta = 0.05, 0.5
+        rep = prokhorov_mass_check(fam, p, q, eps, delta, require_certificate=False)
+        r_eps = GramForm(dim=n, gram=rep.scale**2 * q.gram)
+        for s, nu_s in fam.entries.items():
+            inside = _in_unit_dual_ball(_lone_restriction(q, s), nu_s.atoms / rep.scale)
+            want = sum(w for w, ok in zip(nu_s.weights, inside) if ok)
+            assert _bits(np.float64(rep.masses[s])) == _bits(np.float64(want))
+        assert rep.nesting_ok == _all_pairs_nesting(fam, r_eps)
+        seen.add(rep.nesting_ok)
+    assert seen == {True, False}

@@ -32,6 +32,7 @@ from momentkit import (
 )
 from momentkit.errors import IllConditioned, InvalidInput, MomentkitError, NotPSD, RankNotFlat
 from momentkit.moments import localizing_matrix, moment_matrix, monomials_up_to
+from momentkit.solver import _equilibrated
 from momentkit.symalg import _monomial_values, _slice_index
 
 _RANK_TOL = 1e-9
@@ -592,3 +593,85 @@ def test_solvers_and_demo_run_without_scipy():
     lines = proc.stdout.splitlines()
     assert lines[-1] == "3 2 []"
     assert any(line.startswith("d=3 recovers 4 atoms") for line in lines)
+
+
+def test_a_subnormal_top_moment_does_not_scale():
+    """(delta_{-s} + delta_s) / 2 at seeded scales: while m_4 = s^4 is a
+    normal float the table solves to +-s with weights 1/2; from s = 1e-77
+    on, where s^4 is subnormal and has lost its digits, t = 1 and the
+    table solves to the single atom 0 within the residual tolerance (at
+    s = 1e-80 a subnormal t read NotPSD)."""
+    rng = np.random.default_rng(44)
+    normal = np.concatenate([[-75.0], rng.uniform(-75.0, 0.0, 12)])
+    subnormal = np.concatenate([[-77.0, -80.0, -160.0], rng.uniform(-160.0, -77.0, 12)])
+    for e in normal:
+        s = 10.0**e
+        res = solve_univariate([1.0, 0.0, s * s, 0.0, s**4])
+        assert np.abs(res.measure.atoms.ravel() / s - [-1.0, 1.0]).max() <= 1e-12, e
+        assert np.abs(res.measure.weights - 0.5).max() <= 1e-12, e
+    for e in subnormal:
+        s = 10.0**e
+        res = solve_univariate([1.0, 0.0, s * s, 0.0, s**4])
+        assert res.measure.atoms.tolist() == [[0.0]] and res.measure.weights.tolist() == [1.0]
+        assert res.residual <= _RESIDUAL_TOL, e
+
+
+def _planted_operators(rng, seed, dim, k, tie):
+    """Commuting symmetric X_i = Q diag(atom coordinates i) Q' of k atoms,
+    Q random orthogonal, and unit = Q sqrt(w): with ``tie`` atom 1 lies at
+    Euclidean distance 1 from atom 0 while their projections on the
+    solver's first combination for ``seed`` differ by 1e-10."""
+    mix = np.random.default_rng(seed).standard_normal(dim)
+    atoms = rng.uniform(-1.0, 1.0, (k, dim))
+    if tie:
+        away = np.linalg.svd(mix[None])[2][-1]  # a unit vector orthogonal to mix
+        atoms[1] = atoms[0] + away + mix * (1e-10 / (mix @ mix))
+    w = rng.uniform(0.1, 1.0, k)
+    w /= w.sum()
+    q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    ops = [q @ np.diag(atoms[:, i]) @ q.T for i in range(dim)]
+    order = np.lexsort(atoms.T[::-1])
+    return ops, q @ np.sqrt(w), atoms[order], w[order]
+
+
+def test_near_tied_projections_are_separated_by_the_next_combination():
+    """Two atoms far apart whose projections on the seeded combination
+    differ by 1e-10 share a nearly degenerate eigenspace of sum mix_i X_i;
+    re-diagonalizing it with the generator's next combination gives their
+    atoms and weights as accurately as untied atoms (the one-combination
+    route's weights were off by 1e-8 to 5e-7 on these cases)."""
+    from momentkit.solver import _spectral_measure
+
+    rng = np.random.default_rng(45)
+    for seed in range(12):
+        dim = (2, 3)[seed % 2]
+        for tie in (False, True):
+            ops, unit, atoms, w = _planted_operators(rng, seed, dim, 5, tie)
+            got_atoms, got_w = _spectral_measure(ops, np.random.default_rng(seed), unit)
+            assert np.abs(got_atoms - atoms).max() <= 1e-12, (seed, tie)
+            assert np.abs(got_w - w).max() <= 1e-12, (seed, tie)
+
+
+def test_multivariate_recovers_a_planted_tie():
+    """End to end at order 3: atom 1 placed at distance 1 from atom 0 with
+    an equilibrated projection on the solver's first combination 1e-10
+    above atom 0's.  The measure comes back with its atoms and weights
+    within 1e-8, as untied measures do."""
+    rng = np.random.default_rng(46)
+    mix = np.random.default_rng(0).standard_normal(2)
+    for _ in range(12):
+        atoms = _separated(rng, 4, 2, 0.5)
+        w = rng.uniform(0.1, 1.0, 4)
+        for _ in range(20):  # t depends on atom 1 through the top moments
+            t, _ = _equilibrated(from_measure(DiscreteMeasure(2, atoms, w / w.sum()), 6))
+            u = mix / t  # the projection, on unscaled atoms
+            away = np.array([-u[1], u[0]]) / np.linalg.norm(u)
+            atoms[1] = atoms[0] + away + u * (1e-10 / (u @ u))
+        nu = DiscreteMeasure(2, atoms, w / w.sum())
+        t, _ = _equilibrated(from_measure(nu, 6))
+        assert abs((atoms[1] - atoms[0]) / t @ mix) <= 1e-9
+        assert np.linalg.norm(atoms[1] - atoms[0]) >= 0.99
+        res = solve_multivariate(from_measure(nu, 6), 3)
+        order = np.lexsort(atoms.T[::-1])
+        assert np.abs(res.measure.atoms - atoms[order]).max() <= 1e-8
+        assert np.abs(res.measure.weights - nu.weights[order]).max() <= 1e-8
