@@ -11,18 +11,20 @@ bounds every tail the certificate speaks of by that sup.
 
 Every lattice pass runs once per size of index, not once per index.  A
 global measure's marginals of one size come from one projection and one
-stable sort of the images, which puts coinciding ones side by side.  The
-spectral pass restricts all indices of one size with one stacked
-decomposition and whitens them in stacks per (size, rank); the Prokhorov
-pass tests the atoms of every index of a (size, rank of q|_S) group, and
-the superset rows of its nesting test, in stacked dual-ball calls.  Each
-stacked value is bit for bit the one a lone index gets.  A family keeps the
-spectral pass of the last form p and the dual-ball stacks of the last form
-q it met (its entries are read-only, so neither can go stale), so all
-checks on one (family, p) or (family, q) share them; the nested checks
-pick each index's supersets by bitmask.  The module ends in a nine-stage
-verification pipeline combining moment functionals, concentration
-certificates and Prokhorov-type mass bounds.
+stable sort of the images, which puts coinciding ones side by side.  A
+restriction p|_S lives in a stack, never in a per-index GramForm: forms
+decomposes all indices of one size with one stacked eigh and hands them
+out in (size, rank) groups of stacked eigenpairs.  The spectral pass
+whitens each group in one stack; the Prokhorov pass tests the atoms of
+every index of a (size, rank of q|_S) group, and the superset rows of its
+nesting test, in stacked dual-ball calls.  Each stacked value is bit for
+bit the one a lone index gets.  A family keeps {S: lambda_S} of the last
+form p and the dual-ball stacks of the last form q it met (its entries are
+read-only, so neither can go stale), so all checks on one (family, p) or
+(family, q) share them; the nested checks pick each index's supersets by
+bitmask.  The module ends in a nine-stage verification pipeline combining
+moment functionals, concentration certificates and Prokhorov-type mass
+bounds.
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ from .errors import (
 from .forms import (
     DualFunctional,
     GramForm,
-    _above_cutoff,
     _dual_ball_stacks,
     _in_unit_dual_ball,
     _in_unit_dual_balls,
+    _picked,
+    _restriction_groups,
     dual_norm,
     is_infinite,
     jsonable,
-    principal_restrictions,
 )
 from .moments import DiscreteMeasure, QuadraticModuleSpec, from_measure
 from .symalg import _graded_slice, _monomial_values, monomials_up_to
@@ -168,7 +170,7 @@ def pushforward(
 @dataclass(frozen=True, eq=False)
 class MeasureFamily:
     """Finite map SubalgebraIndex -> DiscreteMeasure over those coordinates,
-    held read-only.  It keeps the index spectra of the last form it was
+    held read-only.  It keeps {S: lambda_S} of the last form p it was
     checked against, and the dual-ball stacks of the last form q of a
     Prokhorov check: one slot each, matched by identity (GramForm is
     frozen)."""
@@ -216,24 +218,6 @@ def _lattice_bits(idxs):
         raise NotInScope(f"lattice sweeps capped at {LATTICE_CAP} coordinates, got {len(bit)}")
     cols = [[bit[i] for i in s.coords] for s in idxs]
     return len(bit), cols, [sum(1 << k for k in c) for c in cols]
-
-
-def _size_runs(idxs) -> list:
-    """Positions of the indices of each size, for indices sorted by size."""
-    return [list(run) for _, run in itertools.groupby(range(len(idxs)), key=lambda i: len(idxs[i]))]
-
-
-def _rank_groups(idxs, forms):
-    """The indices grouped by (size, rank of their restriction in ``forms``),
-    both ascending: (size, rank, positions, the stacked ascending
-    eigenvalues and eigenvectors of those restrictions)."""
-    for run in _size_runs(idxs):
-        w = np.stack([forms[i]._eig[0] for i in run])
-        v = np.stack([forms[i]._eig[1] for i in run])
-        ranks = _above_cutoff(w).sum(axis=1)
-        for r in sorted(set(ranks.tolist())):
-            group = np.flatnonzero(ranks == r)
-            yield len(idxs[run[0]]), r, [run[j] for j in group], w[group], v[group]
 
 
 def _padded(nus):
@@ -288,7 +272,8 @@ def consistency_check(fam: MeasureFamily, degree: int = 4) -> bool:
     n, _, masks = _lattice_bits(idxs)
     supp = (np.array(monomials_up_to(n, degree)) > 0) @ (1 << np.arange(n))
     table, masks = np.full((1 << n, len(supp)), np.nan), np.array(masks)
-    for run in _size_runs(idxs):
+    for _, run in itertools.groupby(range(len(idxs)), key=lambda i: len(idxs[i])):
+        run = list(run)  # the positions of one size: idxs is sorted by size
         nus = [fam.entries[idxs[i]] for i in run]
         width = _graded_slice(nus[0].dim, degree).stop * max(len(nu.weights) for nu in nus)
         step = max(1, _FILL_BLOCK // width)
@@ -364,28 +349,28 @@ def exact_tail(nu: DiscreteMeasure, a: np.ndarray, threshold: float = 1.0) -> fl
 
 
 def _index_spectra(fam: MeasureFamily, p: GramForm) -> dict:
-    """{S: (p|_S, lambda_S)} in index order, computed once per (family, p):
-    the family keeps the pass of the last form it was given.  One stacked
-    eigh restricts every index of a size; the whitening (the trailing rank
-    eigenvectors over the square roots of their eigenvalues, as in
-    whitening_system), the second moments (one einsum per atom count), the
-    whitened second moments and their eigvalsh run in stacks per (size,
-    rank).  Each kernel test (only where p|_S has a kernel) stays per
-    index, so every value is the one a lone index gets.  Raises KernelIssue
-    when a supported atom is nonzero on a p|_S-kernel direction
+    """{S: lambda_S} in index order, computed once per (family, p): the
+    family keeps the pass of the last form it was given.  The whitening
+    (the trailing rank eigenvectors over the square roots of their
+    eigenvalues, as in whitening_system), the second moments (one einsum
+    per atom count), the whitened second moments and their eigvalsh run on
+    the (size, rank) stacks of _restriction_groups.  The kernel test (only
+    where p|_S has a kernel) stays per index, on kernel columns laid out as
+    a lone form's, so every value is the one a lone index gets.  Raises
+    KernelIssue when a supported atom is nonzero on a p|_S-kernel direction
     (concentrated families must vanish there)."""
     form, spectra = fam._spectra
     if form is p:
         return spectra
     idxs = fam.indices()
-    forms = principal_restrictions(p, [s.coords for s in idxs])
     lams = [0.0] * len(idxs)
-    for size, r, members, w, v in _rank_groups(idxs, forms):
+    for members, r, w, v in _restriction_groups(p, [s.coords for s in idxs]):
+        size = w.shape[-1]
         if r < size:
-            for i in members:
+            for i, kernel in zip(members, _picked(v, slice(size - r))):
                 support = fam.entries[idxs[i]].support
                 scale = max(1.0, float(np.abs(support).max(initial=0.0)))
-                leak = np.abs(support @ forms[i]._split[3]).max(initial=0.0)
+                leak = np.abs(support @ kernel).max(initial=0.0)
                 if leak > _KERNEL_LEAK_REL * scale:
                     raise KernelIssue(
                         "supported character is nonzero on a kernel direction of p|_S"
@@ -397,7 +382,7 @@ def _index_spectra(fam: MeasureFamily, p: GramForm) -> dict:
         tops = np.linalg.eigvalsh(np.swapaxes(white, 1, 2) @ moments @ white)[:, -1]
         for i, top in zip(members, tops):
             lams[i] = float(max(top, 0.0))
-    out = {s: (p_s, lam) for s, p_s, lam in zip(idxs, forms, lams)}
+    out = dict(zip(idxs, lams))
     object.__setattr__(fam, "_spectra", (p, out))
     return out
 
@@ -405,7 +390,7 @@ def _index_spectra(fam: MeasureFamily, p: GramForm) -> dict:
 def _worst_sup(spectra: dict, delta: float) -> float:
     """delta^2 max_S lambda_S: rounding a product by delta^2 > 0 is monotone,
     so this is the largest per-index sup delta^2 lambda_S bit for bit."""
-    return delta**2 * max([0.0] + [lam for _, lam in spectra.values()])
+    return delta**2 * max([0.0, *spectra.values()])
 
 
 def _certifies(value: float, epsilon: float) -> bool:
@@ -427,7 +412,7 @@ def concentration_check(
     sampled a could refute a certified pair unless lambda_S were wrong.
     """
     spectra = _index_spectra(fam, p)
-    details: dict = {s: {"sup": delta**2 * lam} for s, (_, lam) in spectra.items()}
+    details: dict = {s: {"sup": delta**2 * lam} for s, lam in spectra.items()}
     worst = _worst_sup(spectra, delta)
     pairs = ((epsilon, delta),) if _certifies(worst, epsilon) else ()
     details["worst_sup"] = worst
@@ -497,9 +482,8 @@ def _dual_balls(fam: MeasureFamily, q: GramForm) -> list:
     if form is q:
         return groups
     idxs = fam.indices()
-    forms = principal_restrictions(q, [s.coords for s in idxs])
     groups = []
-    for _, r, members, w, v in _rank_groups(idxs, forms):
+    for members, r, w, v in _restriction_groups(q, [s.coords for s in idxs]):
         pinvs, kernels = _dual_ball_stacks(w, v, r)
         atoms, weights, real = _padded([fam.entries[idxs[i]] for i in members])
         groups.append((members, pinvs, kernels, atoms, weights, real))

@@ -63,6 +63,9 @@ PSD_TOL = 1e-10
 # In the closed unit q-dual ball: dual norm <= 1 + _DUAL_BALL_SLACK.
 _KER_REL_TOL = 1e-8
 _DUAL_BALL_SLACK = 1e-9
+_SYMMETRY_TOL = 1e-12  # g and g' agree within this, relative, plus this times max(1, max|g|)
+_SPAN_RANK_TOL = 1e-12  # restrict_gram keeps singular values above this * max(1, s_max)
+_SCALE_FLOOR = 1e-300  # least scale a relative tolerance is taken against
 
 
 def _as_vector(v, dim: int) -> np.ndarray:
@@ -83,9 +86,9 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(peaks < 0, -vectors, vectors)
 
 
-def _is_psd(w: np.ndarray) -> bool:
-    """The PSD rule on ascending eigenvalues w."""
-    return not (len(w) and float(w[0]) < -PSD_TOL * max(1.0, float(w[-1])))
+def _is_psd(w: np.ndarray) -> np.ndarray:
+    """The PSD rule on ascending eigenvalues w (last axis, stacks too)."""
+    return ~(w[..., :1] < -PSD_TOL * np.fmax(1.0, w[..., -1:])).any(axis=-1)
 
 
 def _check_psd(w: np.ndarray) -> None:
@@ -115,24 +118,13 @@ class GramForm:
             raise DimensionMismatch(
                 f"gram must be {self.dim}x{self.dim}, got {g.shape}"
             )
-        if not np.allclose(g, g.T, rtol=1e-12, atol=1e-12 * max(1.0, float(np.abs(g).max(initial=0.0)))):
+        atol = _SYMMETRY_TOL * max(1.0, float(np.abs(g).max(initial=0.0)))
+        if not np.allclose(g, g.T, rtol=_SYMMETRY_TOL, atol=atol):
             raise NotPSD("gram matrix is not symmetric")
         g = 0.5 * (g + g.T)  # symmetrize exactly against round-off
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
         _check_psd(self._eig[0])
-
-    @classmethod
-    def _decomposed(cls, gram, w, v) -> "GramForm":
-        """A form on an exactly symmetric, read-only gram whose ascending
-        eigenvalues w and sign-fixed eigenvectors v are already known: the
-        constructor's PSD rule, without its copy and its eigh."""
-        form = cls.__new__(cls)
-        for name, value in (("dim", len(w)), ("gram", gram)):
-            object.__setattr__(form, name, value)
-        form.__dict__["_eig"] = (w, v)  # the slot cached_property fills
-        _check_psd(w)
-        return form
 
     # -- spectral data ----------------------------------------------------
 
@@ -282,18 +274,20 @@ def _pseudo_inverses(wp: np.ndarray, vp: np.ndarray) -> np.ndarray:
     return (vp / wp[..., None, :]) @ np.swapaxes(vp, -1, -2)
 
 
+def _picked(v: np.ndarray, cols: slice) -> np.ndarray:
+    """The columns ``cols`` of each matrix of a stack of eigenvectors, laid
+    out as a lone form's boolean pick of them (_split) lays them out:
+    Fortran order, so that every product runs as it runs alone."""
+    return np.swapaxes(np.ascontiguousarray(np.swapaxes(v[..., cols], -1, -2)), -1, -2)
+
+
 def _dual_ball_stacks(w: np.ndarray, v: np.ndarray, rank: int):
     """(pseudo-inverses, kernel bases) of a stack of forms of one rank from
     their stacked ascending eigenvalues w and sign-fixed eigenvectors v,
-    each matrix bit for bit a lone form's pseudo_inverse and _split[3]: the
-    columns are laid out as a lone form's boolean pick of them lays them
-    out (Fortran order), so every product runs as it runs alone."""
-    def picked(x):
-        return np.swapaxes(np.ascontiguousarray(np.swapaxes(x, -1, -2)), -1, -2)
-
+    each matrix bit for bit a lone form's pseudo_inverse and _split[3]."""
     cut = w.shape[-1] - rank
-    pinvs = _pseudo_inverses(w[..., cut:], picked(v[..., cut:])) if rank else np.zeros_like(v)
-    return pinvs, picked(v[..., :cut])
+    pinvs = _pseudo_inverses(w[..., cut:], _picked(v, slice(cut, None))) if rank else np.zeros_like(v)
+    return pinvs, _picked(v, slice(cut))
 
 
 def kernel_basis(p: GramForm) -> list[np.ndarray]:
@@ -430,27 +424,34 @@ def simultaneous_diagonalize(p: GramForm, q: GramForm) -> OrthonormalSystem:
     )
 
 
-def principal_restrictions(p: GramForm, index_sets) -> list:
-    """p restricted to each coordinate tuple of ``index_sets`` (the principal
-    submatrices of gram), in input order.  The sets of one size share one
-    gather and one stacked eigh; each restriction keeps its slice of that
-    decomposition, which is bit for bit what it would compute alone, and
-    passes the PSD rule of GramForm's constructor."""
+def _restriction_groups(p: GramForm, index_sets):
+    """p restricted to the coordinate tuples of ``index_sets`` (principal
+    submatrices of gram), per size (first-seen order) and rank (ascending):
+    (positions, ascending; rank; stacked ascending eigenvalues; stacked
+    sign-fixed eigenvectors), each slice a lone GramForm's bit for bit from
+    one gather and one eigh per size.  All sizes are checked before the
+    first group: a coordinate past p.dim is a DimensionMismatch, and the
+    first restriction (by size, then input order) that breaks the
+    constructor's PSD rule raises its NotPSD."""
     sets = [tuple(s) for s in index_sets]
     by_size: dict = {}
     for i, s in enumerate(sets):
         by_size.setdefault(len(s), []).append(i)
-    out: list = [None] * len(sets)
+    stacks = []
     for size, pos in by_size.items():
         cols = np.array([sets[i] for i in pos], dtype=int).reshape(len(pos), size)
         if cols.size and (cols.min() < 0 or cols.max() >= p.dim):
             raise DimensionMismatch(f"an index set leaves coordinates 0..{p.dim - 1}")
-        grams = p.gram[cols[:, :, None], cols[:, None, :]]
-        grams.setflags(write=False)
-        w, v = np.linalg.eigh(grams)
-        for i, g, w_i, v_i in zip(pos, grams, w, _fix_signs(v)):
-            out[i] = GramForm._decomposed(g, w_i, v_i)
-    return out
+        w, v = np.linalg.eigh(p.gram[cols[:, :, None], cols[:, None, :]])
+        psd = _is_psd(w)
+        if not psd.all():
+            _check_psd(w[np.argmin(psd)])
+        stacks.append((pos, w, _fix_signs(v)))
+    for pos, w, v in stacks:
+        ranks = _above_cutoff(w).sum(axis=1)
+        for r in sorted(set(ranks.tolist())):
+            group = np.flatnonzero(ranks == r)
+            yield [pos[j] for j in group], r, w[group], v[group]
 
 
 def restrict_gram(p: GramForm, basis_vectors) -> GramForm:
@@ -462,7 +463,7 @@ def restrict_gram(p: GramForm, basis_vectors) -> GramForm:
     m = np.column_stack(cols)
     # Euclidean-orthonormal basis of the span via SVD (rank-revealing)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    keep = s > 1e-12 * max(s[0], 1.0) if s.size else np.zeros(0, dtype=bool)
+    keep = s > _SPAN_RANK_TOL * max(s[0], 1.0) if s.size else np.zeros(0, dtype=bool)
     b = u[:, keep]
     g = b.T @ p.gram @ b
     return GramForm(dim=b.shape[1], gram=0.5 * (g + g.T))

@@ -49,6 +49,9 @@ SQUARE_TOL = 1e-9  # a negative L(a^2) within this share of its scale is roundin
 CBS_SLACK = 1e-9  # relative slack on L(ab)^2 <= L(a^2) L(b^2)
 EVEN_MOMENT_TOL = 1e-12  # a negative L(v^2n) within this share of its scale is rounding
 MEMBERSHIP_TOL = 1e-12  # g(c) down to -MEMBERSHIP_TOL counts as g(c) >= 0
+_NEGATIVE_WEIGHT_TOL = 1e-14  # a weight down to -_NEGATIVE_WEIGHT_TOL counts as nonnegative
+_NORMALIZATION_TOL = 1e-9  # |L(1) - 1| allowed of a moment functional
+_KERNEL_REL = 1e-10  # L on kernel directions allowed, relative to max(1, its largest |value|)
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +61,9 @@ MEMBERSHIP_TOL = 1e-12  # g(c) down to -MEMBERSHIP_TOL counts as g(c) >= 0
 
 def _check_weights(weights: np.ndarray) -> None:
     """A measure's weight rules on finite weights: nonnegative down to
-    -1e-14, summing to 1 within WEIGHT_SUM_TOL."""
+    -_NEGATIVE_WEIGHT_TOL, summing to 1 within WEIGHT_SUM_TOL."""
     values = weights.tolist()
-    if min(values, default=0.0) < -1e-14:
+    if min(values, default=0.0) < -_NEGATIVE_WEIGHT_TOL:
         raise InvalidInput("weights must be nonnegative")
     if not weights_sum_to_one(values):
         raise InvalidInput(f"weights do not sum to 1 within {WEIGHT_SUM_TOL}")
@@ -163,7 +166,7 @@ class MomentFunctional:
             raise DimensionMismatch(f"{values.shape} moments for {self.dim} variables")
         if not np.isfinite(values).all():
             raise InvalidInput("moments must be finite")
-        if abs(values[0] - 1.0) > 1e-9:
+        if abs(values[0] - 1.0) > _NORMALIZATION_TOL:
             raise InvalidInput(f"L(1) = {values[0]}, expected 1")
         object.__setattr__(self, "values", values)
 
@@ -270,7 +273,7 @@ def localizing_matrix(L: MomentFunctional, g: AlgebraElement, d: int) -> np.ndar
 
 def psd_within(matrix: np.ndarray) -> bool:
     """GramForm's PSD rule on the eigenvalues of ``matrix``."""
-    return _is_psd(np.linalg.eigvalsh(matrix))
+    return bool(_is_psd(np.linalg.eigvalsh(matrix)))
 
 
 def square_positive_check(L: MomentFunctional) -> bool:
@@ -292,7 +295,7 @@ def cbs_check(L: MomentFunctional, a: AlgebraElement, b: AlgebraElement) -> bool
 
 
 def _kernel_tol(values: np.ndarray) -> float:
-    return 1e-10 * max(1.0, float(np.abs(values).max(initial=0.0)))
+    return _KERNEL_REL * max(1.0, float(np.abs(values).max(initial=0.0)))
 
 
 def _check_dim(L: MomentFunctional, x):

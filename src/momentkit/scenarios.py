@@ -205,6 +205,7 @@ def _parse_element(data, max_degree):
 
 
 TRACE_AGREEMENT_REL = 1e-9  # relative agreement of the two trace methods and the expected value
+_TAIL_TOL = 1e-9  # tail_tol of a carleman config that sets none
 
 
 def _run_trace(params, seed):
@@ -434,7 +435,7 @@ def _run_carleman(params, seed):
     if "expected_verdict" in params:
         passed = passed and diag.verdict.value == params["expected_verdict"]
     if "expected_tail_sum" in params:
-        tol = params.get("tail_tol", 1e-9)
+        tol = params.get("tail_tol", _TAIL_TOL)
         tail = diag.tail_sum_estimate
         passed = passed and isinstance(tail, float) and abs(
             tail - params["expected_tail_sum"]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditioned, InvalidInput, NotPSD, RankNotFlat
+from .forms import _SCALE_FLOOR
 from .moments import DiscreteMeasure, MomentFunctional, localizing_matrix, moment_matrix
 from .symalg import AlgebraElement, _graded_exponents, _graded_slice, _monomial_values, _slice_index
 
@@ -41,7 +42,7 @@ class SolverResult:
 def _rank(w: np.ndarray) -> int:
     """The one rank rule: ascending eigenvalues above _RANK_TOL times the
     largest count toward the rank."""
-    return int(np.count_nonzero(w > _RANK_TOL * max(w.max(initial=0.0), 1e-300)))
+    return int(np.count_nonzero(w > _RANK_TOL * max(w.max(initial=0.0), _SCALE_FLOOR)))
 
 
 def _equilibrated(L: MomentFunctional):

@@ -56,6 +56,7 @@ from .errors import (
     NotInScope,
 )
 from .forms import (
+    _SCALE_FLOOR,
     DualFunctional,
     GramForm,
     OrthonormalSystem,
@@ -603,7 +604,7 @@ def tilde_trace_identity(
         formula += f_d
         direct += s_d
         per_degree.append((d, f_d, s_d))
-    rel_error = abs(formula - direct) / max(abs(formula), 1e-300)
+    rel_error = abs(formula - direct) / max(abs(formula), _SCALE_FLOOR)
     return TildeTraceReport(
         formula=formula,
         direct=direct,
@@ -616,6 +617,9 @@ def tilde_trace_identity(
 # ---------------------------------------------------------------------------
 # Character bound
 # ---------------------------------------------------------------------------
+
+_CHARACTER_SLACK = 1e-9  # relative slack on the character bound's right-hand side
+_CHARACTER_FLOOR = 1e-12  # absolute slack on the character bound's right-hand side
 
 
 def character_norm_bound(
@@ -639,5 +643,5 @@ def character_norm_bound(
         raise NotContinuous("functional is not r-continuous")
     lhs = abs(evaluate_character(Character(point=l.coeffs), a_d))
     rhs = (rp * tr.value) ** d * graded_norm(s, d, a_d)
-    ok = lhs <= rhs * (1.0 + 1e-9) + 1e-12
+    ok = lhs <= rhs * (1.0 + _CHARACTER_SLACK) + _CHARACTER_FLOOR
     return {"lhs": lhs, "rhs": rhs, "dual_norm": rp, "trace": tr.value, "ok": bool(ok)}

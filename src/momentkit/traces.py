@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, IncompleteSystem, InvalidInput
 from .forms import (
+    _SCALE_FLOOR,
     GramForm,
     INFINITE,
     OrthonormalSystem,
@@ -27,6 +28,9 @@ from .forms import (
     restrict_gram,
     whitening_system,
 )
+
+
+_LAW_SLACK = 1e-9  # slack of the scaling law (relative) and of restriction monotonicity
 
 
 class TraceMethod(Enum):
@@ -83,10 +87,9 @@ def trace_value(p: GramForm, q: GramForm):
     return trace(p, q).value
 
 
-def trace_scaling_check(p: GramForm, q: GramForm, eps: float, delta: float,
-                        rel_tol: float = 1e-9) -> bool:
-    """Verify tr(eps*p / delta*q) = (eps/delta)^2 tr(p/q) by computing both
-    sides independently."""
+def trace_scaling_check(p: GramForm, q: GramForm, eps: float, delta: float) -> bool:
+    """Verify tr(eps*p / delta*q) = (eps/delta)^2 tr(p/q) within _LAW_SLACK,
+    relative, by computing both sides independently."""
     base = trace(p, q)
     if not base.finite:
         raise InvalidInput("trace_scaling_check requires finite tr(p/q)")
@@ -94,12 +97,12 @@ def trace_scaling_check(p: GramForm, q: GramForm, eps: float, delta: float,
     scaled_q = GramForm(q.dim, delta**2 * np.asarray(q.gram))
     lhs = trace(scaled_p, scaled_q).value
     rhs = (eps / delta) ** 2 * base.value
-    return bool(abs(lhs - rhs) <= rel_tol * max(abs(rhs), 1e-300))
+    return bool(abs(lhs - rhs) <= _LAW_SLACK * max(abs(rhs), _SCALE_FLOOR))
 
 
-def trace_restriction_check(p: GramForm, q: GramForm, subspace_vectors,
-                            slack: float = 1e-9) -> bool:
-    """Verify tr(p|_W / q|_W) <= tr(p/q) for W = span(subspace_vectors)."""
+def trace_restriction_check(p: GramForm, q: GramForm, subspace_vectors) -> bool:
+    """Verify tr(p|_W / q|_W) <= tr(p/q) (1 + _LAW_SLACK) + _LAW_SLACK for
+    W = span(subspace_vectors)."""
     full = trace(p, q)
     p_w = restrict_gram(p, subspace_vectors)
     q_w = restrict_gram(q, subspace_vectors)
@@ -109,7 +112,7 @@ def trace_restriction_check(p: GramForm, q: GramForm, subspace_vectors,
         return not full.finite
     if not full.finite:
         return True
-    return bool(restricted.value <= full.value * (1.0 + slack) + slack)
+    return bool(restricted.value <= full.value * (1.0 + _LAW_SLACK) + _LAW_SLACK)
 
 
 @dataclass(frozen=True, eq=False)

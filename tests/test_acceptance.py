@@ -57,7 +57,7 @@ from momentkit.moments import (
     monomials_up_to,
 )
 from momentkit.symalg import GradedSeminormTower, slice_monomials
-from momentkit.traces import whitening_system
+from momentkit.traces import _LAW_SLACK, whitening_system
 
 
 def rand_pd(rng, n, floor=0.1):
@@ -76,6 +76,7 @@ def test_criterion_01_trace_equivalence():
     """200 random PSD pairs (n <= 50): two trace methods within 1e-10
     relative; restriction monotonicity and the (eps/delta)^2 scaling law
     within 1e-9; all inside 30 s."""
+    assert _LAW_SLACK == 1e-9  # the tolerance both law checks apply
     rng = np.random.default_rng(101)
     t0 = time.monotonic()
     worst = 0.0
@@ -97,9 +98,9 @@ def test_criterion_01_trace_equivalence():
             assert rel <= 1e-10
             k = int(rng.integers(1, n + 1))
             sub = [rng.standard_normal(n) for _ in range(k)]
-            assert trace_restriction_check(p, q, sub, slack=1e-9)
+            assert trace_restriction_check(p, q, sub)
             eps, delta = rng.uniform(0.5, 2.0, 2)
-            assert trace_scaling_check(p, q, eps, delta, rel_tol=1e-9)
+            assert trace_scaling_check(p, q, eps, delta)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     print(f"criterion 01 PASS: 200 pairs, worst rel dev {worst:.2e}, {elapsed:.1f}s")

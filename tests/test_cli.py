@@ -307,6 +307,27 @@ def test_numerical_error_exit_3(tmp_path):
     assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 3
 
 
+def test_principal_minor_breaking_the_psd_rule_exit_3(tmp_path, capsys):
+    """p = diag(-5e-9, 100, -7e-9) passes the PSD rule (the cutoff scales
+    with lambda_max = 100) and so validate, but its minors on {0} and {2}
+    do not: run is a numerical verdict naming the first failing index in
+    index order."""
+    cfg = tmp_path / "psd_minor.json"
+    cfg.write_text(json.dumps({
+        "kind": "concentration",
+        "parameters": {
+            "global_measure": {"atoms": [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+                               "weights": [0.5, 0.5]},
+            "p": [[-5e-9, 0.0, 0.0], [0.0, 100.0, 0.0], [0.0, 0.0, -7e-9]],
+            "epsilon": 0.04,
+            "delta": 0.2,
+        },
+    }))
+    assert run_cli("validate", str(cfg)) == 0
+    assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 3
+    assert "NotPSD: gram has eigenvalue -5.000e-09" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "entry",
     ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],

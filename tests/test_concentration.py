@@ -46,8 +46,9 @@ from momentkit.forms import (
     DualFunctional,
     _in_unit_dual_ball,
     _in_unit_dual_balls,
+    _restriction_groups,
     evaluate,
-    principal_restrictions,
+    kernel_basis,
 )
 from momentkit.moments import monomials_up_to
 
@@ -256,6 +257,20 @@ def test_lattice_checks_reject_coordinates_past_the_form():
         prokhorov_mass_check(fam, one, one, 0.05, 0.5, require_certificate=False)
 
 
+def test_prokhorov_rejects_a_minor_of_q_that_breaks_the_psd_rule():
+    """q = diag(-5e-9, 100, -7e-9) passes the PSD rule (the cutoff scales
+    with lambda_max = 100), its minors on {0} and {2} do not: the Prokhorov
+    pass raises the constructor's NotPSD for the first failing index in
+    index order, as the spectral pass does for p."""
+    q = GramForm(dim=3, gram=np.diag([-5e-9, 100.0, -7e-9]))
+    p = GramForm(dim=3, gram=np.diag([0.0, 1.0, 0.0]))
+    nu = DiscreteMeasure(dim=3, atoms=np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]),
+                         weights=np.full(2, 0.5))
+    fam = MeasureFamily.from_global(nu)
+    with pytest.raises(NotPSD, match="gram has eigenvalue -5.000e-09"):
+        prokhorov_mass_check(fam, p, q, 0.04, 0.2, require_certificate=False)
+
+
 def test_prokhorov_trace_identity_exact():
     """tr(p / delta r_eps) = eps exactly when tr(p/q) > 0."""
     rng = np.random.default_rng(7)
@@ -293,8 +308,9 @@ def test_reverse_seminorm_trace_bound():
 
 
 def _restrict(p, s):
-    """p restricted to the coordinates of the index s."""
-    return principal_restrictions(p, [s.coords])[0]
+    """p restricted to the coordinates of the index s, by GramForm's own
+    constructor and eigh (no code shared with the stacked lattice passes)."""
+    return GramForm(dim=len(s), gram=p.gram[np.ix_(s.coords, s.coords)])
 
 
 def test_restrict_form_matches_submatrix():
@@ -774,27 +790,33 @@ def _same_bits(x, y):
 
 
 def test_stacked_restrictions_equal_lone_restrictions():
-    """Each restriction of the stacked helper has the gram, decomposition
-    and rank a lone eigh gives it, bit for bit, a read-only gram, and the
-    constructor's PSD rule."""
+    """The stacked restriction pass yields its groups by size (first seen),
+    then rank (ascending), each position ascending and exactly once; each
+    position's eigenvalues, eigenvectors and rank are a lone GramForm's bit
+    for bit.  A principal submatrix that breaks the constructor's PSD rule
+    raises its NotPSD, the first failing tuple's in input order."""
     rng = np.random.default_rng(31)
     for n, rank in [(5, 5), (5, 2), (4, 1)]:
         b = rng.standard_normal((n, rank))
         p = GramForm(dim=n, gram=b @ b.T)
         sets = [s.coords for s in full_lattice(n)][::-1]
-        for coords, form in zip(sets, principal_restrictions(p, sets)):
-            lone = GramForm(dim=len(coords), gram=p.gram[np.ix_(coords, coords)])
-            assert np.array_equal(form.gram, lone.gram)
-            assert not form.gram.flags.writeable
-            assert all(np.array_equal(x, y) for x, y in zip(form._eig, lone._eig))
-            assert all(np.array_equal(x, y) for x, y in zip(form._split, lone._split))
-            assert form.rank == lone.rank and form.kernel_cutoff == lone.kernel_cutoff
+        groups = list(_restriction_groups(p, sets))
+        for members, r, w, v in groups:
+            assert members == sorted(members) and len(w) == len(v) == len(members)
+            for i, w_i, v_i in zip(members, w, v):
+                lone = _restrict(p, SubalgebraIndex(coords=sets[i]))
+                assert len(sets[i]) == w.shape[1] and r == lone.rank
+                assert _bits(w_i) == _bits(lone._eig[0]) and _bits(v_i) == _bits(lone._eig[1])
+        keys = [(n - w.shape[1], r) for _, r, w, _ in groups]  # sizes descend in sets
+        assert keys == sorted(set(keys))
+        assert sorted(i for members, *_ in groups for i in members) == list(range(len(sets)))
     # a principal submatrix can break the PSD rule its parent passes
-    p = GramForm(dim=2, gram=np.diag([-5e-9, 100.0]))
-    with pytest.raises(NotPSD):
+    p = GramForm(dim=3, gram=np.diag([-5e-9, 100.0, -7e-9]))
+    with pytest.raises(NotPSD, match="-5.000e-09"):
         GramForm(dim=1, gram=np.array([[-5e-9]]))
-    with pytest.raises(NotPSD):
-        _restrict(p, SubalgebraIndex(coords=(0,)))
+    for sets, first in ([[(1,), (0,), (2,)], "-5.000e-09"], [[(1, 2), (2,), (0,)], "-7.000e-09"]):
+        with pytest.raises(NotPSD, match=first):
+            list(_restriction_groups(p, sets))
 
 
 def test_stacked_spectra_match_per_index_references():
@@ -809,8 +831,9 @@ def test_stacked_spectra_match_per_index_references():
         want = _ref_spectra(fam, p)
         got = _index_spectra(fam, p)
         assert list(got) == list(want)
-        for s, (p_s, lam) in got.items():
+        for s, lam in got.items():
             gram, eig, r, ref_lam = want[s]
+            p_s = _restrict(p, s)
             assert _same_bits(lam, ref_lam) and p_s.rank == r
             assert np.array_equal(p_s.gram, gram)
             assert all(np.array_equal(x, y) for x, y in zip(p_s._eig, eig))
@@ -832,8 +855,8 @@ def test_reported_sups_match_an_independent_eigensolver_and_bound_every_tail():
         fam, p = _seeded_family(rng, n, rank, partial=trial % 2 == 1)
         delta = float(rng.uniform(0.2, 1.0))
         details = concentration_check(fam, p, 0.1, delta).details
-        for s, (p_s, _) in _index_spectra(fam, p).items():
-            nu, sup = fam.entries[s], details[s]["sup"]
+        for s in _index_spectra(fam, p):
+            nu, sup, p_s = fam.entries[s], details[s]["sup"], _restrict(p, s)
             if p_s.rank == len(s):
                 m = np.einsum("j,ji,jk->ik", nu.weights, nu.atoms, nu.atoms)
                 top = eigh(m, p_s.gram, eigvals_only=True)[-1]
@@ -844,6 +867,99 @@ def test_reported_sups_match_an_independent_eigensolver_and_bound_every_tail():
                 if nrm > 0:
                     assert exact_tail(nu, (delta / nrm) * u) <= sup * (1.0 + 1e-9) + 1e-15
     assert full_rank > 50
+
+
+def _raises_kernel_issue(fn, *args):
+    try:
+        fn(*args)
+    except KernelIssue:
+        return True
+    return False
+
+
+def test_kernel_test_decides_at_the_relative_leak_cutoff():
+    """Rank-deficient p, and supported atoms in range(p) but for one moved
+    by c along a kernel direction of p: with c bisected to two adjacent
+    floats where the per-index reference stops accepting the leak (at
+    _KERNEL_LEAK_REL times the scale of the deciding index), the stacked
+    pass raises KernelIssue exactly where the reference does, there and at
+    the floats next to them."""
+    rng = np.random.default_rng(35)
+    for trial in range(6):
+        n = int(rng.integers(3, 6))
+        b = rng.standard_normal((n, int(rng.integers(1, n))))
+        p = GramForm(dim=n, gram=b @ b.T)
+        kernel = kernel_basis(p)[0]
+        k = int(rng.integers(2, 6))
+        base = rng.uniform(-1.5, 1.5, (k, n)) @ p.gram
+        w = rng.uniform(0.1, 1.0, k)
+        lattice = full_lattice(n)
+        if trial % 2:  # a partial lattice, top kept
+            lattice = [s for s in lattice[:-1] if rng.random() < 0.5] + lattice[-1:]
+
+        def family(c):
+            atoms = base.copy()
+            atoms[0] += c * kernel
+            nu = DiscreteMeasure(dim=n, atoms=atoms, weights=w / w.sum())
+            return MeasureFamily.from_global(nu, lattice)
+
+        lo, hi = 0.0, 1e-6
+        assert not _raises_kernel_issue(_ref_spectra, family(lo), p)
+        assert _raises_kernel_issue(_ref_spectra, family(hi), p)
+        while (mid := lo + (hi - lo) / 2) not in (lo, hi):
+            if _raises_kernel_issue(_ref_spectra, family(mid), p):
+                hi = mid
+            else:
+                lo = mid
+        for c in (np.nextafter(lo, 0.0), lo, hi, np.nextafter(hi, 1.0)):
+            fam = family(c)
+            want = _raises_kernel_issue(_ref_spectra, fam, p)
+            assert _raises_kernel_issue(_index_spectra, fam, p) == want, (trial, c)
+
+
+_COUNT_FORMS = """
+import numpy as np
+from momentkit import (DiscreteMeasure, GramForm, MeasureFamily, concentration_check,
+                       prokhorov_mass_check)
+
+rng = np.random.default_rng(25)
+nu = DiscreteMeasure(dim=5, atoms=rng.uniform(-1.0, 1.0, (8, 5)), weights=np.full(8, 0.125))
+fam, fresh = MeasureFamily.from_global(nu), MeasureFamily.from_global(nu)
+p = GramForm(dim=5, gram=np.diag(rng.uniform(40.0, 80.0, 5)))
+q = GramForm(dim=5, gram=np.eye(5))
+made = []
+
+def counted(cls, *args, **kwargs):
+    made.append(cls)
+    return object.__new__(cls)
+
+GramForm.__new__ = counted
+assert concentration_check(fam, p, 0.05, 0.5).certified
+print(len(made))
+assert prokhorov_mass_check(fresh, p, q, 0.05, 0.5).mass_ok
+print(len(made))
+"""
+
+
+def test_lattice_passes_make_no_per_index_forms():
+    """On a full n=5 lattice (31 indices) every restriction lives in a
+    stack: the spectral pass makes no GramForm, and a Prokhorov check on a
+    fresh family makes only its trace identity's form.  Counted in a fresh
+    interpreter: CPython cannot put back a class's inherited __new__ once
+    it is replaced."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import momentkit
+
+    src = str(Path(momentkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COUNT_FORMS], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
 
 
 def test_spectral_pass_makes_one_eigh_per_index_size(monkeypatch):
@@ -963,34 +1079,34 @@ def test_many_atom_marginals_are_exact_in_linear_memory(monkeypatch, block):
 
 
 def test_lattice_tolerances_are_named_constants():
-    """concentration.py writes no 1e-... literal outside the module
+    """No module of the library writes a 1e-... literal outside the module
     constants that name its tolerances."""
     import ast
     import re
     from pathlib import Path
 
-    from momentkit import concentration
+    import momentkit
 
-    src = Path(concentration.__file__).read_text()
-    tree = ast.parse(src)
-    named = {
-        id(node)
-        for top in tree.body
-        if isinstance(top, ast.Assign) and [type(t) for t in top.targets] == [ast.Name]
-        for node in ast.walk(top.value)
-    }
-    bare = [
-        (node.lineno, ast.get_source_segment(src, node))
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and id(node) not in named
-        and re.fullmatch(r"[0-9.]*e-[0-9]+", ast.get_source_segment(src, node) or "", re.I)
-    ]
+    bare = []
+    for path in sorted(Path(momentkit.__file__).parent.glob("*.py")):
+        src = path.read_text()
+        tree = ast.parse(src)
+        named = {
+            id(node)
+            for top in tree.body
+            if isinstance(top, ast.Assign) and [type(t) for t in top.targets] == [ast.Name]
+            for node in ast.walk(top.value)
+        }
+        bare += [
+            (path.name, node.lineno, ast.get_source_segment(src, node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and id(node) not in named
+            and re.fullmatch(r"[0-9.]*e-[0-9]+", ast.get_source_segment(src, node) or "", re.I)
+        ]
     assert bare == []
 
 
-def _lone_restriction(q, s):
-    """q restricted to s by GramForm's own constructor and eigh."""
-    return GramForm(dim=len(s), gram=q.gram[np.ix_(s.coords, s.coords)])
+_lone_restriction = _restrict
 
 
 def test_stacked_dual_balls_equal_lone_tests_row_by_row():
