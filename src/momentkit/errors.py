@@ -24,8 +24,9 @@ MONOMIAL_CAP = math.comb(LATTICE_CAP + 4, 4)
 # Most Monte Carlo streams (blocks) one pass may split into: each block costs
 # a Philox set-up and a pool task (0.15 s in all at the cap on a 2-core host).
 STREAMS_CAP = 2**12
-# Most samples one stream's block may hold: a block keeps one float64 array
-# of its values per estimator, 128 MiB each at the cap.
+# Most samples one stream's block may hold.  A block's memory is chunk-sized
+# whatever its length; the cap bounds the run time of one block, which one
+# worker draws alone.
 BLOCK_SAMPLES_CAP = 2**24
 CARLEMAN_MIN_MOMENTS = 4  # fewest even moments the growth diagnostic fits
 

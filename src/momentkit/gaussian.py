@@ -13,8 +13,8 @@ regardless of scheduling or worker count.
 The parallelism lives in the block pool, so a chunk is small (_chunk_rows,
 rows * rank^2 bounded): its BLAS calls stay in cache and single-threaded,
 where larger ones would start BLAS threads inside the pool's workers.  A
-worker holds one float64 array of values per estimator for its block,
-squared in place for the sum of squares, plus chunk-sized buffers.
+block's sums are built chunk by chunk along numpy's pairwise-summation
+tree, so a worker holds chunk-sized arrays only, whatever the block size.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .traces import trace_value
 
 CERTIFY_SIGMAS = 4.0  # a Monte Carlo estimate certifies within this many standard errors
 _CHUNK = 8_192  # rows per chunk up to rank 6: a chunk and its BLAS products stay in cache
+_PAIRWISE_BLOCK = 128  # numpy's pairwise sum adds up to this many values in one unrolled loop
 _HYPOTHESIS_LEAK_REL = 1e-12  # second moment on ker p allowed by the lemma's sup, relative
 
 
@@ -129,25 +130,33 @@ def _chunk_rows(rank: int) -> int:
 
 
 def _block_sums(gamma: GaussianMeasure, seed: int, block: int, count: int, fns) -> list:
-    """(sum, sum of squares) of each fn's per-sample values on one block.
-    The block's stream is drawn _chunk_rows(rank) rows at a time into one
-    buffer; each fn fills an array as long as the block, which is summed
-    whole, so every sum has the bits of a single whole-block draw."""
+    """(sum, sum of squares) of each fn's per-sample values on one block, with
+    the bits of np.add.reduce over the whole block's values.  numpy sums
+    pairwise: a node of n > _PAIRWISE_BLOCK values splits at n // 2 less its
+    remainder mod 8.  The block is cut along that tree into leaves of at
+    most max(_chunk_rows(rank), _PAIRWISE_BLOCK) rows, drawn in order into
+    one buffer, and fns see at most _chunk_rows(rank) rows at a time; leaf
+    sums are added up the tree, left plus right."""
     rng = _block_rng(seed, block)
     rows = _chunk_rows(gamma.rank)
-    buf = np.empty((min(count, rows), gamma.rank))
-    vals = [np.empty(count) for _ in fns]
-    for start in range(0, count, rows):
-        z = buf[: min(rows, count - start)]
+    leaf = max(rows, _PAIRWISE_BLOCK)
+    buf = np.empty((min(count, leaf), gamma.rank))
+
+    def node(n):
+        if n > leaf:
+            half = n // 2
+            half -= half % 8
+            left = node(half)  # drawn before the right half
+            return [(s + t, s2 + t2) for (s, s2), (t, t2) in zip(left, node(n - half))]
+        z = buf[:n]
         rng.standard_normal(out=z)
-        for fn, out in zip(fns, vals):
-            out[start : start + len(z)] = fn(z)
-    sums = []
-    for v in vals:
-        total = float(v.sum())
-        np.square(v, out=v)  # the bits of (v * v).sum(), without a second block array
-        sums.append((total, float(v.sum())))
-    return sums
+        sums = []
+        for fn in fns:  # a chunk of fn values is a copy; fn(z) may be a view of z
+            v = np.concatenate([fn(z[i : i + rows]) for i in range(0, n, rows)], dtype=float)
+            sums.append((np.add.reduce(v), np.add.reduce(np.square(v, out=v))))
+        return sums
+
+    return [(float(s), float(s2)) for s, s2 in node(count)]
 
 
 def _mc_means(gamma: GaussianMeasure, cfg: McConfig, per_sample_fns) -> list:

@@ -47,6 +47,7 @@ from momentkit.gaussian import (
     _chunk_rows,
     _mc_checks,
     _mc_means,
+    _second_moment_estimator,
     sample,
 )
 from momentkit.scenarios import run_config
@@ -196,8 +197,10 @@ def test_chunked_pooled_pass_keeps_whole_block_bits(monkeypatch, streams, worker
     """The streaming kernel (chunked draws, one pass for several estimators,
     blocks on a thread pool) gives the bits of whole-block draws, one pass
     per estimator, on one thread, for every block layout: partial chunks,
-    several chunks, and empty blocks (samples < streams); at rank 3 with
-    _CHUNK rows and at rank 12 with a quarter of that."""
+    several chunks, uneven splits of numpy's pairwise tree over several
+    levels, and empty blocks (samples < streams); at rank 3 with _CHUNK
+    rows, at rank 12 with a quarter of that, and at rank 64 with fewer rows
+    than numpy's pairwise sum ever splits off."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     pools = []
 
@@ -208,7 +211,7 @@ def test_chunked_pooled_pass_keeps_whole_block_bits(monkeypatch, streams, worker
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
     rng = np.random.default_rng(11)
-    for rank in (3, 12):
+    for rank in (3, 12, 64):
         m = rng.standard_normal((rank, rank))
         gamma = GaussianMeasure.from_form(GramForm(dim=rank, gram=m @ m.T + np.eye(rank)))
         u = rng.standard_normal(rank)
@@ -219,7 +222,7 @@ def test_chunked_pooled_pass_keeps_whole_block_bits(monkeypatch, streams, worker
             lambda z: np.einsum("ij,ij->i", z @ a, z),
         ]
         rows = _chunk_rows(rank)
-        for samples in (1, 10, rows - 1, rows + 1, 3 * rows + 5):
+        for samples in (1, 10, rows - 1, rows + 1, 3 * rows + 5, 37 * rows + 3):
             cfg = McConfig(seed=5, samples=samples, streams=streams)
             pools.clear()
             assert _mc_means(gamma, cfg, fns) == _whole_block_means(gamma, cfg, fns), (rank, samples)
@@ -256,26 +259,41 @@ def test_one_pass_equals_separate_checks():
             assert results["chebyshev_outside_ball"] == cheb
 
 
-def test_block_sums_hold_one_block_array_per_estimator():
-    """A block keeps one float64 array of values per estimator, squared in
-    place for the sum of squares, plus chunk-sized buffers: (v * v).sum()
-    would hold a third whole-block array here."""
+def test_block_sums_hold_chunk_sized_arrays_only():
+    """A block holds chunk-sized arrays only, whatever its length: the peak
+    of _block_sums is the same within one chunk buffer at 3 and at 64
+    chunks, and at most one chunk buffer per estimator plus two."""
     gamma = GaussianMeasure.from_form(GramForm(dim=1, gram=np.array([[2.0]])))
-    fns = [lambda z: z[:, 0], lambda z: z[:, 0]]  # views: no per-chunk arrays
-    count = 3 * _CHUNK + 5
+    fns = [lambda z: z[:, 0], lambda z: z[:, 0]]  # views of z: only the kernel's arrays count
     chunk_buffer = _CHUNK * gamma.rank * 8
     _block_sums(gamma, 0, 0, 1, fns)  # one-time set-up stays out of the peak
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        sums = _block_sums(gamma, 0, 0, count, fns)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert sums[0] == sums[1]
-    block_arrays = len(fns) * count * 8
-    assert block_arrays <= peak <= block_arrays + 2 * chunk_buffer, peak
+    peaks = []
+    for count in (3 * _CHUNK + 5, 64 * _CHUNK + 5):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sums = _block_sums(gamma, 0, 0, count, fns)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert sums[0] == sums[1]
+    assert abs(peaks[1] - peaks[0]) <= chunk_buffer, peaks
+    assert max(peaks) <= (len(fns) + 2) * chunk_buffer, peaks
+
+
+def test_benchmark_shaped_block_keeps_whole_block_bits():
+    """One block of 2,500,000 rows at rank 2 (a 10M-sample, 4-stream
+    config's block) through the gaussian kind's two estimators: the bits of
+    whole-block draws."""
+    gamma = GaussianMeasure.from_form(GramForm(dim=2, gram=np.array([[2.0, 0.5], [0.5, 1.0]])))
+    p = GramForm(dim=2, gram=np.eye(2))
+    cfg = McConfig(seed=3, samples=2_500_000)
+    fns = [
+        _second_moment_estimator(gamma, gamma.whitening[:, 0], cfg)[0],
+        _chebyshev_estimator(gamma, p, 1.5, cfg)[0],
+    ]
+    assert _mc_means(gamma, cfg, fns) == _whole_block_means(gamma, cfg, fns)
 
 
 def _six_dim_pair(seed):
