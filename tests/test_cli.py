@@ -738,6 +738,39 @@ def test_monomial_cap_admits_every_degree_4_lattice():
     assert len(validate_config(config)) == 1
 
 
+def _scaled_main_theorem(n, s):
+    """A seeded main_theorem config (six atoms in [-1, 1]^n, q = G G^T + I,
+    the ball 1.5 times the largest atom's squared norm) with its atoms
+    scaled by s, q by s^2 and the ball's constant by s^2."""
+    import numpy as np
+
+    rng = np.random.default_rng(1)
+    atoms, raw, g = rng.uniform(-1.0, 1.0, (6, n)), rng.integers(1, 10, 6), rng.standard_normal((n, n))
+    terms = [{"alpha": [0] * n, "c": s * s * 1.5 * float((atoms**2).sum(axis=1).max())}]
+    terms += [{"alpha": [2 * (j == i) for j in range(n)], "c": -1.0} for i in range(n)]
+    return {"kind": "main_theorem", "parameters": {
+        "measure": {"atoms": (s * atoms).tolist(), "weights": (raw / raw.sum()).tolist()},
+        "q": (s * s * (g @ g.T + np.eye(n))).tolist(),
+        "generators": [{"dim": n, "terms": terms}], "degrees": 4, "eps_grid": [0.04, 0.25],
+    }}
+
+
+@pytest.mark.parametrize("s", [16.0, 50.0])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_main_theorem_on_large_atoms_exit_0(tmp_path, n, s):
+    """Moment rounding grows as R^|alpha|, R the largest |coordinate|, and
+    so do the consistency and representation identity tolerances: atoms up
+    to 50 in size pass every stage (absolute tolerances failed the
+    identity at s = 16 with max_error 3.6e-12, and consistency too at
+    s = 50), and the report echoes the unchanged constants."""
+    cfg = tmp_path / "scaled.json"
+    cfg.write_text(json.dumps(_scaled_main_theorem(n, s)))
+    assert run_cli("run", str(cfg), "--out", str(tmp_path)) == 0
+    report = read_report(tmp_path, "scaled")
+    assert report["tolerances"]["consistency_abs"] == CONSISTENCY_ABS
+    assert report["tolerances"]["identity_abs"] == IDENTITY_ABS
+
+
 def test_lattice_tolerances_echo_the_constants_that_ran(tmp_path):
     """The tolerances a concentration or main_theorem report echoes are the
     module constants the checks use."""
